@@ -5,9 +5,8 @@ continuation for variable-coefficient Schrodinger equations."""
 __version__ = "0.1.0"
 
 from .expressions import Expression, ExpressionError, parse_expression
-from .coefficients import (CoefficientField, FieldMetrics, SamplingBox,
-                           TransversalField, decay_smallness,
-                           ellipticity_bounds, gauge_reduce)
+from .coefficients import (CoefficientField, SamplingBox, TransversalField,
+                           decay_smallness, ellipticity_bounds, gauge_reduce)
 from .grids import Grid, SpaceTimeGrid
 from .operators import (DiffOperator, WeightSpec, apply, commutator,
                         conjugate_decompose, verify_T_decomposition)

@@ -324,11 +324,25 @@ def carleman_sides_translated(f: TestField, tfld: TransversalField, beta: float,
 # parameter sweeps and the admissibility frontier
 # ---------------------------------------------------------------------------
 
+class ThreadCountError(ValueError):
+    """UCONT_THREADS is not a positive integer."""
+
+
 def worker_count() -> int:
+    """Sweep pool width: UCONT_THREADS (a positive integer) capped at the CPU
+    count, or min(4, CPU count) when unset."""
+    cpus = os.cpu_count() or 1
     env = os.environ.get("UCONT_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
+    if not env:
+        return min(4, cpus)
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ThreadCountError(
+            f"UCONT_THREADS={env!r} is not a positive integer")
+    return min(value, cpus)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 Exit status: 0 when every asserted check passed (exploratory checks never
 fail the run), 1 when an asserted check failed, 2 on configuration errors.
-The worker-pool width is capped by the UCONT_THREADS environment variable.
+The worker-pool width is set by the UCONT_THREADS environment variable (a
+positive integer, capped at the CPU count); an invalid value exits with 2.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .carleman import ThreadCountError, worker_count
 from .experiments import KINDS, ConfigError, load_config, run
 
 
@@ -52,6 +54,11 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(echo, indent=2, sort_keys=True))
         return 0
 
+    try:
+        worker_count()
+    except ThreadCountError as exc:
+        print(f"environment error: {exc}", file=sys.stderr)
+        return 2
     report = run(cfg)
     for name, chk in sorted(report.checks.items()):
         print(f"[{chk['status']:>11}] {name}")

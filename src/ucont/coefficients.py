@@ -18,7 +18,7 @@ import sympy as sp
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
-from .expressions import Expression, X_SYMBOLS, const
+from .expressions import Expression, X_SYMBOLS, const, sample
 
 
 class EllipticityError(ValueError):
@@ -46,23 +46,6 @@ class SamplingBox:
         return [m.ravel() for m in np.meshgrid(*axes, indexing="ij")]
 
 
-def _eval_on(expr: sp.Expr, coords: Sequence[np.ndarray],
-             syms: Sequence[sp.Symbol] | None = None) -> np.ndarray:
-    if syms is None:
-        syms = X_SYMBOLS[:len(coords)]
-    fn = sp.lambdify(tuple(syms), expr, modules="numpy")
-    out = fn(*coords)
-    return np.broadcast_to(np.asarray(out, dtype=float), coords[0].shape).copy()
-
-
-@dataclass(frozen=True)
-class FieldMetrics:
-    lam: float
-    Lam: float
-    smallness: float
-    c3_norm: float
-
-
 @dataclass(frozen=True)
 class CoefficientField:
     """Symmetric coefficient table A(x) = (a_kj) plus real potential V(x)."""
@@ -70,7 +53,6 @@ class CoefficientField:
     dim: int
     entries: tuple[tuple[Expression, ...], ...]
     potential: Expression = field(default_factory=lambda: const(0))
-    metrics: FieldMetrics | None = None
 
     def __post_init__(self):
         if not 1 <= self.dim <= 3:
@@ -112,7 +94,7 @@ class CoefficientField:
         out = np.empty((npts, self.dim, self.dim))
         for k in range(self.dim):
             for j in range(self.dim):
-                out[:, k, j] = _eval_on(self.entry(k, j), coords)
+                out[:, k, j] = sample(self.entry(k, j), coords)
         return out
 
     def is_constant(self) -> bool:
@@ -120,13 +102,7 @@ class CoefficientField:
 
     def m1_norm(self, box: SamplingBox) -> float:
         """sup |V| over the box (the bound called M1 in the convexity checks)."""
-        return float(np.max(np.abs(_eval_on(self.potential.sym, box.lattice()))))
-
-    def with_metrics(self, box: SamplingBox) -> "CoefficientField":
-        lam, Lam = ellipticity_bounds(self, box)
-        return CoefficientField(
-            self.dim, self.entries, self.potential,
-            FieldMetrics(lam, Lam, decay_smallness(self, box), c3_norm(self, box)))
+        return float(np.max(np.abs(sample(self.potential.sym, box.lattice()))))
 
 
 @dataclass(frozen=True)
@@ -194,56 +170,45 @@ def ellipticity_bounds(fld: CoefficientField, box: SamplingBox) -> tuple[float, 
     return lam, Lam
 
 
-def _grad_frobenius_sq(entries, dim: int, coords, wrt: Sequence[sp.Symbol]) -> np.ndarray:
-    total = np.zeros_like(coords[0], dtype=float)
-    for k in range(dim):
-        for j in range(dim):
-            for s in wrt:
-                d = sp.diff(entries[k][j], s)
-                if d == 0:
-                    continue
-                total += _eval_on(d, coords, wrt) ** 2
-    return total
+def derivative_sq_sums(table: Sequence[Sequence[Expression]], order: int,
+                       coords: Sequence[np.ndarray],
+                       syms: Sequence[sp.Symbol]) -> list[np.ndarray]:
+    """For each multi-index alpha over ``syms`` with |alpha| = ``order``, the
+    pointwise sum over the entries of ``table`` of (d^alpha entry)^2 sampled
+    on the lattice ``coords`` (bound to ``syms``)."""
+    out = []
+    for alpha in itertools.combinations_with_replacement(syms, order):
+        total = np.zeros_like(coords[0], dtype=float)
+        for row in table:
+            for e in row:
+                d = sp.diff(e.sym, *alpha)
+                if d != 0:
+                    total += sample(d, coords, syms) ** 2
+        out.append(total)
+    return out
 
 
 def decay_smallness(fld: CoefficientField | TransversalField, box: SamplingBox) -> float:
     """sup over the box of |x| |grad A| (|x'| |grad_{x'} Atilde| in the
     transversal case), with the Frobenius-style gradient norm."""
     if isinstance(fld, TransversalField):
-        m = fld.dim - 1
-        if m == 0:
+        if fld.dim == 1:
             return 0.0
-        sub = SamplingBox(box.lo[1:], box.hi[1:], box.pts[1:]) \
-            if len(box.lo) == fld.dim else box
-        coords = sub.lattice()
-        entries = [[e.sym for e in row] for row in fld.atilde]
-        grad_sq = _grad_frobenius_sq(entries, m, coords, X_SYMBOLS[1:fld.dim])
-        rad = np.sqrt(sum(c ** 2 for c in coords))
-        return float(np.max(rad * np.sqrt(grad_sq)))
+        if len(box.lo) == fld.dim:
+            box = SamplingBox(box.lo[1:], box.hi[1:], box.pts[1:])
+        table, syms = fld.atilde, X_SYMBOLS[1:fld.dim]
+    else:
+        table, syms = fld.entries, X_SYMBOLS[:fld.dim]
     coords = box.lattice()
-    entries = [[e.sym for e in row] for row in fld.entries]
-    grad_sq = _grad_frobenius_sq(entries, fld.dim, coords, X_SYMBOLS[:fld.dim])
+    grad_sq = sum(derivative_sq_sums(table, 1, coords, syms))
     rad = np.sqrt(sum(c ** 2 for c in coords))
     return float(np.max(rad * np.sqrt(grad_sq)))
 
 
 def grad_order_norm(fld: CoefficientField, box: SamplingBox, order: int) -> float:
     """sup_x max_{|alpha|=order} |grad^alpha A|(x)."""
-    coords = box.lattice()
-    best = 0.0
-    idx_sets = itertools.combinations_with_replacement(range(fld.dim), order)
-    for combo in idx_sets:
-        total = np.zeros_like(coords[0], dtype=float)
-        for k in range(fld.dim):
-            for j in range(fld.dim):
-                d = fld.entry(k, j)
-                for i in combo:
-                    d = sp.diff(d, X_SYMBOLS[i])
-                if d == 0:
-                    continue
-                total += _eval_on(d, coords) ** 2
-        best = max(best, float(np.max(np.sqrt(total))))
-    return best
+    return max(float(np.max(np.sqrt(total))) for total in derivative_sq_sums(
+        fld.entries, order, box.lattice(), X_SYMBOLS[:fld.dim]))
 
 
 def c3_norm(fld: CoefficientField, box: SamplingBox) -> float:
@@ -270,13 +235,7 @@ class GaugeReduction:
     y1_grid: np.ndarray
     psi: Callable[[np.ndarray], np.ndarray]
     x_of_y: Callable[[np.ndarray], np.ndarray]
-    y_of_x: Callable[[np.ndarray], np.ndarray]
     reduced_potential: Callable[[np.ndarray], np.ndarray]   # of y1 (x'-part unchanged)
-
-    def transport(self, u_of_x1: Callable[[np.ndarray], np.ndarray],
-                  y1: np.ndarray) -> np.ndarray:
-        """(e^psi u) composed with the coordinate map, sampled at y1."""
-        return np.exp(self.psi(y1)) * u_of_x1(self.x_of_y(y1))
 
 
 def verify_gauge_transport(gr: GaugeReduction, n_tests: int = 10,
@@ -296,11 +255,8 @@ def verify_gauge_transport(gr: GaugeReduction, n_tests: int = 10,
     k = 2 * np.pi * np.fft.fftfreq(n_grid, d=ys[1] - ys[0])
     xv = np.asarray(gr.x_of_y(ys), dtype=float)
     a11 = gr.original.a11.sym
-    if gr.original.dim == 1:
-        vpot = gr.original.potential.sym
-    else:
-        vpot = gr.original.potential.sym.subs(
-            {s: 0 for s in X_SYMBOLS[1:gr.original.dim]})
+    vpot = gr.original.potential.sym.subs(
+        {s: 0 for s in X_SYMBOLS[1:gr.original.dim]})
     worst = 0.0
     for _ in range(n_tests):
         c0, c1, c2 = rng.normal(size=3)
@@ -308,12 +264,10 @@ def verify_gauge_transport(gr: GaugeReduction, n_tests: int = 10,
         width = rng.uniform(0.6, 1.0)
         u = (c0 + c1 * x1 + c2 * x1 ** 2) * sp.exp(-(x1 - ctr) ** 2 / (2 * width ** 2))
         orig = sp.diff(a11 * sp.diff(u, x1), x1) + vpot * u
-        u_fn = sp.lambdify(x1, u, modules="numpy")
-        orig_fn = sp.lambdify(x1, orig, modules="numpy")
-        w = np.exp(gr.psi(ys)) * u_fn(xv)
+        w = np.exp(gr.psi(ys)) * sample(u, (xv,))
         wyy = np.fft.ifft(-(k ** 2) * np.fft.fft(w)).real
         lhs = wyy + gr.reduced_potential(ys) * w
-        rhs = np.exp(gr.psi(ys)) * orig_fn(xv)
+        rhs = np.exp(gr.psi(ys)) * sample(orig, (xv,))
         scale = np.max(np.abs(rhs))
         worst = max(worst, float(np.max(np.abs(lhs - rhs)) / scale))
     return worst
@@ -327,13 +281,12 @@ def gauge_reduce(fld: TransversalField, x1_range: tuple[float, float] = (-12.0, 
     a11 = fld.a11.sym
     x1 = X_SYMBOLS[0]
     xs = np.linspace(x1_range[0], x1_range[1], npts)
-    a_fn = sp.lambdify(x1, a11, modules="numpy")
-    avals = np.broadcast_to(np.asarray(a_fn(xs), dtype=float), xs.shape)
-    if avals.min() <= 1e-10:
+    amin = float(np.min(sample(a11, (xs,))))
+    if amin <= 1e-10:
         raise GaugeError(f"a11 not bounded below on {x1_range} "
-                         f"(min {avals.min():.3e})")
+                         f"(min {amin:.3e})")
 
-    integrand = lambda s: float(a_fn(s)) ** -0.5
+    integrand = lambda s: float(sample(a11, (s,))) ** -0.5
     ys = np.empty_like(xs)
     i0 = int(np.argmin(np.abs(xs)))
     ys[i0] = quad(integrand, 0.0, xs[i0], limit=400)[0]
@@ -351,38 +304,29 @@ def gauge_reduce(fld: TransversalField, x1_range: tuple[float, float] = (-12.0, 
         raise GaugeError("coordinate map is not strictly increasing")
 
     x_of_y = CubicSpline(ys, xs)
-    y_of_x = CubicSpline(xs, ys)
-
-    a0 = float(a_fn(0.0))
+    a0 = float(sample(a11, (0.0,)))
     a11p = sp.diff(a11, x1)
     a11pp = sp.diff(a11, x1, 2)
-    ap_fn = sp.lambdify(x1, a11p, modules="numpy")
-    app_fn = sp.lambdify(x1, a11pp, modules="numpy")
-    v_fn = sp.lambdify(X_SYMBOLS[:fld.dim], fld.potential.sym, modules="numpy")
+    # the potential on the x1-axis (x' = 0)
+    v_axis = fld.potential.sym.subs({s: 0 for s in X_SYMBOLS[1:fld.dim]})
 
-    def _at_x(fn, xv):
-        return np.broadcast_to(np.asarray(fn(xv), dtype=float), np.shape(xv))
+    def _at_x(expr, xv):
+        return np.broadcast_to(sample(expr, (xv,)), np.shape(xv))
 
     def psi(y1: np.ndarray) -> np.ndarray:
         xv = x_of_y(y1)
-        return 0.25 * np.log(_at_x(a_fn, xv) / a0)
+        return 0.25 * np.log(_at_x(a11, xv) / a0)
 
     def reduced_potential(y1: np.ndarray) -> np.ndarray:
         # psi' and psi'' with respect to y1, expressed through x1 derivatives:
         # psi'(y) = a11'/(4 sqrt(a11)),  psi''(y) = a11''/4 - a11'^2/(8 a11)
         xv = np.asarray(x_of_y(y1), dtype=float)
-        a = _at_x(a_fn, xv)
-        ap = _at_x(ap_fn, xv)
-        app = _at_x(app_fn, xv)
+        a = _at_x(a11, xv)
+        ap = _at_x(a11p, xv)
+        app = _at_x(a11pp, xv)
         psip = 0.25 * ap / np.sqrt(a)
         psipp = 0.25 * app - 0.125 * ap ** 2 / a
-        if fld.dim == 1:
-            v = np.broadcast_to(np.asarray(v_fn(xv), dtype=float), xv.shape)
-        else:
-            v = np.broadcast_to(
-                np.asarray(v_fn(xv, *([0.0] * (fld.dim - 1))), dtype=float), xv.shape)
-        return v - psip ** 2 - psipp
+        return _at_x(v_axis, xv) - psip ** 2 - psipp
 
     reduced = TransversalField(fld.dim, const(1), fld.atilde, fld.potential)
-    return GaugeReduction(fld, reduced, xs, ys, psi, x_of_y, y_of_x,
-                          reduced_potential)
+    return GaugeReduction(fld, reduced, xs, ys, psi, x_of_y, reduced_potential)

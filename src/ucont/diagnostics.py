@@ -15,7 +15,8 @@ from scipy.integrate import quad
 
 from .coefficients import CoefficientField
 from .evolution import DissipationParams, Trajectory, WaveState
-from .grids import Grid, spectral_derivative, spectral_gradient
+from .grids import Grid, spectral_gradient
+from .operators import ConjugatedGridOps, WeightSpec
 
 
 class BoundaryMassError(RuntimeError):
@@ -43,12 +44,16 @@ def weighted_norm(u: WaveState, beta: float, alpha: float = 1.0, *,
                   strict: bool = True, boundary_budget: float = 1e-12) -> float:
     """int e^{2 beta |x|^{2 alpha}} |u|^2 dx on the box.
 
-    With ``strict`` the weighted integrand must be below ``boundary_budget``
-    (relative to its peak) on the box boundary, otherwise the box does not
-    faithfully represent the whole-space integral.
+    With ``strict`` the weighted integrand must be finite and below
+    ``boundary_budget`` (relative to its peak) on the box boundary, otherwise
+    the box does not faithfully represent the whole-space integral.
     """
     integrand = _weight_array(u.grid, beta, alpha) * np.abs(u.values) ** 2
     if strict:
+        if not np.all(np.isfinite(integrand)):
+            raise BoundaryMassError(
+                "weighted integrand is not finite (the weight overflows on "
+                "the box); enlarge the box or reduce beta")
         frac = _boundary_fraction(integrand)
         if frac > boundary_budget:
             raise BoundaryMassError(
@@ -60,35 +65,6 @@ def weighted_norm(u: WaveState, beta: float, alpha: float = 1.0, *,
 # ---------------------------------------------------------------------------
 # log-convexity of H(t)
 # ---------------------------------------------------------------------------
-
-def _spatial_split_apply(fld: CoefficientField, beta: float, grid: Grid,
-                         f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(S f, A f) for the fixed-time split of e^{beta|x|^2} L e^{-beta|x|^2},
-    applied in divergence/antisymmetrized form (discretely exact adjoints)."""
-    import sympy as sp
-    from .expressions import X_SYMBOLS
-    n = grid.dim
-    mesh = grid.meshes
-    syms = X_SYMBOLS[:n]
-    a_vals = [[np.broadcast_to(np.asarray(
-        sp.lambdify(syms, fld.entry(k, j), modules="numpy")(*mesh), dtype=float),
-        grid.points) for j in range(n)] for k in range(n)]
-    gphi = [2.0 * beta * mesh[i] for i in range(n)]
-
-    grads = [spectral_derivative(f, grid, j, 1) for j in range(n)]
-    sf = np.zeros_like(f, dtype=complex)
-    for k in range(n):
-        flux = sum(a_vals[k][j] * grads[j] for j in range(n))
-        sf += spectral_derivative(flux, grid, k, 1)
-    sf += sum(gphi[k] * gphi[j] * a_vals[k][j] for k in range(n) for j in range(n)) * f
-
-    af = np.zeros_like(f, dtype=complex)
-    for m in range(n):
-        c = sum(a_vals[m][l] * gphi[l] for l in range(n))
-        af -= c * spectral_derivative(f, grid, m, 1)
-        af -= spectral_derivative(c * f, grid, m, 1)
-    return sf, af
-
 
 @dataclass
 class ConvexityTrace:
@@ -135,9 +111,10 @@ def logconvexity_check(traj: Trajectory, beta: float, M1: float,
         a = float(traj.meta.get("a", 0.0))
         b = float(traj.meta.get("b", 1.0))
         w = _weight_array(grid, beta, 1.0) ** 0.5
+        ops = ConjugatedGridOps.build(fld, WeightSpec("quadratic", beta), grid)
         for i in range(len(times)):
             f = w * traj.frames[i]
-            sf, af = _spatial_split_apply(fld, beta, grid, f)
+            sf, af = ops.apply_S(f), ops.apply_A(f)
             val = np.sum((a * sf + 1j * b * af) * np.conj(f)) * grid.cell_volume
             D[i] = float(val.real)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -13,10 +13,9 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field as dc_field
 import numpy as np
-import sympy as sp
 
 from .coefficients import CoefficientField
-from .expressions import X_SYMBOLS
+from .expressions import sample
 from .grids import Grid, check_resolved, l2_norm_sq, spectral_derivative
 
 
@@ -146,23 +145,6 @@ def linear_potential_closed_form(p: GaussianPacket, c: float, t: float,
 # the split-step propagator
 # ---------------------------------------------------------------------------
 
-def _field_arrays(fld: CoefficientField, grid: Grid):
-    n = grid.dim
-    mesh = grid.meshes
-    syms = X_SYMBOLS[:n]
-    entries = []
-    for k in range(n):
-        row = []
-        for j in range(n):
-            fn = sp.lambdify(syms, fld.entry(k, j), modules="numpy")
-            row.append(np.broadcast_to(np.asarray(fn(*mesh), dtype=float),
-                                       grid.points).copy())
-        entries.append(row)
-    vfn = sp.lambdify(syms, fld.potential.sym, modules="numpy")
-    v = np.broadcast_to(np.asarray(vfn(*mesh), dtype=float), grid.points).copy()
-    return entries, v
-
-
 def _kinetic_symbol(abar: np.ndarray, grid: Grid) -> np.ndarray:
     kaxes = [grid.wavenumbers(i) for i in range(grid.dim)]
     kmesh = np.meshgrid(*kaxes, indexing="ij")
@@ -191,8 +173,10 @@ def propagate(u0: WaveState, fld: CoefficientField, d: DissipationParams,
     if resolution_budget is not None:
         check_resolved(u0.values, resolution_budget)
 
-    entries, v = _field_arrays(fld, grid)
-    abar = np.array([[entries[k][j].mean() for j in range(grid.dim)]
+    entries = [[sample(fld.entry(k, j), grid.open_mesh)
+                for j in range(grid.dim)] for k in range(grid.dim)]
+    v = sample(fld.potential.sym, grid.open_mesh)
+    abar = np.array([[np.mean(entries[k][j]) for j in range(grid.dim)]
                      for k in range(grid.dim)])
     delta = [[entries[k][j] - abar[k, j] for j in range(grid.dim)]
              for k in range(grid.dim)]

@@ -4,8 +4,8 @@ A small fixed grammar (sums, products, integer powers, exp/sin/cos/atan,
 variables t and x1..x9) is parsed into sympy trees.  Keeping the grammar
 closed guarantees that exact symbolic derivatives up to the orders needed
 by the operator machinery (3 in the coefficients, 4 in the weights) always
-exist.  The :class:`Expression` wrapper carries the sympy tree plus cached
-numpy-callable evaluation.
+exist.  The :class:`Expression` wrapper carries the sympy tree; every
+numeric evaluation of a sympy expression goes through :func:`sample`.
 
 Grammar (whitespace insignificant)::
 
@@ -19,6 +19,7 @@ Grammar (whitespace insignificant)::
 from __future__ import annotations
 
 import re
+import zlib
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -173,9 +174,40 @@ class _Parser:
         raise ExpressionError(f"unexpected token {tok.text!r}", tok.pos)
 
 
+def with_stand_ins(expr: sp.Expr) -> sp.Expr:
+    """Replace abstract applied functions (the generic weight profile) by
+    fixed smooth stand-ins, then evaluate the derivatives they carried.
+
+    The stand-in depends on the function name only, through a checksum that
+    is the same in every process."""
+    subs = {}
+    for f in expr.atoms(sp.core.function.AppliedUndef):
+        h = zlib.crc32(f.func.__name__.encode()) % 7 + 2
+        subs[f] = sp.sin(sp.Rational(h, 3) * f.args[0] + sp.Rational(1, 7)) + h
+    return expr.xreplace(subs).doit() if subs else expr
+
+
 @lru_cache(maxsize=512)
 def _lambdify(expr: sp.Expr, syms: tuple[sp.Symbol, ...]):
-    return sp.lambdify(syms, expr, modules="numpy")
+    ready = with_stand_ins(expr)
+    unbound = ready.free_symbols - set(syms)
+    if unbound:
+        raise ValueError(f"expression has unbound symbols "
+                         f"{sorted(s.name for s in unbound)}")
+    return sp.lambdify(syms, ready, modules="numpy")
+
+
+def sample(expr: sp.Expr, mesh, syms=None):
+    """Evaluate ``expr`` on broadcastable coordinate arrays ``mesh`` bound,
+    in order, to ``syms`` (default x1..xn for n arrays).
+
+    The value keeps its natural shape: a scalar for a constant, and only the
+    axes of the variables it depends on otherwise (on an open mesh).  Each
+    (expression, symbols) pair is compiled once per process; symbols left
+    unbound raise :class:`ValueError`.
+    """
+    syms = X_SYMBOLS[:len(mesh)] if syms is None else tuple(syms)
+    return _lambdify(expr, syms)(*mesh)
 
 
 @dataclass(frozen=True)
@@ -201,9 +233,7 @@ class Expression:
         missing = [s.name for s in syms if s.name not in values]
         if missing:
             raise ValueError(f"missing values for {missing}")
-        fn = _lambdify(self.sym, syms)
-        out = fn(*(values[s.name] for s in syms))
-        return out
+        return sample(self.sym, [values[s.name] for s in syms], syms)
 
     def is_constant(self) -> bool:
         return not self.sym.free_symbols

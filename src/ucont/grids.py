@@ -63,6 +63,11 @@ class Grid:
                                  indexing="ij"))
 
     @cached_property
+    def open_mesh(self) -> tuple[np.ndarray, ...]:
+        """Broadcastable coordinate axes: axis i has shape n_i along i, 1 elsewhere."""
+        return np.ix_(*(self.axis(i) for i in range(self.dim)))
+
+    @cached_property
     def radius_sq(self) -> np.ndarray:
         return sum(m ** 2 for m in self.meshes)
 
@@ -164,6 +169,12 @@ class SpaceTimeGrid:
 
     def t_mesh(self) -> np.ndarray:
         return self.times.reshape((self.nt,) + (1,) * self.space.dim)
+
+    @cached_property
+    def open_mesh(self) -> tuple[np.ndarray, ...]:
+        """Broadcastable (t, x1, .., xn) axes, like :attr:`Grid.open_mesh`."""
+        g = self.space
+        return np.ix_(self.times, *(g.axis(i) for i in range(g.dim)))
 
     def time_derivative(self, values: np.ndarray, order: int = 1) -> np.ndarray:
         k = 2 * np.pi * np.fft.fftfreq(self.nt, d=self.dt)

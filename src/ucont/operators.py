@@ -25,9 +25,9 @@ from typing import Iterable, Mapping
 import numpy as np
 import sympy as sp
 
-from .coefficients import CoefficientField, SamplingBox
-from .expressions import Expression, T_SYMBOL, X_SYMBOLS
-from .grids import SpaceTimeGrid, l2_norm_sq, spectral_derivative
+from .coefficients import CoefficientField, SamplingBox, derivative_sq_sums
+from .expressions import Expression, T_SYMBOL, X_SYMBOLS, sample
+from .grids import Grid, SpaceTimeGrid, spectral_derivative
 
 Key = tuple[int, tuple[int, ...]]
 
@@ -47,31 +47,19 @@ def _is_structurally_zero(expr: sp.Expr) -> bool:
 _PROBE_RNG_SEED = 0xC0FFEE
 
 
-def _probe_ready(expr: sp.Expr) -> sp.Expr:
-    """Replace abstract applied functions by fixed smooth stand-ins so the
-    randomized-evaluation equality check can run."""
-    subs = {}
-    for f in expr.atoms(sp.core.function.AppliedUndef):
-        h = (hash(f.func.__name__) % 7) + 2
-        arg = f.args[0]
-        subs[f] = sp.sin(sp.Rational(h, 3) * arg + sp.Rational(1, 7)) + h
-    return expr.xreplace(subs) if subs else expr
-
-
 def probe_max_abs(expr: sp.Expr, dim: int, npoints: int = 64,
                   extra: Iterable[sp.Symbol] = ()) -> float:
-    """Max |expr| over random points (deterministic seed); 0 for the zero expr."""
-    expr = _probe_ready(sp.expand(expr))
+    """Max |expr| over random points (deterministic seed); 0 for the zero
+    expr.  Abstract profiles are evaluated through their stand-ins."""
+    expr = sp.expand(expr)
     if expr == 0:
         return 0.0
     syms = [T_SYMBOL, *X_SYMBOLS[:dim], *extra]
     free = sorted(expr.free_symbols - set(syms), key=lambda s: s.name)
     syms += free
-    fn = sp.lambdify(syms, expr, modules="numpy")
     rng = np.random.default_rng(_PROBE_RNG_SEED)
     pts = rng.uniform(0.25, 1.75, size=(npoints, len(syms)))
-    vals = np.asarray(fn(*pts.T), dtype=complex)
-    return float(np.max(np.abs(vals)))
+    return float(np.max(np.abs(sample(expr, pts.T, syms))))
 
 
 def coeff_is_zero(expr: sp.Expr, dim: int, tol: float = 1e-10) -> bool:
@@ -180,11 +168,10 @@ class DiffOperator:
             out += coef * df
         return sp.expand(out)
 
-    def apply_grid(self, values: np.ndarray, st: SpaceTimeGrid,
-                   params: Mapping[sp.Symbol, float] | None = None) -> np.ndarray:
+    def apply_grid(self, values: np.ndarray, st: SpaceTimeGrid) -> np.ndarray:
         """Apply on a sampled space-time field (axis 0 = t, then x axes)."""
         out = np.zeros_like(values, dtype=complex)
-        mesh = _st_mesh(st)
+        syms = (T_SYMBOL, *X_SYMBOLS[:st.space.dim])
         for (a, al), coef in self.terms.items():
             d = values
             if a:
@@ -192,7 +179,7 @@ class DiffOperator:
             for i, m in enumerate(al):
                 if m:
                     d = spectral_derivative(d, st.space, i, m, time_offset=1)
-            out += _coef_on_mesh(coef, st, mesh, params) * d
+            out += sample(coef, st.open_mesh, syms) * d
         return out
 
     def to_text(self) -> str:
@@ -208,8 +195,7 @@ def operators_equal(p: DiffOperator, q: DiffOperator, tol: float = 1e-10) -> boo
     return all(coeff_is_zero(c, p.dim, tol) for c in diff.terms.values())
 
 
-def apply(op: DiffOperator, f, st: "SpaceTimeGrid | None" = None,
-          params: Mapping[sp.Symbol, float] | None = None):
+def apply(op: DiffOperator, f, st: "SpaceTimeGrid | None" = None):
     """Apply an operator to a symbolic expression or a sampled space-time
     field (axis 0 = t); sampled fields need their grid and must be resolved
     to the operator's order."""
@@ -218,7 +204,7 @@ def apply(op: DiffOperator, f, st: "SpaceTimeGrid | None" = None,
             raise ValueError("sampled fields need their space-time grid")
         from .grids import check_resolved
         check_resolved(f, 1e-2)
-        return op.apply_grid(f, st, params)
+        return op.apply_grid(f, st)
     return op.apply_symbolic(f)
 
 
@@ -317,27 +303,19 @@ class WeightSpec:
 # conjugated split S + A
 # ---------------------------------------------------------------------------
 
-def conjugate_decompose(fld: CoefficientField, w: WeightSpec,
-                        include_time: bool = True) -> tuple[DiffOperator, DiffOperator]:
-    """Split e^phi (i dt + L) e^{-phi} into symmetric and antisymmetric parts.
-
-    With ``include_time=False`` the i dt term and the time derivative of the
-    weight are dropped (the split of e^phi L e^{-phi} used by the fixed-time
-    convexity quantities; the weight must then be time-independent).
-    """
+def conjugate_decompose(fld: CoefficientField, w: WeightSpec
+                        ) -> tuple[DiffOperator, DiffOperator]:
+    """Split e^phi (i dt + L) e^{-phi} into symmetric and antisymmetric parts."""
     n = fld.dim
     phi = w.phi(n)
-    if not include_time and sp.diff(phi, T_SYMBOL) != 0:
-        raise ValueError("include_time=False requires a time-independent weight")
     s_terms: dict[Key, sp.Expr] = {}
     a_terms: dict[Key, sp.Expr] = {}
 
     def add(terms, key, coef):
         terms[key] = terms.get(key, sp.Integer(0)) + coef
 
-    if include_time:
-        add(s_terms, (1, (0,) * n), sp.I)
-        add(a_terms, (0, (0,) * n), -sp.I * sp.diff(phi, T_SYMBOL))
+    add(s_terms, (1, (0,) * n), sp.I)
+    add(a_terms, (0, (0,) * n), -sp.I * sp.diff(phi, T_SYMBOL))
     for k in range(n):
         for j in range(n):
             akj = fld.entry(k, j)
@@ -551,51 +529,26 @@ def verify_T_decomposition(fld: CoefficientField, w: WeightSpec
 # remainder-grouping containment (the O(1) bounds, checked not assumed)
 # ---------------------------------------------------------------------------
 
-def _pointwise_group_norm(fld: CoefficientField, box: SamplingBox, order: int
-                          ) -> np.ndarray:
-    coords = box.lattice()
-    total = np.zeros_like(coords[0], dtype=float)
-    for combo in itertools.combinations_with_replacement(range(fld.dim), order):
-        for k in range(fld.dim):
-            for j in range(fld.dim):
-                e = fld.entry(k, j)
-                for i in combo:
-                    e = sp.diff(e, X_SYMBOLS[i])
-                if e == 0:
-                    continue
-                fn = sp.lambdify(X_SYMBOLS[:fld.dim], e, modules="numpy")
-                vals = np.broadcast_to(np.asarray(fn(*coords), dtype=float),
-                                       coords[0].shape)
-                total += vals ** 2
-    return np.sqrt(total)
-
-
 def remainder_grouping_report(fld: CoefficientField, w: WeightSpec,
                               box: SamplingBox, t_samples: int = 9
                               ) -> dict[str, float]:
     """Smallest constants C with |remainder coefficients| <= C * majorant on
     the box, for the first-order and zero-order remainder groupings."""
     n = fld.dim
-    phi = _probe_ready(w.phi(n))
+    phi = w.phi(n)
+    xs = X_SYMBOLS[:n]
     coords = box.lattice()
-    ts = np.linspace(0.0, 1.0, t_samples)
+    shape = (t_samples, coords[0].size)
+    mesh = (np.linspace(0.0, 1.0, t_samples)[:, None], *(c[None] for c in coords))
 
-    def grad_norm(expr_list) -> np.ndarray:
-        return np.sqrt(sum(np.abs(v) ** 2 for v in expr_list))
+    def grad_norm(exprs) -> np.ndarray:
+        sq = sum(np.abs(sample(e, mesh, (T_SYMBOL, *xs))) ** 2 for e in exprs)
+        return np.broadcast_to(np.sqrt(sq), shape)
 
-    def eval_tx(e: sp.Expr) -> np.ndarray:
-        fn = sp.lambdify((T_SYMBOL, *X_SYMBOLS[:n]), e, modules="numpy")
-        vals = np.stack([np.broadcast_to(
-            np.asarray(fn(tv, *coords), dtype=complex), coords[0].shape)
-            for tv in ts])
-        return vals
-
-    dphi1 = [eval_tx(sp.diff(phi, X_SYMBOLS[i])) for i in range(n)]
-    dphi2 = [eval_tx(sp.diff(phi, X_SYMBOLS[i], 1).diff(X_SYMBOLS[j]))
-             for i in range(n) for j in range(n)]
-    g1, g2 = grad_norm(dphi1), grad_norm(dphi2)
-    a1 = _pointwise_group_norm(fld, box, 1)[None, :]
-    a2 = _pointwise_group_norm(fld, box, 2)[None, :]
+    g1 = grad_norm([sp.diff(phi, x) for x in xs])
+    g2 = grad_norm([sp.diff(phi, xi, xj) for xi in xs for xj in xs])
+    a1 = np.sqrt(sum(derivative_sq_sums(fld.entries, 1, coords, xs)))[None, :]
+    a2 = np.sqrt(sum(derivative_sq_sums(fld.entries, 2, coords, xs)))[None, :]
 
     parts = t_decomposition_terms(fld, w)
     s_full = parts["order1"]
@@ -613,8 +566,8 @@ def remainder_grouping_report(fld: CoefficientField, w: WeightSpec,
                         sp.diff(phi, X_SYMBOLS[k]).diff(X_SYMBOLS[j]).diff(X_SYMBOLS[l])
         princ[key] = coef
     remainder = s_full - DiffOperator.build(n, princ)
-    rem_norm = grad_norm([eval_tx(remainder.terms.get(
-        (0, tuple(1 if i == m else 0 for i in range(n))), sp.Integer(0)))
+    rem_norm = grad_norm([remainder.terms.get(
+        (0, tuple(1 if i == m else 0 for i in range(n))), sp.Integer(0))
         for m in range(n)])
     majorant = g2 * a1 + g1 * a1 ** 2 + g1 * a2
     mask = majorant > 1e-14
@@ -631,69 +584,63 @@ def remainder_grouping_report(fld: CoefficientField, w: WeightSpec,
 # numeric application
 # ---------------------------------------------------------------------------
 
-def _st_mesh(st: SpaceTimeGrid) -> tuple[np.ndarray, ...]:
-    tm = st.t_mesh()
-    space = st.space.meshes
-    return (np.broadcast_to(tm, st.shape),
-            *(np.broadcast_to(m[None], st.shape) for m in space))
-
-
-def _coef_on_mesh(coef: sp.Expr, st: SpaceTimeGrid, mesh, params=None) -> np.ndarray:
-    coef = _probe_ready(sp.sympify(coef))
-    if params:
-        coef = coef.subs(params)
-    syms = (T_SYMBOL, *X_SYMBOLS[:st.space.dim])
-    free = coef.free_symbols - set(syms)
-    if free:
-        raise ValueError(f"coefficient has unbound symbols {free}; pass params")
-    if coef.is_number:
-        return np.full(st.shape, complex(coef))
-    fn = sp.lambdify(syms, coef, modules="numpy")
-    return np.broadcast_to(np.asarray(fn(*mesh), dtype=complex), st.shape).copy()
-
-
 @dataclass
 class ConjugatedGridOps:
     """Structured grid realizations of the symmetric part, antisymmetric part
-    and their sum for one (field, weight) pair on one space-time grid.
+    and their sum for one (field, weight) pair on one grid.
 
-    The symmetric part is applied in divergence form and the antisymmetric
-    part in antisymmetrized form, so the discrete adjoint identities (and
-    hence ||(S+A)f||^2 = ||Sf||^2 + ||Af||^2 + <[S,A]f, f>) hold to roundoff.
+    On a :class:`SpaceTimeGrid` these realize the split of
+    e^phi (i dt + L) e^{-phi}; on a spatial :class:`Grid` they realize the
+    fixed-time split of e^phi L e^{-phi}, which needs a time-independent
+    weight.  The symmetric part is applied in divergence form and the
+    antisymmetric part in antisymmetrized form, so the discrete adjoint
+    identities (and hence ||(S+A)f||^2 = ||Sf||^2 + ||Af||^2 + <[S,A]f, f>)
+    hold to roundoff.  Coefficients keep their natural sampled shapes.
     """
 
-    st: SpaceTimeGrid
+    grid: SpaceTimeGrid | Grid
     a_entries: list[list[np.ndarray]]
     grad_phi: list[np.ndarray]
-    dt_phi: np.ndarray
-    v_vals: np.ndarray | None = None
-    include_time: bool = True
+    dt_phi: np.ndarray | None       # None on a spatial grid
 
     @classmethod
-    def build(cls, fld: CoefficientField, w: WeightSpec, st: SpaceTimeGrid,
-              include_time: bool = True, include_potential: bool = False,
-              params: Mapping[sp.Symbol, float] | None = None) -> "ConjugatedGridOps":
+    def build(cls, fld: CoefficientField, w: WeightSpec,
+              grid: SpaceTimeGrid | Grid) -> "ConjugatedGridOps":
         n = fld.dim
         phi = w.phi(n)
-        mesh = _st_mesh(st)
-        a_entries = [[_coef_on_mesh(fld.entry(k, j), st, mesh, params)
-                      for j in range(n)] for k in range(n)]
-        grad_phi = [_coef_on_mesh(sp.diff(phi, X_SYMBOLS[i]), st, mesh, params)
-                    for i in range(n)]
-        dt_phi = _coef_on_mesh(sp.diff(phi, T_SYMBOL), st, mesh, params)
-        v_vals = None
-        if include_potential:
-            v_vals = _coef_on_mesh(fld.potential.sym, st, mesh, params)
-        return cls(st, a_entries, grad_phi, dt_phi, v_vals, include_time)
+        xs = X_SYMBOLS[:n]
+        dt_phi = sp.diff(phi, T_SYMBOL)
+        timed = isinstance(grid, SpaceTimeGrid)
+        if not timed and dt_phi != 0:
+            raise ValueError("the fixed-time split on a spatial grid needs a "
+                             "time-independent weight")
+        syms = (T_SYMBOL, *xs) if timed else xs
+
+        def on_grid(e: sp.Expr):
+            return sample(e, grid.open_mesh, syms)
+        return cls(grid,
+                   [[on_grid(fld.entry(k, j)) for j in range(n)]
+                    for k in range(n)],
+                   [on_grid(sp.diff(phi, x)) for x in xs],
+                   on_grid(dt_phi) if timed else None)
+
+    @property
+    def timed(self) -> bool:
+        return isinstance(self.grid, SpaceTimeGrid)
+
+    @property
+    def space(self) -> Grid:
+        return self.grid.space if self.timed else self.grid
 
     def _dx(self, f: np.ndarray, i: int) -> np.ndarray:
-        return spectral_derivative(f, self.st.space, i, 1, time_offset=1)
+        return spectral_derivative(f, self.space, i, 1,
+                                   time_offset=int(self.timed))
 
     def apply_S(self, f: np.ndarray) -> np.ndarray:
-        n = self.st.space.dim
+        n = self.space.dim
         out = np.zeros_like(f, dtype=complex)
-        if self.include_time:
-            out += 1j * self.st.time_derivative(f)
+        if self.timed:
+            out += 1j * self.grid.time_derivative(f)
         grads = [self._dx(f, j) for j in range(n)]
         for k in range(n):
             flux = sum(self.a_entries[k][j] * grads[j] for j in range(n))
@@ -701,28 +648,18 @@ class ConjugatedGridOps:
         zero = sum(self.grad_phi[k] * self.grad_phi[j] * self.a_entries[k][j]
                    for k in range(n) for j in range(n))
         out += zero * f
-        if self.v_vals is not None:
-            out += self.v_vals * f
         return out
 
     def apply_A(self, f: np.ndarray) -> np.ndarray:
-        n = self.st.space.dim
+        n = self.space.dim
         out = np.zeros_like(f, dtype=complex)
         c = [sum(self.a_entries[m][l] * self.grad_phi[l] for l in range(n))
              for m in range(n)]
         for m in range(n):
             out -= c[m] * self._dx(f, m) + self._dx(c[m] * f, m)
-        if self.include_time:
+        if self.timed:
             out += -1j * self.dt_phi * f
         return out
 
     def apply_sum(self, f: np.ndarray) -> np.ndarray:
         return self.apply_S(f) + self.apply_A(f)
-
-    def commutator_form(self, f: np.ndarray) -> float:
-        """<[S,A]f, f> evaluated as ||(S+A)f||^2 - ||Sf||^2 - ||Af||^2."""
-        g = self.st.space
-        dt = self.st.dt
-        sf, af = self.apply_S(f), self.apply_A(f)
-        return (l2_norm_sq(sf + af, g, dt) - l2_norm_sq(sf, g, dt)
-                - l2_norm_sq(af, g, dt))

@@ -200,9 +200,18 @@ def test_translated_inequality_block_field(st_grid_2d):
 
 
 def test_worker_count_env(monkeypatch):
-    from ucont.carleman import worker_count
+    import os
+    from ucont.carleman import ThreadCountError, worker_count
+    cpus = os.cpu_count() or 1
     monkeypatch.setenv("UCONT_THREADS", "2")
-    assert worker_count() == 2
+    assert worker_count() == min(2, cpus)
+    # capped at the CPU count (only the number is checked; no pool starts)
+    monkeypatch.setenv("UCONT_THREADS", "100000")
+    assert worker_count() == cpus
+    for bad in ("two", "0", "-3", "1.5"):
+        monkeypatch.setenv("UCONT_THREADS", bad)
+        with pytest.raises(ThreadCountError, match="positive integer"):
+            worker_count()
     monkeypatch.delenv("UCONT_THREADS")
     assert worker_count() >= 1
 

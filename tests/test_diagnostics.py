@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.special as ss
+import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from ucont.diagnostics import (AnnulusResolutionError, BoundaryMassError,
@@ -12,6 +13,7 @@ from ucont.diagnostics import (AnnulusResolutionError, BoundaryMassError,
                                square_completion_band, weighted_norm)
 from ucont.evolution import (HEAT, SCHRODINGER, Trajectory, WaveState,
                              mass, propagate)
+from ucont import expressions
 from ucont.expressions import parse_expression
 from ucont.grids import Grid
 
@@ -51,6 +53,16 @@ def test_weighted_norm_boundary_guard(line_grid):
         weighted_norm(u, 0.3)
 
 
+def test_weighted_norm_strict_rejects_overflow(line_grid):
+    # e^{2 beta x^2} overflows at the box edge while |u|^2 underflows to 0,
+    # so the integrand is NaN there; the strict guard must not pass it
+    u = WaveState(0.0, np.exp(-5 * line_grid.meshes[0] ** 2).astype(complex),
+                  line_grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(BoundaryMassError, match="not finite"):
+            weighted_norm(u, 1.6, strict=True)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.floats(0.0, 0.2), st.floats(0.0, 0.2))
 def test_weighted_norm_monotone_in_beta(b1, b2):
@@ -83,6 +95,25 @@ def test_logconvexity_stationary_trace(line_grid, unit_packet):
     assert np.allclose(np.diff(np.log(tr.H)), 0.0, atol=1e-13)
     assert abs(tr.min_d2_logH) < 1e-9
     assert not tr.violation
+
+
+def test_logconvexity_compiles_each_expression_once(monkeypatch, line_grid,
+                                                   unit_packet, mild_field_1d):
+    # the fixed-time split is built once per call, not once per frame
+    compiled = []
+    lambdify = sp.lambdify
+
+    def counting(syms, expr, *args, **kwargs):
+        compiled.append(expr)
+        return lambdify(syms, expr, *args, **kwargs)
+    monkeypatch.setattr(sp, "lambdify", counting)
+    expressions._lambdify.cache_clear()
+    frames = np.stack([unit_packet.sample(line_grid)] * 65)
+    traj = Trajectory(line_grid, np.linspace(0, 1, 65), frames,
+                      {"a": 0, "b": 1})
+    tr = logconvexity_check(traj, 0.05, 0.0, mild_field_1d)
+    assert np.all(np.isfinite(tr.D)) and np.any(tr.D != 0)
+    assert compiled and len(compiled) == len(set(compiled))
 
 
 def test_logconvexity_vacuous_zero_endpoint(line_grid, unit_packet):

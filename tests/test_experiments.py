@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -163,3 +164,33 @@ t_window = [0.125, 0.875]
     payload = json.loads((tmp_path / "o" / "report.json").read_text())
     status = payload["checks"]["quadratic_fit_preferred"]["status"]
     assert (code == 1) == (status == "fail")
+
+
+def test_symbolic_verify_translated_writes_report(tmp_path):
+    # the remainder grouping samples the abstract time profile through its
+    # stand-in, so the translated weight runs to a finite constant
+    text = """
+[experiment]
+kind = symbolic-verify
+output = {out}
+
+[field]
+dimension = 1
+
+[weight]
+variant = "translated"
+""".format(out=tmp_path / "o")
+    report = run(validate(text))
+    payload = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert payload["checks"]["t_decomposition"]["status"] == "pass"
+    assert not report.failed
+    assert math.isfinite(payload["metrics"]["order1_containment_C"])
+
+
+@pytest.mark.parametrize("value", ["two", "0"])
+def test_cli_run_rejects_bad_thread_count(tmp_path, monkeypatch, capsys, value):
+    path = tmp_path / "c.cfg"
+    path.write_text(MINIMAL_SIMULATE.format(out=tmp_path / "o"))
+    monkeypatch.setenv("UCONT_THREADS", value)
+    assert cli_main(["run", str(path)]) == 2
+    assert "UCONT_THREADS" in capsys.readouterr().err

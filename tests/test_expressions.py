@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from ucont.expressions import ExpressionError, parse_expression
+from ucont.expressions import (T_SYMBOL, X_SYMBOLS, ExpressionError,
+                               parse_expression, sample)
+from ucont.grids import Grid, SpaceTimeGrid
 
 
 def test_constant_identity():
@@ -86,6 +91,42 @@ def test_polynomial_round_trip(a, b, k):
     text = f"({a}) + ({b})*x1^{k}" if k else f"({a}) + ({b})"
     e = parse_expression(text)
     x = 0.37
-    assert e(x1=x) if "x1" in text else True
     expected = a + b * x ** k if k else a + b
     assert e(x1=x) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the sampler
+# ---------------------------------------------------------------------------
+
+ST2 = SpaceTimeGrid(8, Grid((4.0, 2.0), (16, 8)))
+ST2_SYMS = (T_SYMBOL, *X_SYMBOLS[:2])
+
+
+def test_sample_constant_is_scalar():
+    val = sample(parse_expression("2 + 1/4").sym, ST2.open_mesh, ST2_SYMS)
+    assert np.ndim(val) == 0 and val == 2.25
+
+
+def test_sample_keeps_natural_shape():
+    e = parse_expression("1 + 0.1*exp(-x2^2)")
+    val = sample(e.sym, ST2.open_mesh, ST2_SYMS)
+    assert val.shape == (1, 1, 8)
+    x2 = ST2.space.axis(1)
+    assert np.allclose(val[0, 0], 1 + 0.1 * np.exp(-x2 ** 2), rtol=0, atol=1e-15)
+    beta = sp.Symbol("beta", positive=True)
+    with pytest.raises(ValueError, match="unbound symbols"):
+        sample(beta * e.sym, ST2.open_mesh, ST2_SYMS)
+
+
+def test_stand_in_same_in_every_process():
+    code = ("import sympy as sp; from ucont.expressions import T_SYMBOL, "
+            "with_stand_ins; print(with_stand_ins(sp.Function('vp')(T_SYMBOL)))")
+    out = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        out.append(subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True,
+                                  check=True, timeout=120).stdout)
+    assert out[0] == out[1] and "sin" in out[0]
