@@ -7,11 +7,14 @@ radial (cubic-regime) weight and to R^2 for the x1-translated weight.
 
 The right-hand side is always evaluated in conjugated form, so the
 exponential weight itself is never instantiated and large beta causes no
-overflow.  The admissibility frontier is measured on the commutator
-quadratic form <[S,A]f, f> (computed exactly from the discrete adjoint
-identity), whose sign change is what the beta thresholds gate; the
-inequality itself holds with large slack well below threshold for generic
-test functions, so its pass/fail carries no frontier information.
+overflow.  Both sides are polynomials in beta, evaluated from inner
+products of the split realized once at unit weight scale.  The
+admissibility frontier is measured on the commutator quadratic form
+<[S,A]f, f> = 2 Re<Sf, Af>, whose sign change is what the beta thresholds
+gate: a probe's frontier is the exact root of
+c1 beta + c3 beta^3 = lambda^2 (g1 beta + g3 beta^3).  The inequality
+itself holds with large slack well below threshold for generic test
+functions, so its pass/fail carries no frontier information.
 """
 
 from __future__ import annotations
@@ -19,16 +22,16 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp
 
 from .coefficients import CoefficientField, SamplingBox, TransversalField, \
     ellipticity_bounds
-from .expressions import Expression, T_SYMBOL
+from .expressions import Expression, T_SYMBOL, const
 from .grids import Grid, SpaceTimeGrid, band_limited_noise, check_resolved, \
-    l2_norm_sq, spectral_derivative
+    spectral_gradient
 from .operators import ConjugatedGridOps, WeightSpec
 
 SMOOTHSTEP_D1_MAX = 15.0 / 8.0
@@ -75,37 +78,28 @@ class CutoffSpec:
             raise ValueError("time knots must be increasing within [0, 1]")
 
     @property
-    def rise_width(self) -> float:
-        return self.knots[1] - self.knots[0]
-
-    @property
-    def fall_width(self) -> float:
-        return self.knots[3] - self.knots[2]
+    def edge_width(self) -> float:
+        """Width of the narrower of the rise and the fall."""
+        k = self.knots
+        return min(k[1] - k[0], k[3] - k[2])
 
     @property
     def profile_d1_max(self) -> float:
-        w = min(self.rise_width, self.fall_width)
-        return self.plateau * SMOOTHSTEP_D1_MAX / w
+        return self.plateau * SMOOTHSTEP_D1_MAX / self.edge_width
 
     @property
     def profile_d2_max(self) -> float:
-        w = min(self.rise_width, self.fall_width)
-        return self.plateau * SMOOTHSTEP_D2_MAX / w ** 2
+        return self.plateau * SMOOTHSTEP_D2_MAX / self.edge_width ** 2
 
-    def profile_sym(self) -> sp.Expr:
+    def profile_expression(self) -> Expression:
         t = T_SYMBOL
         k = self.knots
         rise = smoothstep5_sym((t - k[0]) / (k[1] - k[0]))
         fall = smoothstep5_sym((k[3] - t) / (k[3] - k[2]))
-        return self.plateau * rise * fall
-
-    def profile_expression(self) -> Expression:
-        return Expression(self.profile_sym())
+        return Expression(self.plateau * rise * fall)
 
     def profile_values(self, t: np.ndarray) -> np.ndarray:
-        k = self.knots
-        return self.plateau * smoothstep5((t - k[0]) / (k[1] - k[0])) \
-            * smoothstep5((k[3] - t) / (k[3] - k[2]))
+        return self.plateau * self.time_window(t)
 
     def time_window(self, t: np.ndarray) -> np.ndarray:
         """[0,1]-valued window supported exactly on (knots[0], knots[3])."""
@@ -133,7 +127,6 @@ class TestField:
     mode: str
     seed: int
     cutoff: CutoffSpec
-    params: dict = dc_field(default_factory=dict)
 
 
 def make_test_function(mode: str, st: SpaceTimeGrid, cutoff: CutoffSpec,
@@ -188,11 +181,12 @@ def make_test_function(mode: str, st: SpaceTimeGrid, cutoff: CutoffSpec,
     if mode == "annulus":
         space_cut = smoothstep5((rad - cutoff.r0) / w) * outer_cut
         f = tau.reshape(shape_t) * (noise * space_cut)[None]
-        q = None
+        bad = rad[None] < cutoff.r0
     else:
         q = translated_shift(cutoff, st)
         moving = smoothstep5((q - 1.0) / w)
         f = tau.reshape(shape_t) * noise[None] * moving * outer_cut[None]
+        bad = q < 1.0
     if x_center is not None:
         xw = x_width if x_width is not None else 1.0
         env = np.exp(-((g.meshes[0] - x_center) / xw) ** 2)
@@ -205,17 +199,10 @@ def make_test_function(mode: str, st: SpaceTimeGrid, cutoff: CutoffSpec,
     f /= peak
 
     # exhaustive support scan
-    if mode == "annulus":
-        bad = rad[None] < cutoff.r0
-    else:
-        bad = q < 1.0
     if np.any(f[np.broadcast_to(bad, f.shape)] != 0):
         raise SupportError("support constraint violated on the grid")
     check_resolved(f, resolution_budget)
-    return TestField(f, st, mode, seed, cutoff,
-                     {"k_cut": k_cut, "carrier": carrier, "t_center": t_center,
-                      "t_width": t_width, "x_center": x_center,
-                      "x_width": x_width})
+    return TestField(f, st, mode, seed, cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -255,36 +242,103 @@ def beta_threshold_translated(c0: float, R: float) -> float:
     return c0 * R ** 2
 
 
-def _sides(f: TestField, fld: CoefficientField, beta: float, cutoff: CutoffSpec,
-           variant: str, lam: float, constant: float, threshold: float,
-           tol: float = 1e-6) -> CarlemanReport:
+class FrontierError(RuntimeError):
+    """The probe ensemble fixes no admissibility frontier at this R."""
+
+
+@dataclass(frozen=True)
+class BetaForms:
+    """The sides of one test function as polynomials in beta.  With
+    phi = beta psi, S = S0 + beta^2 S2 and A = beta A1, so
+
+        <[S,A]f, f> = 2 Re<Sf, Af> = c1 beta + c3 beta^3
+        lhs = g1 beta + g3 beta^3,  g1 = ||grad f||^2/R^2, g3 = ||q f||^2/R^6
+        ||(S+A)f||^2 = ||S0f + beta^2 S2f||^2 + beta^2 ||A1f||^2 + comm
+                     = n0 + n2 beta^2 + n4 beta^4 + c1 beta + c3 beta^3
+    """
+
+    seed: int
+    c1: float
+    c3: float
+    g1: float
+    g3: float
+    n0: float
+    n2: float
+    n4: float
+
+
+def _unit_ops(fld: CoefficientField, cutoff: CutoffSpec, mode: str,
+              st: SpaceTimeGrid) -> ConjugatedGridOps:
+    """The mode's conjugated split at unit weight scale (phi = psi)."""
+    variant = "translated" if mode == "translated" else "scaled-time"
+    return ConjugatedGridOps.build(
+        fld, WeightSpec(variant, 1, R=float(cutoff.R),
+                        profile=cutoff.profile_expression()), st)
+
+
+def _beta_forms(f: TestField, ops: ConjugatedGridOps,
+                cutoff: CutoffSpec) -> BetaForms:
+    """The beta-polynomial coefficients of f from the unit-scale split."""
     st = f.st
     g = st.space
-    R = cutoff.R
-    wspec = WeightSpec(variant, float(beta), R=float(R),
-                       profile=cutoff.profile_expression())
-    ops = ConjugatedGridOps.build(fld, wspec, st)
+    vol = g.cell_volume * st.dt
     vals = f.values
-    grad_sq = sum(np.abs(spectral_derivative(vals, g, i, 1, time_offset=1)) ** 2
-                  for i in range(g.dim))
-    if variant == "translated":
-        zero_factor = translated_shift(cutoff, st)
-    else:
-        zero_factor = np.broadcast_to(np.sqrt(g.radius_sq)[None], vals.shape)
-    lhs = beta / R ** 2 * float(grad_sq.sum() * g.cell_volume * st.dt) \
-        + beta ** 3 / R ** 6 * float(((zero_factor * np.abs(vals)) ** 2).sum()
-                                     * g.cell_volume * st.dt)
-    sf = ops.apply_S(vals)
-    af = ops.apply_A(vals)
-    raw = l2_norm_sq(sf + af, g, st.dt)
-    comm = raw - l2_norm_sq(sf, g, st.dt) - l2_norm_sq(af, g, st.dt)
+
+    def dot(u, v) -> float:
+        # Re<u, v> summed by numpy, not BLAS: BLAS threads left spinning
+        # after each call would bill their idle time to the process
+        return float(np.sum(u.real * v.real) + np.sum(u.imag * v.imag)) * vol
+    grad = sum(dot(d, d) for d in spectral_gradient(vals, g, time_offset=1))
+    q2 = translated_shift(cutoff, st) ** 2 if f.mode == "translated" \
+        else g.radius_sq[None]
+    moment = float(np.sum(q2 * np.abs(vals) ** 2)) * vol
+    del q2  # at most four full-size fields from here on
+    s0 = ops.apply_S0(vals)
+    a1 = ops.apply_A(vals)
+    s2 = ops.zero_order * vals
+    return BetaForms(f.seed, c1=2 * dot(s0, a1), c3=2 * dot(s2, a1),
+                     g1=grad / cutoff.R ** 2, g3=moment / cutoff.R ** 6,
+                     n0=dot(s0, s0), n2=dot(a1, a1) + 2 * dot(s0, s2),
+                     n4=dot(s2, s2))
+
+
+def frontier_root(forms: list[BetaForms], lam: float, R: float) -> float:
+    """Smallest beta with <[S,A]f, f> >= lambda^2 lhs for every probe: the
+    largest root of (c1 - lambda^2 g1) + (c3 - lambda^2 g3) beta^2 over the
+    probes.  A probe without a root, or a frontier of 0, raises
+    :class:`FrontierError` instead of returning a number."""
+    roots = []
+    for p in forms:
+        num, den = lam ** 2 * p.g1 - p.c1, p.c3 - lam ** 2 * p.g3
+        if not (den > 0 and math.isfinite(num)):
+            raise FrontierError(f"R = {R:g}, probe seed {p.seed}: no root "
+                                f"(c3 - lam^2 g3 = {den:.3e} <= 0)")
+        roots.append(math.sqrt(max(num, 0.0) / den))
+    beta = max(roots, default=0.0)
+    if not beta > 0:
+        raise FrontierError(
+            f"R = {R:g}, probe seeds {[p.seed for p in forms]}: the "
+            f"commutator form dominates at every beta > 0, so the ensemble "
+            f"fixes no frontier")
+    return beta
+
+
+def _sides(f: TestField, fld: CoefficientField, beta: float, cutoff: CutoffSpec,
+           lam: float, constant: float, threshold: float,
+           tol: float = 1e-6) -> CarlemanReport:
+    p = _beta_forms(f, _unit_ops(fld, cutoff, f.mode, f.st), cutoff)
+    b2 = beta ** 2
+    lhs = beta * (p.g1 + p.g3 * b2)
+    comm = beta * (p.c1 + p.c3 * b2)
+    raw = p.n0 + b2 * (p.n2 + b2 * p.n4) + comm
     rhs = constant * raw
     slack = rhs / lhs if lhs > 0 else math.inf
     comm_denom = lam ** 2 * lhs
     comm_slack = comm / comm_denom if comm_denom > 0 else math.inf
-    return CarlemanReport(f.mode, float(beta), float(R), f.seed, lhs, rhs, raw,
-                          constant, threshold, beta >= threshold - 1e-12,
-                          slack, comm, comm_slack, slack >= 1.0 - tol)
+    return CarlemanReport(f.mode, float(beta), float(cutoff.R), f.seed, lhs,
+                          rhs, raw, constant, threshold,
+                          beta >= threshold - 1e-12, slack, comm, comm_slack,
+                          slack >= 1.0 - tol)
 
 
 def carleman_sides_cubic(f: TestField, fld: CoefficientField, beta: float,
@@ -298,7 +352,13 @@ def carleman_sides_cubic(f: TestField, fld: CoefficientField, beta: float,
         lam, _ = ellipticity_bounds(
             fld, SamplingBox.cube(fld.dim, min(f.st.space.extents), 17))
     thr = beta_threshold_cubic(lam, cutoff, cutoff.R, C1)
-    return _sides(f, fld, beta, cutoff, "scaled-time", lam, lam ** -2, thr)
+    return _sides(f, fld, beta, cutoff, lam, lam ** -2, thr)
+
+
+def _block_field(tfld: TransversalField) -> CoefficientField:
+    if not tfld.is_assumption_61():
+        raise ValueError("field must have constant a11 > 0 (block assumption)")
+    return tfld.to_field()
 
 
 def carleman_sides_translated(f: TestField, tfld: TransversalField, beta: float,
@@ -310,14 +370,12 @@ def carleman_sides_translated(f: TestField, tfld: TransversalField, beta: float,
     to the raw conjugated energy."""
     if f.mode != "translated":
         raise SupportError("translated sides need a translated-mode field")
-    if not tfld.is_assumption_61():
-        raise ValueError("field must have constant a11 > 0 (block assumption)")
-    fld = tfld.to_field()
+    fld = _block_field(tfld)
     if lam is None:
         lam, _ = ellipticity_bounds(
             fld, SamplingBox.cube(fld.dim, min(f.st.space.extents), 17))
     thr = beta_threshold_translated(c0, cutoff.R)
-    return _sides(f, fld, beta, cutoff, "translated", lam, constant, thr)
+    return _sides(f, fld, beta, cutoff, lam, constant, thr)
 
 
 # ---------------------------------------------------------------------------
@@ -416,40 +474,19 @@ def _frontier_variants(mode: str, cutoff: CutoffSpec, R: float, n: int,
     return out
 
 
-def _min_comm_slack(cfg: SweepConfig, st: SpaceTimeGrid, fld, cutoff: CutoffSpec,
-                    beta: float, variants: list[dict], lam: float) -> float:
-    def one(kw):
-        f = make_test_function(cfg.mode, st, cutoff, **kw)
-        if cfg.mode == "annulus":
-            rep = carleman_sides_cubic(f, fld, beta, cutoff, lam=lam, C1=cfg.C1)
-        else:
-            rep = carleman_sides_translated(f, fld, beta, cutoff, c0=cfg.c0,
-                                            constant=cfg.constant, lam=lam)
-        return rep.comm_slack
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        vals = list(pool.map(one, variants))
-    return min(vals)
-
-
-def _frontier_beta(cfg: SweepConfig, st: SpaceTimeGrid, fld, R: float,
-                   lam: float) -> float:
-    """Smallest beta (bisection in log beta) at which the commutator form is
-    positive, with margin, for every probe in the ensemble."""
+def _frontier_beta(cfg: SweepConfig, st: SpaceTimeGrid, fld: CoefficientField,
+                   R: float, lam: float) -> float:
+    """Smallest beta at which the commutator form dominates, with margin
+    lambda^2, for every probe in the ensemble: one unit-scale split and one
+    test function per probe, then the exact root."""
     cutoff = CutoffSpec(r0=cfg.r0, R=R, space_width=cfg.space_width)
-    variants = _frontier_variants(cfg.mode, cutoff, R, cfg.frontier_probes,
-                                  cfg.seed0 + 1000)
-    ref = beta_threshold_cubic(lam, cutoff, R, cfg.C1) if cfg.mode == "annulus" \
-        else beta_threshold_translated(cfg.c0, R)
-    lo, hi = math.log(ref / 256.0), math.log(ref * 4.0)
-    if _min_comm_slack(cfg, st, fld, cutoff, math.exp(lo), variants, lam) >= 1.0:
-        return math.exp(lo)
-    for _ in range(10):
-        mid = 0.5 * (lo + hi)
-        if _min_comm_slack(cfg, st, fld, cutoff, math.exp(mid), variants, lam) >= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return math.exp(hi)
+    ops = _unit_ops(fld, cutoff, cfg.mode, st)
+    forms = [_beta_forms(make_test_function(cfg.mode, st, cutoff, **kw), ops,
+                         cutoff)
+             for kw in _frontier_variants(cfg.mode, cutoff, R,
+                                          cfg.frontier_probes,
+                                          cfg.seed0 + 1000)]
+    return frontier_root(forms, lam, R)
 
 
 def carleman_sweep(cfg: SweepConfig, fld=None) -> SweepReport:
@@ -461,17 +498,12 @@ def carleman_sweep(cfg: SweepConfig, fld=None) -> SweepReport:
             fld = CoefficientField.identity(len(cfg.extents))
         else:
             dim = len(cfg.extents)
-            fld = TransversalField(
-                dim, Expression(sp.Integer(1)),
-                tuple(tuple(Expression(sp.Integer(1 if i == j else 0))
-                            for j in range(dim - 1)) for i in range(dim - 1)))
-    base_field = fld.to_field() if isinstance(fld, TransversalField) else fld
+            fld = TransversalField(dim, const(1), tuple(
+                tuple(const(int(i == j)) for j in range(dim - 1))
+                for i in range(dim - 1)))
+    base_field = _block_field(fld) if cfg.mode == "translated" else fld
     lam, _ = ellipticity_bounds(
         base_field, SamplingBox.cube(base_field.dim, min(cfg.extents), 17))
-
-    rows = []
-    failures = []
-    min_slack = math.inf
 
     def run_one(args):
         R, i = args
@@ -485,20 +517,19 @@ def carleman_sweep(cfg: SweepConfig, fld=None) -> SweepReport:
                                          constant=cfg.constant, lam=lam)
 
     tasks = [(R, i) for R in cfg.R_values for i in range(cfg.n_samples)]
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
+    with ThreadPoolExecutor(
+            max_workers=max(1, min(worker_count(), len(tasks)))) as pool:
         reports = list(pool.map(run_one, tasks))
-    for rep in reports:
-        rows.append(rep.row())
-        min_slack = min(min_slack, rep.slack)
-        if not rep.passed:
-            failures.append(rep.row())
+    rows = [rep.row() for rep in reports]
+    failures = [rep.row() for rep in reports if not rep.passed]
+    min_slack = min((rep.slack for rep in reports), default=math.inf)
 
     frontier_R = frontier_beta = exponent = coef = fitted_c0 = None
     fr = cfg.frontier_R_values
     if fr:
         frontier_R = np.asarray(fr, dtype=float)
         frontier_beta = np.array(
-            [_frontier_beta(cfg, st, fld, R, lam) for R in fr])
+            [_frontier_beta(cfg, st, base_field, R, lam) for R in fr])
         design = np.column_stack([np.ones_like(frontier_R),
                                   np.log(frontier_R)])
         sol, *_ = np.linalg.lstsq(design, np.log(frontier_beta), rcond=None)

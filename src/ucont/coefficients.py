@@ -97,9 +97,6 @@ class CoefficientField:
                 out[:, k, j] = sample(self.entry(k, j), coords)
         return out
 
-    def is_constant(self) -> bool:
-        return all(e.is_constant() for row in self.entries for e in row)
-
     def m1_norm(self, box: SamplingBox) -> float:
         """sup |V| over the box (the bound called M1 in the convexity checks)."""
         return float(np.max(np.abs(sample(self.potential.sym, box.lattice()))))
@@ -132,19 +129,10 @@ class TransversalField:
         return self.a11.is_constant() and float(self.a11.sym) > 0
 
     def to_field(self) -> CoefficientField:
-        n = self.dim
-        rows = []
-        for k in range(n):
-            row = []
-            for j in range(n):
-                if k == 0 and j == 0:
-                    row.append(self.a11)
-                elif k == 0 or j == 0:
-                    row.append(const(0))
-                else:
-                    row.append(self.atilde[k - 1][j - 1])
-            rows.append(tuple(row))
-        return CoefficientField(n, tuple(rows), self.potential)
+        zero = const(0)
+        rows = [(self.a11, *(zero,) * (self.dim - 1))]
+        rows += [(zero, *row) for row in self.atilde]
+        return CoefficientField(self.dim, tuple(rows), self.potential)
 
 
 # ---------------------------------------------------------------------------
@@ -287,19 +275,15 @@ def gauge_reduce(fld: TransversalField, x1_range: tuple[float, float] = (-12.0, 
                          f"(min {amin:.3e})")
 
     integrand = lambda s: float(sample(a11, (s,))) ** -0.5
-    ys = np.empty_like(xs)
+    cells = np.array([quad(integrand, a, b, limit=200)[0]
+                      for a, b in zip(xs[:-1], xs[1:])])
+    if not np.all(np.isfinite(cells)):
+        raise GaugeError("quadrature failure building the coordinate map")
+    # y1 = 0 at x1 = 0: anchor the cumulative cell integrals at the grid
+    # point nearest the origin
     i0 = int(np.argmin(np.abs(xs)))
-    ys[i0] = quad(integrand, 0.0, xs[i0], limit=400)[0]
-    for i in range(i0 + 1, len(xs)):
-        val, err = quad(integrand, xs[i - 1], xs[i], limit=200)
-        if not np.isfinite(val):
-            raise GaugeError("quadrature failure building the coordinate map")
-        ys[i] = ys[i - 1] + val
-    for i in range(i0 - 1, -1, -1):
-        val, err = quad(integrand, xs[i], xs[i + 1], limit=200)
-        if not np.isfinite(val):
-            raise GaugeError("quadrature failure building the coordinate map")
-        ys[i] = ys[i + 1] - val
+    ys = np.concatenate(([0.0], np.cumsum(cells)))
+    ys += quad(integrand, 0.0, xs[i0], limit=400)[0] - ys[i0]
     if np.any(np.diff(ys) <= 0):
         raise GaugeError("coordinate map is not strictly increasing")
 

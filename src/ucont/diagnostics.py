@@ -23,9 +23,13 @@ class BoundaryMassError(RuntimeError):
     """The weighted integrand is not negligible at the box boundary."""
 
 
-def _weight_array(grid: Grid, beta: float, alpha: float) -> np.ndarray:
-    r2 = grid.radius_sq
-    return np.exp(2.0 * beta * r2 ** alpha)
+def _weighted(u: np.ndarray, grid: Grid, beta: float,
+              alpha: float = 1.0) -> np.ndarray:
+    """e^{beta |x|^{2 alpha}} u, formed as exp(beta |x|^{2 alpha} + log u):
+    the weight is never instantiated, so where it would overflow while u
+    underflows the product is its true (finite) value instead of inf * 0."""
+    with np.errstate(divide="ignore"):
+        return np.exp(beta * grid.radius_sq ** alpha + np.log(u + 0j))
 
 
 def _boundary_fraction(values: np.ndarray) -> float:
@@ -48,7 +52,7 @@ def weighted_norm(u: WaveState, beta: float, alpha: float = 1.0, *,
     ``boundary_budget`` (relative to its peak) on the box boundary, otherwise
     the box does not faithfully represent the whole-space integral.
     """
-    integrand = _weight_array(u.grid, beta, alpha) * np.abs(u.values) ** 2
+    integrand = np.abs(_weighted(u.values, u.grid, beta, alpha)) ** 2
     if strict:
         if not np.all(np.isfinite(integrand)):
             raise BoundaryMassError(
@@ -74,7 +78,6 @@ class ConvexityTrace:
     N: np.ndarray
     beta: float
     M1: float
-    M2: float
     C_used: float
     max_interp_ratio_c1: float       # with C = 1, recorded separately
     max_interp_ratio: float          # with the configured C
@@ -110,10 +113,9 @@ def logconvexity_check(traj: Trajectory, beta: float, M1: float,
     if fld is not None:
         a = float(traj.meta.get("a", 0.0))
         b = float(traj.meta.get("b", 1.0))
-        w = _weight_array(grid, beta, 1.0) ** 0.5
         ops = ConjugatedGridOps.build(fld, WeightSpec("quadratic", beta), grid)
         for i in range(len(times)):
-            f = w * traj.frames[i]
+            f = _weighted(traj.frames[i], grid, beta)
             sf, af = ops.apply_S(f), ops.apply_A(f)
             val = np.sum((a * sf + 1j * b * af) * np.conj(f)) * grid.cell_volume
             D[i] = float(val.real)
@@ -121,7 +123,7 @@ def logconvexity_check(traj: Trajectory, beta: float, M1: float,
         N = np.where(H > 0, D / H, 0.0)
 
     if vacuous:
-        return ConvexityTrace(times, H, D, N, beta, M1, 0.0, C,
+        return ConvexityTrace(times, H, D, N, beta, M1, C,
                               math.inf, math.inf, -math.inf, False, True)
 
     tt = (times - times[0]) / (times[-1] - times[0])
@@ -132,7 +134,7 @@ def logconvexity_check(traj: Trajectory, beta: float, M1: float,
     dt = tt[1] - tt[0]
     logH = np.log(H)
     d2 = (logH[2:] - 2 * logH[1:-1] + logH[:-2]) / dt ** 2
-    return ConvexityTrace(times, H, D, N, beta, M1, 0.0, C, max_c1, max_conf,
+    return ConvexityTrace(times, H, D, N, beta, M1, C, max_c1, max_conf,
                           float(np.min(d2)) if len(d2) else math.inf,
                           bool(max_conf > 1.0), False)
 
@@ -148,7 +150,6 @@ def derivative_bound_check(traj: Trajectory, beta: float, M1: float = 0.0,
     """
     grid = traj.grid
     times = np.asarray(traj.times, dtype=float)
-    w2 = _weight_array(grid, beta, 1.0)
     if strict:
         for i in (0, len(times) - 1):
             weighted_norm(traj.state(i), beta, strict=True)
@@ -156,9 +157,10 @@ def derivative_bound_check(traj: Trajectory, beta: float, M1: float = 0.0,
     vals = np.empty_like(times)
     for i in range(len(times)):
         u = traj.frames[i]
-        grads = spectral_gradient(u, grid)
-        g2 = sum(np.abs(g) ** 2 for g in grads)
-        integ = (beta * g2 + beta ** 3 * rad2 * np.abs(u) ** 2) * w2
+        g2 = sum(np.abs(_weighted(g, grid, beta)) ** 2
+                 for g in spectral_gradient(u, grid))
+        integ = beta * g2 \
+            + beta ** 3 * rad2 * np.abs(_weighted(u, grid, beta)) ** 2
         vals[i] = float(integ.sum() * grid.cell_volume) * times[i] * (1 - times[i])
     lhs = float(np.trapezoid(vals, times))
     H0 = weighted_norm(traj.state(0), beta, strict=strict)

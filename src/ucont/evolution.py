@@ -158,8 +158,7 @@ def _kinetic_symbol(abar: np.ndarray, grid: Grid) -> np.ndarray:
 def propagate(u0: WaveState, fld: CoefficientField, d: DissipationParams,
               t_span: tuple[float, float] = (0.0, 1.0), steps: int = 256,
               n_frames: int = 2, *, blowup_factor: float = 1e3,
-              resolution_budget: float = 1e-10,
-              check_stability: bool = True) -> Trajectory:
+              resolution_budget: float = 1e-10) -> Trajectory:
     """Second-order Strang trajectory of d_t u = (a+ib)(L+V)u.
 
     Frames are stored at n_frames uniformly spaced times (endpoints
@@ -190,7 +189,7 @@ def propagate(u0: WaveState, fld: CoefficientField, d: DissipationParams,
     sym = _kinetic_symbol(abar, grid)
     half_kin = np.exp(zeta * sym * (dt / 2.0))
 
-    if check_stability and not pure_potential:
+    if not pure_potential:
         k2 = -sym / max(abar.diagonal().mean(), 1e-30)
         radius = abs(dt * zeta) * (delta_max * grid.dim * float(np.max(np.abs(k2)))
                                    + float(np.max(np.abs(v))))

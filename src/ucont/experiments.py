@@ -238,25 +238,16 @@ def _build_field(cfg: ExperimentConfig):
     fs = cfg.sections.get("field", {})
     dim = int(fs.get("dimension", 1))
     pot = parse_expression(str(fs.get("potential", "0")))
+
+    def table(prefix: str, m: int):
+        """Symmetric m x m table from keys prefix11, prefix12, ..."""
+        return tuple(tuple(parse_expression(str(fs.get(
+            f"{prefix}{min(k, j) + 1}{max(k, j) + 1}", "1" if k == j else "0")))
+            for j in range(m)) for k in range(m))
     if fs.get("transversal"):
-        a11 = parse_expression(str(fs.get("a11", "1")))
-        m = dim - 1
-        rows = []
-        for i in range(m):
-            row = []
-            for j in range(m):
-                key = f"atilde{min(i, j) + 1}{max(i, j) + 1}"
-                row.append(parse_expression(str(fs.get(key, "1" if i == j else "0"))))
-            rows.append(tuple(row))
-        return TransversalField(dim, a11, tuple(rows), pot)
-    rows = []
-    for k in range(dim):
-        row = []
-        for j in range(dim):
-            key = f"a{min(k, j) + 1}{max(k, j) + 1}"
-            row.append(parse_expression(str(fs.get(key, "1" if k == j else "0"))))
-        rows.append(tuple(row))
-    return CoefficientField(dim, tuple(rows), pot)
+        return TransversalField(dim, parse_expression(str(fs.get("a11", "1"))),
+                                table("atilde", dim - 1), pot)
+    return CoefficientField(dim, table("a", dim), pot)
 
 
 def _build_grid(cfg: ExperimentConfig) -> Grid:
@@ -299,7 +290,6 @@ def _propagate_from_config(cfg: ExperimentConfig):
 def _run_simulate(cfg: ExperimentConfig, out: Path):
     fld, grid, packet, traj = _propagate_from_config(cfg)
     beta = float(cfg.get("weight", "beta", 0.0))
-    budget = float(cfg.tolerances.get("boundary_budget", 1e-12))
     rows = []
     for i, t in enumerate(traj.times):
         st = traj.state(i)

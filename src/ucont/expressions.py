@@ -220,10 +220,6 @@ class Expression:
 
     sym: sp.Expr
 
-    @property
-    def free_variables(self) -> tuple[str, ...]:
-        return tuple(sorted(s.name for s in self.sym.free_symbols))
-
     def diff(self, var: str, order: int = 1) -> "Expression":
         return Expression(sp.diff(self.sym, sp.Symbol(var, real=True), order))
 

@@ -76,18 +76,24 @@ class Grid:
         return 2 * np.pi * np.fft.fftfreq(n, d=h)
 
 
+def _fourier_derivative(values: np.ndarray, k: np.ndarray, order: int,
+                        axis: int) -> np.ndarray:
+    """d^order along ``axis`` as the Fourier multiplier (ik)^order, with the
+    Nyquist mode zeroed for odd orders."""
+    mult = (1j * k) ** order
+    if order % 2 == 1:
+        mult[len(k) // 2] = 0.0
+    shape = [1] * values.ndim
+    shape[axis] = len(k)
+    vhat = np.fft.fft(values, axis=axis)
+    return np.fft.ifft(vhat * mult.reshape(shape), axis=axis)
+
+
 def spectral_derivative(values: np.ndarray, grid: Grid, axis: int,
                         order: int = 1, *, time_offset: int = 0) -> np.ndarray:
     """d^order/dx_axis^order via FFT along ``axis + time_offset`` of ``values``."""
-    arr_axis = axis + time_offset
-    k = grid.wavenumbers(axis)
-    mult = (1j * k) ** order
-    if order % 2 == 1:
-        mult[grid.points[axis] // 2] = 0.0
-    shape = [1] * values.ndim
-    shape[arr_axis] = len(k)
-    vhat = np.fft.fft(values, axis=arr_axis)
-    return np.fft.ifft(vhat * mult.reshape(shape), axis=arr_axis)
+    return _fourier_derivative(values, grid.wavenumbers(axis), order,
+                               axis + time_offset)
 
 
 def spectral_gradient(values: np.ndarray, grid: Grid, *,
@@ -178,13 +184,7 @@ class SpaceTimeGrid:
 
     def time_derivative(self, values: np.ndarray, order: int = 1) -> np.ndarray:
         k = 2 * np.pi * np.fft.fftfreq(self.nt, d=self.dt)
-        mult = (1j * k) ** order
-        if order % 2 == 1:
-            mult[self.nt // 2] = 0.0
-        shape = [1] * values.ndim
-        shape[0] = self.nt
-        return np.fft.ifft(np.fft.fft(values, axis=0) * mult.reshape(shape),
-                           axis=0)
+        return _fourier_derivative(values, k, order, 0)
 
 
 def band_limited_noise(grid: Grid, rng: np.random.Generator,

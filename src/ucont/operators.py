@@ -20,14 +20,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 import sympy as sp
 
 from .coefficients import CoefficientField, SamplingBox, derivative_sq_sums
 from .expressions import Expression, T_SYMBOL, X_SYMBOLS, sample
-from .grids import Grid, SpaceTimeGrid, spectral_derivative
+from .grids import Grid, SpaceTimeGrid, check_resolved, spectral_derivative
 
 Key = tuple[int, tuple[int, ...]]
 
@@ -47,14 +47,13 @@ def _is_structurally_zero(expr: sp.Expr) -> bool:
 _PROBE_RNG_SEED = 0xC0FFEE
 
 
-def probe_max_abs(expr: sp.Expr, dim: int, npoints: int = 64,
-                  extra: Iterable[sp.Symbol] = ()) -> float:
+def probe_max_abs(expr: sp.Expr, dim: int, npoints: int = 64) -> float:
     """Max |expr| over random points (deterministic seed); 0 for the zero
     expr.  Abstract profiles are evaluated through their stand-ins."""
     expr = sp.expand(expr)
     if expr == 0:
         return 0.0
-    syms = [T_SYMBOL, *X_SYMBOLS[:dim], *extra]
+    syms = [T_SYMBOL, *X_SYMBOLS[:dim]]
     free = sorted(expr.free_symbols - set(syms), key=lambda s: s.name)
     syms += free
     rng = np.random.default_rng(_PROBE_RNG_SEED)
@@ -102,8 +101,7 @@ class DiffOperator:
         return cls.build(dim, {(0, (0,) * dim): sp.Integer(1)})
 
     def __add__(self, other: "DiffOperator") -> "DiffOperator":
-        raw = dict(self.terms)
-        out = dict(raw)
+        out = dict(self.terms)
         for key, coef in other.terms.items():
             out[key] = out.get(key, sp.Integer(0)) + coef
         return DiffOperator.build(self.dim, out)
@@ -116,9 +114,6 @@ class DiffOperator:
 
     def spatial_order(self) -> int:
         return max((sum(a) for (_, a) in self.terms), default=0)
-
-    def time_order(self) -> int:
-        return max((a for (a, _) in self.terms), default=0)
 
     def compose(self, other: "DiffOperator") -> "DiffOperator":
         """Leibniz expansion of self applied after other."""
@@ -202,7 +197,6 @@ def apply(op: DiffOperator, f, st: "SpaceTimeGrid | None" = None):
     if isinstance(f, np.ndarray):
         if st is None:
             raise ValueError("sampled fields need their space-time grid")
-        from .grids import check_resolved
         check_resolved(f, 1e-2)
         return op.apply_grid(f, st)
     return op.apply_symbolic(f)
@@ -287,16 +281,6 @@ class WeightSpec:
         shifted = (xs[0] / R + self._profile_expr()) ** 2 \
             + sum((x / R) ** 2 for x in xs[1:])
         return beta * shifted
-
-    def zero_order_factor(self, dim: int) -> sp.Expr:
-        """|x| for the scaled-time weight, |x/R + profile e1| for the
-        translated one (the factor entering the Carleman left-hand side)."""
-        xs = X_SYMBOLS[:dim]
-        if self.variant == "translated":
-            R = sp.sympify(self.R)
-            return sp.sqrt((xs[0] / R + self._profile_expr()) ** 2
-                           + sum((x / R) ** 2 for x in xs[1:]))
-        return sp.sqrt(sum(x ** 2 for x in xs))
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +620,16 @@ class ConjugatedGridOps:
         return spectral_derivative(f, self.space, i, 1,
                                    time_offset=int(self.timed))
 
-    def apply_S(self, f: np.ndarray) -> np.ndarray:
+    @property
+    def zero_order(self) -> np.ndarray:
+        """The zero-order multiplier grad phi . A grad phi of the symmetric
+        part (quadratic in the weight scale)."""
+        n = self.space.dim
+        return sum(self.grad_phi[k] * self.grad_phi[j] * self.a_entries[k][j]
+                   for k in range(n) for j in range(n))
+
+    def apply_S0(self, f: np.ndarray) -> np.ndarray:
+        """The weight-free part i dt + div(A grad) of the symmetric part."""
         n = self.space.dim
         out = np.zeros_like(f, dtype=complex)
         if self.timed:
@@ -645,9 +638,11 @@ class ConjugatedGridOps:
         for k in range(n):
             flux = sum(self.a_entries[k][j] * grads[j] for j in range(n))
             out += self._dx(flux, k)
-        zero = sum(self.grad_phi[k] * self.grad_phi[j] * self.a_entries[k][j]
-                   for k in range(n) for j in range(n))
-        out += zero * f
+        return out
+
+    def apply_S(self, f: np.ndarray) -> np.ndarray:
+        out = self.apply_S0(f)
+        out += self.zero_order * f
         return out
 
     def apply_A(self, f: np.ndarray) -> np.ndarray:

@@ -2,15 +2,20 @@ import math
 
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from ucont.carleman import (SMOOTHSTEP_D1_MAX, SMOOTHSTEP_D2_MAX, CutoffSpec,
-                            SupportError, beta_threshold_cubic,
+from ucont import carleman, expressions
+from ucont.carleman import (SMOOTHSTEP_D1_MAX, SMOOTHSTEP_D2_MAX, BetaForms,
+                            CutoffSpec, FrontierError, SupportError,
+                            SweepConfig, beta_threshold_cubic,
                             carleman_sides_cubic, carleman_sides_translated,
-                            make_test_function, smoothstep5)
+                            carleman_sweep, frontier_root, make_test_function,
+                            smoothstep5)
 from ucont.coefficients import CoefficientField, TransversalField
 from ucont.expressions import const, parse_expression
-from ucont.grids import Grid, SpaceTimeGrid, l2_norm_sq
+from ucont.grids import Grid, SpaceTimeGrid, l2_norm_sq, spectral_derivative
+from ucont.operators import ConjugatedGridOps, WeightSpec
 
 pe = parse_expression
 
@@ -237,3 +242,125 @@ def test_slack_stable_under_refinement():
         f = make_test_function("annulus", stg, cut, 21, k_cut=4.0)
         vals.append(carleman_sides_cubic(f, fld, 40.0, cut, lam=1.0).slack)
     assert vals[0] == pytest.approx(vals[1], rel=0.05)
+
+
+# ---------------------------------------------------------------------------
+# the beta-polynomial engine
+# ---------------------------------------------------------------------------
+
+ST_1D = SpaceTimeGrid(64, Grid((8.0,), (512,)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.floats(0.05, 200.0), st.integers(0, 40))
+def test_sides_match_direct_realization_at_beta(beta, seed):
+    # the sides scaled from the unit-weight split agree with the split
+    # realized at beta itself, whose form is read off the three norms
+    cut = CutoffSpec(r0=1.0, R=1.0)
+    fld = CoefficientField.identity(1)
+    f = make_test_function("annulus", ST_1D, cut, seed)
+    rep = carleman_sides_cubic(f, fld, beta, cut, lam=1.0)
+    ops = ConjugatedGridOps.build(
+        fld, WeightSpec("scaled-time", beta, R=1.0,
+                        profile=cut.profile_expression()), ST_1D)
+    g, dt = ST_1D.space, ST_1D.dt
+    sf, af = ops.apply_S(f.values), ops.apply_A(f.values)
+    raw = l2_norm_sq(sf + af, g, dt)
+    comm = raw - l2_norm_sq(sf, g, dt) - l2_norm_sq(af, g, dt)
+    grad = l2_norm_sq(spectral_derivative(f.values, g, 0, 1, time_offset=1),
+                      g, dt)
+    lhs = beta * grad + beta ** 3 * l2_norm_sq(g.meshes[0] * f.values, g, dt)
+    assert rep.comm_form == pytest.approx(comm, rel=1e-9)
+    assert rep.raw_rhs == pytest.approx(raw, rel=1e-9)
+    assert rep.lhs == pytest.approx(lhs, rel=1e-9)
+
+
+@pytest.mark.parametrize("mode, cfg, fld", [
+    ("annulus", SweepConfig(mode="annulus", nt=64, extents=(8.0,),
+                            points=(512,), R_values=(), n_samples=0,
+                            seed0=3, frontier_R_values=(2.0,),
+                            frontier_probes=2),
+     CoefficientField.identity(1)),
+    ("translated", SweepConfig(mode="translated", nt=256, extents=(6.0,),
+                               points=(256,), R_values=(), n_samples=0,
+                               seed0=3, frontier_R_values=(1.1,),
+                               frontier_probes=2),
+     TransversalField(1, const(1), ())),
+])
+def test_frontier_is_the_commutator_crossing(mode, cfg, fld):
+    # just above beta* every probe's form dominates lambda^2 lhs; just
+    # below it at least one probe's does not
+    R = cfg.frontier_R_values[0]
+    beta_star = float(carleman_sweep(cfg, fld).frontier_beta[0])
+    cut = CutoffSpec(r0=cfg.r0, R=R, space_width=cfg.space_width)
+    st_grid = SpaceTimeGrid(cfg.nt, Grid(cfg.extents, cfg.points))
+    probes = [make_test_function(mode, st_grid, cut, **kw)
+              for kw in carleman._frontier_variants(
+                  mode, cut, R, cfg.frontier_probes, cfg.seed0 + 1000)]
+    assert len(probes) >= 2
+
+    def slacks(beta):
+        if mode == "annulus":
+            return [carleman_sides_cubic(f, fld, beta, cut, lam=1.0)
+                    .comm_slack for f in probes]
+        return [carleman_sides_translated(f, fld, beta, cut, lam=1.0)
+                .comm_slack for f in probes]
+    assert min(slacks(1.000001 * beta_star)) >= 1.0
+    assert min(slacks(0.999 * beta_star)) < 1.0
+
+
+def _forms(seed, c1, c3, g1=1.0, g3=1.0):
+    return BetaForms(seed, c1, c3, g1, g3, 1.0, 1.0, 1.0)
+
+
+def test_frontier_root_closed_form_and_errors():
+    # lam = 2: probe 0 needs beta^2 = (4 - 1) / (7 - 4), probe 1 (4-2)/(6-4)
+    beta = frontier_root([_forms(10, 1.0, 7.0), _forms(11, 2.0, 6.0)],
+                         2.0, 1.5)
+    assert beta == pytest.approx(1.0, rel=1e-15)
+    # a probe that holds at every beta contributes a root of 0
+    beta = frontier_root([_forms(10, 1.0, 7.0), _forms(11, 5.0, 8.0)],
+                         2.0, 1.5)
+    assert beta == pytest.approx(1.0, rel=1e-15)
+    # no root: the cubic coefficient c3 - lam^2 g3 is not positive
+    with pytest.raises(FrontierError, match=r"R = 1.5, probe seed 11"):
+        frontier_root([_forms(10, 1.0, 7.0), _forms(11, 1.0, 4.0)], 2.0, 1.5)
+    with pytest.raises(FrontierError, match="probe seed 12"):
+        frontier_root([_forms(12, 1.0, math.nan)], 2.0, 1.5)
+    # every probe holds at all beta: the ensemble fixes no frontier
+    with pytest.raises(FrontierError, match=r"R = 3, probe seeds \[4, 5\]"):
+        frontier_root([_forms(4, 5.0, 7.0), _forms(5, 4.0, 6.0)], 2.0, 3.0)
+
+
+def test_sides_at_new_beta_compile_nothing(monkeypatch):
+    compiled = []
+    lambdify = sp.lambdify
+
+    def counting(syms, expr, *args, **kwargs):
+        compiled.append(expr)
+        return lambdify(syms, expr, *args, **kwargs)
+    monkeypatch.setattr(sp, "lambdify", counting)
+    expressions._lambdify.cache_clear()
+    cut = CutoffSpec(r0=1.0, R=1.3)
+    fld = CoefficientField.identity(1)
+    f = make_test_function("annulus", ST_1D, cut, 8)
+    carleman_sides_cubic(f, fld, 5.0, cut)
+    assert compiled
+    compiled.clear()
+    carleman_sides_cubic(f, fld, 40.0, cut)
+    assert compiled == []
+
+
+def test_one_task_sweep_starts_one_worker(monkeypatch):
+    widths = []
+    pool = carleman.ThreadPoolExecutor
+
+    class Recording(pool):
+        def __init__(self, max_workers=None, **kwargs):
+            widths.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+    monkeypatch.setattr(carleman, "ThreadPoolExecutor", Recording)
+    monkeypatch.setenv("UCONT_THREADS", "4")
+    rep = carleman_sweep(SweepConfig(mode="annulus", R_values=(1.0,),
+                                     n_samples=1))
+    assert widths == [1] and len(rep.rows) == 1

@@ -54,13 +54,20 @@ def test_weighted_norm_boundary_guard(line_grid):
 
 
 def test_weighted_norm_strict_rejects_overflow(line_grid):
-    # e^{2 beta x^2} overflows at the box edge while |u|^2 underflows to 0,
-    # so the integrand is NaN there; the strict guard must not pass it
-    u = WaveState(0.0, np.exp(-5 * line_grid.meshes[0] ** 2).astype(complex),
-                  line_grid)
-    with np.errstate(over="ignore", invalid="ignore"):
+    # e^{2 beta x^2} alone overflows at the box edge while |u|^2 underflows
+    # to 0; formed in the log domain the integrand e^{-6.8 x^2} is finite
+    x = line_grid.meshes[0]
+    u = WaveState(0.0, np.exp(-5 * x ** 2).astype(complex), line_grid)
+    exact = math.sqrt(math.pi / 6.8)
+    for strict in (True, False):
+        assert weighted_norm(u, 1.6, strict=strict) == \
+            pytest.approx(exact, rel=1e-12)
+    # a truly overflowing integrand e^{59.9 x^2}: the strict guard must not
+    # pass it
+    wide = WaveState(0.0, np.exp(-0.05 * x ** 2).astype(complex), line_grid)
+    with np.errstate(over="ignore"):
         with pytest.raises(BoundaryMassError, match="not finite"):
-            weighted_norm(u, 1.6, strict=True)
+            weighted_norm(wide, 30.0, strict=True)
 
 
 @settings(max_examples=25, deadline=None)

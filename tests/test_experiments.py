@@ -1,10 +1,14 @@
+import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from ucont.cli import main as cli_main
-from ucont.experiments import ConfigError, run, validate
+from ucont.experiments import ConfigError, load_config, run, validate
+
+CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.cfg"))
 
 MINIMAL_SIMULATE = """
 [experiment]
@@ -194,3 +198,17 @@ def test_cli_run_rejects_bad_thread_count(tmp_path, monkeypatch, capsys, value):
     monkeypatch.setenv("UCONT_THREADS", value)
     assert cli_main(["run", str(path)]) == 2
     assert "UCONT_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_sample_config_runs(path, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(["run", str(path)]) == 0
+    out = tmp_path / load_config(path).output
+    payload = json.loads((out / "report.json").read_text())
+    if path.name == "carleman_cubic.cfg":
+        with open(out / "frontier.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(
+            payload["config"]["sections"]["params"]["frontier_R_values"])
+        assert abs(payload["metrics"]["frontier_exponent"] - 3.0) <= 0.2
