@@ -8,7 +8,7 @@ from .expressions import Expression, ExpressionError, parse_expression
 from .coefficients import (CoefficientField, SamplingBox, TransversalField,
                            decay_smallness, ellipticity_bounds, gauge_reduce)
 from .grids import Grid, SpaceTimeGrid
-from .operators import (DiffOperator, WeightSpec, apply, commutator,
+from .operators import (DiffOperator, WeightSpec, commutator,
                         conjugate_decompose, verify_T_decomposition)
 from .evolution import (DissipationParams, GaussianPacket, Trajectory,
                         WaveState, free_flow_closed_form, mass, propagate,

@@ -65,9 +65,9 @@ class SubordinationResult:
 
 
 def _log_subordination_integral(r: float, q: float, kappa: float,
-                                lambda0: float, tail: float = 1e-14) -> float:
+                                lambda0: float) -> float:
     """log of int_{lambda0}^inf e^{lambda r - lambda^q/(q kappa^q)}
-    lambda^{(q-2)/2} d lambda, computed with the peak value factored out."""
+    lambda^{(q-2)/2} d lambda; peak factored out, tail cut at 1e-14."""
     kq = kappa ** q
 
     def exponent(lam: float) -> float:
@@ -79,7 +79,7 @@ def _log_subordination_integral(r: float, q: float, kappa: float,
 
     upper = max(2.0 * peak, lambda0 + 1.0)
     for _ in range(200):
-        if exponent(upper) - M < math.log(tail) - 0.5 * abs(q - 2) * math.log(
+        if exponent(upper) - M < math.log(1e-14) - 0.5 * abs(q - 2) * math.log(
                 max(upper, 2.0)):
             break
         upper *= 1.5

@@ -324,8 +324,7 @@ def frontier_root(forms: list[BetaForms], lam: float, R: float) -> float:
 
 
 def _sides(f: TestField, fld: CoefficientField, beta: float, cutoff: CutoffSpec,
-           lam: float, constant: float, threshold: float,
-           tol: float = 1e-6) -> CarlemanReport:
+           lam: float, constant: float, threshold: float) -> CarlemanReport:
     p = _beta_forms(f, _unit_ops(fld, cutoff, f.mode, f.st), cutoff)
     b2 = beta ** 2
     lhs = beta * (p.g1 + p.g3 * b2)
@@ -338,7 +337,7 @@ def _sides(f: TestField, fld: CoefficientField, beta: float, cutoff: CutoffSpec,
     return CarlemanReport(f.mode, float(beta), float(cutoff.R), f.seed, lhs,
                           rhs, raw, constant, threshold,
                           beta >= threshold - 1e-12, slack, comm, comm_slack,
-                          slack >= 1.0 - tol)
+                          slack >= 1.0 - 1e-6)
 
 
 def carleman_sides_cubic(f: TestField, fld: CoefficientField, beta: float,

@@ -227,7 +227,7 @@ class GaugeReduction:
 
 
 def verify_gauge_transport(gr: GaugeReduction, n_tests: int = 10,
-                           seed: int = 0, n_grid: int = 2048) -> float:
+                           seed: int = 0) -> float:
     """Max relative error of the transport identity over random smooth test
     functions u(x1):
 
@@ -237,6 +237,7 @@ def verify_gauge_transport(gr: GaugeReduction, n_tests: int = 10,
     reduced side differentiates the transported samples spectrally.
     """
     x1 = X_SYMBOLS[0]
+    n_grid = 2048
     rng = np.random.default_rng(seed)
     ymax = 0.88 * min(-gr.y1_grid[0], gr.y1_grid[-1])
     ys = -ymax + (2 * ymax / n_grid) * np.arange(n_grid)

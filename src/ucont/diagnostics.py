@@ -75,20 +75,22 @@ class ConvexityTrace:
     times: np.ndarray
     H: np.ndarray
     D: np.ndarray
-    N: np.ndarray
     beta: float
-    M1: float
-    C_used: float
     max_interp_ratio_c1: float       # with C = 1, recorded separately
-    max_interp_ratio: float          # with the configured C
-    min_d2_logH: float
-    violation: bool
+    violation: bool                  # the ratio exceeds the configured C
     vacuous: bool = False
 
     def d2_logH(self) -> np.ndarray:
-        dt = self.times[1] - self.times[0]
+        """Second differences of log H in time rescaled to [0, 1], the
+        variable of the interpolation bound."""
+        tt = (self.times - self.times[0]) / (self.times[-1] - self.times[0])
         logH = np.log(self.H)
-        return (logH[2:] - 2 * logH[1:-1] + logH[:-2]) / dt ** 2
+        return (logH[2:] - 2 * logH[1:-1] + logH[:-2]) / (tt[1] - tt[0]) ** 2
+
+    @property
+    def min_d2_logH(self) -> float:
+        return -math.inf if self.vacuous else \
+            float(np.min(self.d2_logH(), initial=math.inf))
 
 
 def logconvexity_check(traj: Trajectory, beta: float, M1: float,
@@ -119,24 +121,14 @@ def logconvexity_check(traj: Trajectory, beta: float, M1: float,
             sf, af = ops.apply_S(f), ops.apply_A(f)
             val = np.sum((a * sf + 1j * b * af) * np.conj(f)) * grid.cell_volume
             D[i] = float(val.real)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        N = np.where(H > 0, D / H, 0.0)
-
     if vacuous:
-        return ConvexityTrace(times, H, D, N, beta, M1, C,
-                              math.inf, math.inf, -math.inf, False, True)
+        return ConvexityTrace(times, H, D, beta, math.inf, False, True)
 
     tt = (times - times[0]) / (times[-1] - times[0])
     interp = H[0] ** (1 - tt) * H[-1] ** tt
-    ratios_c1 = H / (math.exp(M1 ** 2) * interp)
-    max_c1 = float(np.max(ratios_c1))
-    max_conf = float(np.max(ratios_c1 / C))
-    dt = tt[1] - tt[0]
-    logH = np.log(H)
-    d2 = (logH[2:] - 2 * logH[1:-1] + logH[:-2]) / dt ** 2
-    return ConvexityTrace(times, H, D, N, beta, M1, C, max_c1, max_conf,
-                          float(np.min(d2)) if len(d2) else math.inf,
-                          bool(max_conf > 1.0), False)
+    max_c1 = float(np.max(H / (math.exp(M1 ** 2) * interp)))
+    return ConvexityTrace(times, H, D, beta, max_c1, bool(max_c1 / C > 1.0),
+                          False)
 
 
 def derivative_bound_check(traj: Trajectory, beta: float, M1: float = 0.0,
@@ -205,25 +197,24 @@ def gaussian_decay_schedule(gamma: float, d: DissipationParams, lam: float,
     return DecaySchedule(gamma, ts, gamma * lam * d.a / denom, params, False)
 
 
-def decay_schedule_companion(traj: Trajectory, schedule: DecaySchedule,
-                             v_bound: float = 0.0, *, strict: bool = False
+def decay_schedule_companion(traj: Trajectory, schedule: DecaySchedule
                              ) -> np.ndarray:
     """Margins of the maintained-decay bound along the trajectory:
 
-        ||e^{alpha(t)|x|^2} u(t)|| <= e^{t v_bound} ||e^{gamma |x|^2} u(0)||
+        ||e^{alpha(t)|x|^2} u(t)|| <= ||e^{gamma |x|^2} u(0)||
 
     returned as bound/actual per sample (>= 1 means the bound holds).  The
     schedule is typically critical (equality for the exact heat kernel), so
-    the boundary-mass check is relaxed by default and the comparison is made
-    on the common box.
+    the boundary-mass check is relaxed and the comparison is made on the
+    common box.
     """
     ts = np.asarray(traj.times, dtype=float)
     alphas = np.interp(ts, schedule.times, schedule.alphas)
-    rhs0 = math.sqrt(weighted_norm(traj.initial, schedule.gamma, strict=strict))
+    rhs0 = math.sqrt(weighted_norm(traj.initial, schedule.gamma, strict=False))
     margins = np.empty_like(ts)
-    for i, (t, al) in enumerate(zip(ts, alphas)):
-        lhs = math.sqrt(weighted_norm(traj.state(i), al, strict=strict))
-        margins[i] = math.exp(t * v_bound) * rhs0 / max(lhs, 1e-300)
+    for i, al in enumerate(alphas):
+        lhs = math.sqrt(weighted_norm(traj.state(i), al, strict=False))
+        margins[i] = rhs0 / max(lhs, 1e-300)
     return margins
 
 
@@ -275,7 +266,7 @@ def square_completion_band(kappa: float, beta0: float,
 # ---------------------------------------------------------------------------
 
 class AnnulusResolutionError(RuntimeError):
-    """Fewer than the required grid cells across an annulus."""
+    """Fewer than 8 grid cells across an annulus."""
 
 
 @dataclass
@@ -292,16 +283,16 @@ class LowerBoundProfile:
 
 
 def annulus_mass_profile(traj: Trajectory, radii, t_window=(0.125, 0.875), *,
-                         R0: float | None = None, E2: float | None = None,
-                         min_cells: int = 8) -> LowerBoundProfile:
+                         R0: float | None = None, E2: float | None = None
+                         ) -> LowerBoundProfile:
     """delta(R_j) = int over the time window and the shell B_R \\ B_{R-1} of
     |u|^2 + |grad u|^2, with least-squares fits of log delta against R^p for
     p in {2, 3}."""
     grid = traj.grid
     h = max(grid.spacings)
-    if 1.0 / h < min_cells:
+    if 1.0 / h < 8:
         raise AnnulusResolutionError(
-            f"annulus width 1 spans only {1.0/h:.1f} cells (need >= {min_cells})")
+            f"annulus width 1 spans only {1.0/h:.1f} cells (need >= 8)")
     radii = np.asarray(radii, dtype=float)
     if np.any(radii > min(grid.extents)):
         raise ValueError("radii exceed the grid box")

@@ -268,6 +268,11 @@ def regularized_flow(traj: Trajectory, fld: CoefficientField, eps: float,
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"UCTJ"
+_VERSION = 1
+
+
+class CheckpointError(ValueError):
+    """Not a container this version writes, or its size does not match."""
 
 
 def write_checkpoint(path, traj: Trajectory) -> None:
@@ -276,7 +281,7 @@ def write_checkpoint(path, traj: Trajectory) -> None:
     with open(path, "wb") as fh:
         n = traj.grid.dim
         fh.write(_MAGIC)
-        fh.write(struct.pack("<II", 1, n))
+        fh.write(struct.pack("<II", _VERSION, n))
         fh.write(struct.pack(f"<{n}I", *traj.grid.points))
         fh.write(struct.pack(f"<{n}d", *traj.grid.extents))
         fh.write(struct.pack("<I", len(traj.times)))
@@ -286,15 +291,21 @@ def write_checkpoint(path, traj: Trajectory) -> None:
 
 def read_checkpoint(path) -> Trajectory:
     with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise ValueError("not a trajectory container")
-        _, n = struct.unpack("<II", fh.read(8))
-        points = struct.unpack(f"<{n}I", fh.read(4 * n))
-        extents = struct.unpack(f"<{n}d", fh.read(8 * n))
-        (ntimes,) = struct.unpack("<I", fh.read(4))
-        times = np.frombuffer(fh.read(8 * ntimes), dtype="<f8").copy()
-        grid = Grid(tuple(extents), tuple(points))
-        count = ntimes * int(np.prod(points))
-        frames = np.frombuffer(fh.read(8 * count), dtype="<c8").astype(complex)
-        frames = frames.reshape((ntimes, *points))
-    return Trajectory(grid, times, frames)
+        data = fh.read()
+    try:
+        magic, version, n = struct.unpack_from("<4sII", data)
+        if magic != _MAGIC or version != _VERSION:
+            raise CheckpointError(f"not a version {_VERSION} trajectory container")
+        points = struct.unpack_from(f"<{n}I", data, 12)
+        extents = struct.unpack_from(f"<{n}d", data, 12 + 4 * n)
+        (ntimes,) = struct.unpack_from("<I", data, 12 + 12 * n)
+    except struct.error as exc:
+        raise CheckpointError(f"truncated header: {exc}") from exc
+    pos, count = 16 + 12 * n, ntimes * int(np.prod(points))
+    if len(data) != pos + 8 * (ntimes + count):
+        raise CheckpointError(f"{len(data)} bytes, but the header describes "
+                              f"{pos + 8 * (ntimes + count)}")
+    times = np.frombuffer(data, "<f8", ntimes, pos).copy()
+    frames = np.frombuffer(data, "<c8", count, pos + 8 * ntimes)
+    return Trajectory(Grid(tuple(extents), tuple(points)), times,
+                      frames.astype(complex).reshape((ntimes, *points)))

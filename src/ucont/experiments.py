@@ -12,9 +12,10 @@ Config files are INI-style with JSON-typed values::
     dimension = 1
     a11 = "1 + 0.06*exp(-x1^2/4)"
 
-Every run writes a JSON report (config echo, per-check status, metrics with
-their tolerances, artifact paths) plus CSV data files; identical
-(config, seed) pairs produce byte-identical CSVs.
+A kind reads only the keys its ``_TABLE`` entry declares.  Every run writes
+a JSON report (config echo, per-check status, metrics with their tolerances,
+artifact paths) plus CSV data files; identical (config, seed) pairs produce
+byte-identical CSVs.
 """
 
 from __future__ import annotations
@@ -24,28 +25,127 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
+import sympy as sp
 
 from . import __version__
 from .analysis import SubordinationCase, poincare_weighted_check, \
     subordination_ratio
 from .carleman import SweepConfig, carleman_sweep
 from .coefficients import CoefficientField, SamplingBox, \
-    TransversalField, gauge_reduce
+    TransversalField, gauge_reduce, verify_gauge_transport
 from .diagnostics import annulus_mass_profile, derivative_bound_check, \
     logconvexity_check, weighted_norm
 from .evolution import DissipationParams, GaussianPacket, WaveState, \
     free_flow_closed_form, mass, propagate, write_checkpoint
 from .expressions import ExpressionError, parse_expression
 from .grids import Grid, band_limited_noise
-from .operators import WeightSpec, remainder_grouping_report, \
+from .operators import VARIANTS, WeightSpec, remainder_grouping_report, \
     verify_T_decomposition
 
-KINDS = ("simulate", "convexity", "carleman-sweep", "symbolic-verify",
-         "subordination", "poincare", "hardy", "lowerbound-fit", "gauge-reduce")
+# ---------------------------------------------------------------------------
+# the config table: kind -> section -> key -> (accepted, default)
+# ---------------------------------------------------------------------------
+# ``accepted`` is a type, a tuple of types, or a tuple of valid choices; a
+# ``list`` takes a JSON list of numbers.  A callable default is derived from
+# the rest of the config.  A carleman-sweep without [field] runs on the field
+# its mode implies (see ``carleman_sweep``).
+
+_NUM = (int, float)
+_EXPR = (str, int, float)       # parsed by parse_expression
+
+
+def _matrix(prefix: str, m: int) -> dict:
+    return {f"{prefix}{j}{k}": (_EXPR, "1" if j == k else "0")
+            for j in range(1, m + 1) for k in range(j, m + 1)}
+
+
+_EXPERIMENT = {"seed": (int, 0), "output": (str, lambda cfg: f"out/{cfg.kind}")}
+_FIELD = {"dimension": (int, 1), "transversal": (bool, False),
+          "potential": (_EXPR, "0"), **_matrix("a", 3), **_matrix("atilde", 2)}
+_GRID = {"extents": (list, [12.0]), "points": (list, [1024])}
+_FLOW = {
+    "experiment": _EXPERIMENT, "field": _FIELD, "grid": _GRID,
+    "initial": {"s_re": (_NUM, 1.0), "s_im": (_NUM, 0.0), "amplitude": (_NUM, 1.0),
+                "center": (list, lambda cfg: [0.0] * cfg.get("field", "dimension"))},
+    "evolution": {"a": (_NUM, 0.0), "b": (_NUM, 1.0), "steps": (int, 1024),
+                  "frames": (int, 65), "t_end": (_NUM, 1.0)}}
+
+_TABLE = {
+    "simulate": {**_FLOW, "weight": {"beta": (_NUM, 0.0)}},
+    "convexity": {
+        **_FLOW,
+        "weight": {"beta": (_NUM, 0.1),
+                   "beta_values": (list, lambda cfg: [cfg.get("weight", "beta")])},
+        "tolerances": {"boundary_budget": (_NUM, 1e-12),
+                       "interp_C": (_NUM, 1.0 + 1e-6), "d2_floor": (_NUM, -1e-3)}},
+    "carleman-sweep": {
+        "experiment": _EXPERIMENT, "field": _FIELD,
+        "grid": {**_GRID, "nt": (int, 64)},
+        "params": {"mode": (("annulus", "translated"), "annulus"),
+                   "R_values": (list, [1.0, 1.5, 2.0]), "n_samples": (int, 20),
+                   "r0": (_NUM, 1.0), "C1": (_NUM, 1.0), "c0": (_NUM, 4.0),
+                   "constant": (_NUM, 1.0), "space_width": (_NUM, 0.5),
+                   "frontier_R_values": (list, []), "frontier_probes": (int, 8)},
+        "tolerances": {"slack_tol": (_NUM, 1e-6)}},
+    "symbolic-verify": {
+        "experiment": _EXPERIMENT, "field": _FIELD,
+        "weight": {"variant": (VARIANTS, "quadratic"), "alpha": (_NUM, 2),
+                   "beta": (_NUM, None), "R": (_NUM, None)}},  # None: symbolic
+    "subordination": {
+        "experiment": _EXPERIMENT,
+        "params": {"p": (_NUM, 1.5), "kappa": (_NUM, 10.0), "lambda0": (_NUM, 1.0),
+                   "r_values": (list, [float(r) for r in np.logspace(-1, 1, 20)])},
+        "tolerances": {"slack_tol": (_NUM, 1.25)}},
+    "poincare": {
+        "experiment": _EXPERIMENT, "grid": _GRID,
+        "params": {"radii": (list, [0.5, 1.0, 2.0]), "n_fields": (int, 200),
+                   "k_cut": (_NUM, 6.0)},
+        "tolerances": {"interp_C": (_NUM, 2.0)}},
+    "hardy": {
+        "experiment": _EXPERIMENT,
+        "params": {"s_values": (list, [1.0, 0.5, 0.1, 0.01])},
+        "tolerances": {"slack_tol": (_NUM, 1e-8)}},
+    "lowerbound-fit": {
+        **_FLOW,
+        "params": {"radii": (list, [float(r) for r in np.linspace(2, 6, 9)]),
+                   "t_window": (list, [0.125, 0.875]),
+                   "R0": (_NUM, None), "E2": (_NUM, None)},
+        "tolerances": {"slack_tol": (_NUM, 0.05)}},
+    "gauge-reduce": {
+        "experiment": _EXPERIMENT, "field": _FIELD,
+        "params": {"x1_range": (list, [-10.0, 10.0]), "npts": (int, 4001),
+                   "n_tests": (int, 10)},
+        "tolerances": {"slack_tol": (_NUM, 1e-6)}},
+}
+KINDS = tuple(_TABLE)
+
+
+def _field_keys(dim: int, transversal: bool) -> set[str]:
+    """The [field] keys a ``dim``-dimensional field reads."""
+    entries = {"a11", *_matrix("atilde", dim - 1)} if transversal \
+        else _matrix("a", dim).keys()
+    return {"dimension", "transversal", "potential", *entries}
+
+
+def _accepts(accepted, value) -> bool:
+    if isinstance(accepted, tuple) and isinstance(accepted[0], str):
+        return value in accepted
+    if accepted is list:
+        return isinstance(value, list) and all(_accepts(_NUM, v) for v in value)
+    return isinstance(value, accepted) and (accepted is bool
+                                            or not isinstance(value, bool))
+
+
+def _expected(accepted) -> str:
+    if isinstance(accepted, tuple) and isinstance(accepted[0], str):
+        return "one of " + ", ".join(repr(c) for c in accepted)
+    return {int: "an integer", _NUM: "a number", _EXPR: "a string or a number",
+            bool: "true or false", str: "a string",
+            list: "a list of numbers"}[accepted]
 
 
 class ConfigError(ValueError):
@@ -57,13 +157,23 @@ class ConfigError(ValueError):
 @dataclass
 class ExperimentConfig:
     kind: str
-    seed: int
-    output: Path
-    sections: dict            # section -> {key: typed value}
-    tolerances: dict = dc_field(default_factory=dict)
+    sections: dict            # section -> {key: typed value}, as written
 
     def get(self, section: str, key: str, default=None):
-        return self.sections.get(section, {}).get(key, default)
+        """The config's value of ``key``, else the kind's table default,
+        else ``default`` for a key the kind does not read."""
+        if key in self.sections.get(section, {}):
+            return self.sections[section][key]
+        value = _TABLE[self.kind].get(section, {}).get(key, (None, default))[1]
+        return value(self) if callable(value) else value
+
+    @property
+    def seed(self) -> int:
+        return self.get("experiment", "seed")
+
+    @property
+    def output(self) -> Path:
+        return Path(self.get("experiment", "output"))
 
 
 @dataclass
@@ -81,48 +191,12 @@ class ExperimentReport:
         return any(c.get("status") == "fail" for c in self.checks.values())
 
     def to_json(self) -> str:
-        payload = {"kind": self.kind, "config": self.config,
-                   "checks": self.checks, "metrics": self.metrics,
-                   "artifacts": self.artifacts, "wall_clock": self.wall_clock,
-                   "version": self.version}
-        return json.dumps(payload, indent=2, sort_keys=True, default=str)
+        return json.dumps(asdict(self), indent=2, sort_keys=True, default=str)
 
 
 # ---------------------------------------------------------------------------
 # config parsing and validation
 # ---------------------------------------------------------------------------
-
-_SCHEMA: dict[str, dict[str, set[str]]] = {
-    "experiment": {"kind", "seed", "output"},
-    "tolerances": {"boundary_budget", "interp_C", "d2_floor", "slack_tol"},
-    "field": {"dimension", "a11", "a12", "a13", "a22", "a23", "a33",
-              "atilde11", "atilde12", "atilde22", "potential", "transversal"},
-    "grid": {"extents", "points", "nt"},
-    "initial": {"s_re", "s_im", "center", "amplitude"},
-    "evolution": {"a", "b", "steps", "frames", "t_end"},
-    "weight": {"variant", "beta", "alpha", "R", "beta_values"},
-    "params": {"r_values", "radii", "p", "kappa", "lambda0", "s_values",
-               "mode", "R_values", "n_samples", "c0", "C1", "constant",
-               "frontier_R_values", "frontier_probes", "r0", "space_width",
-               "t_window", "E2", "R0", "n_fields", "k_cut", "x1_range",
-               "npts", "n_tests", "gamma", "C_dim", "M1"},
-}
-
-_KIND_SECTIONS = {
-    "simulate": {"experiment", "field", "grid", "initial", "evolution",
-                 "weight", "tolerances"},
-    "convexity": {"experiment", "field", "grid", "initial", "evolution",
-                  "weight", "tolerances"},
-    "carleman-sweep": {"experiment", "field", "grid", "params", "tolerances"},
-    "symbolic-verify": {"experiment", "field", "weight", "tolerances"},
-    "subordination": {"experiment", "params", "tolerances"},
-    "poincare": {"experiment", "grid", "params", "tolerances"},
-    "hardy": {"experiment", "params", "tolerances"},
-    "lowerbound-fit": {"experiment", "field", "grid", "initial", "evolution",
-                       "params", "tolerances"},
-    "gauge-reduce": {"experiment", "field", "params", "tolerances"},
-}
-
 
 def _typed(raw: str):
     raw = raw.strip()
@@ -133,77 +207,70 @@ def _typed(raw: str):
 
 
 def validate(text: str) -> ExperimentConfig:
-    """Full validation of a config text; raises :class:`ConfigError` with the
-    aggregated error list."""
-    errors: list[str] = []
+    """Full validation of a config text against its kind's table; raises
+    :class:`ConfigError` with the aggregated error list."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     parser.optionxform = str
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError([f"config syntax: {exc}"]) from exc
+    sections = {sec: {key: _typed(raw) for key, raw in parser.items(sec)}
+                for sec in parser.sections()}
 
-    sections: dict[str, dict] = {}
-    for sec in parser.sections():
-        if sec not in _SCHEMA:
-            errors.append(f"unknown section [{sec}]")
-            continue
-        sections[sec] = {}
-        for key, raw in parser.items(sec):
-            if key not in _SCHEMA[sec]:
-                errors.append(f"unknown key {key!r} in section [{sec}]")
-                continue
-            sections[sec][key] = _typed(raw)
-
-    exp = sections.get("experiment", {})
-    kind = exp.get("kind")
+    kind = sections.get("experiment", {}).get("kind")
     if kind is None:
-        errors.append("missing required key 'kind' in section [experiment]")
-    elif kind not in KINDS:
-        errors.append(f"unknown experiment kind {kind!r}; known: {', '.join(KINDS)}")
-    else:
-        allowed = _KIND_SECTIONS[kind]
-        for sec in sections:
-            if sec not in allowed:
-                errors.append(f"section [{sec}] not applicable to kind {kind!r}")
+        raise ConfigError(["missing required key 'kind' in section [experiment]"])
+    if kind not in KINDS:
+        raise ConfigError([f"unknown experiment kind {kind!r}; known: "
+                           f"{', '.join(KINDS)}"])
+    table = _TABLE[kind]
+    errors: list[str] = []
+    for sec, values in sections.items():
+        if sec not in table:
+            errors.append(f"section [{sec}] is not read by kind {kind!r}")
+            continue
+        for key, value in values.items():
+            if sec == "experiment" and key == "kind":
+                continue
+            if key not in table[sec]:
+                errors.append(f"key {key!r} in section [{sec}] is not read by "
+                              f"kind {kind!r}")
+            elif not _accepts(table[sec][key][0], value):
+                errors.append(f"{sec}.{key} = {value!r}: expected "
+                              f"{_expected(table[sec][key][0])}")
+            elif table[sec][key][0] is _EXPR and isinstance(value, str):
+                try:
+                    parse_expression(value)
+                except ExpressionError as exc:
+                    errors.append(f"{sec}.{key}: {exc}")
 
-    seed = exp.get("seed", 0)
-    if not isinstance(seed, int):
-        errors.append("seed must be an integer")
-        seed = 0
+    cfg = ExperimentConfig(kind, sections)
+    fs = sections.get("field", {})
+    dim, transversal = cfg.get("field", "dimension"), cfg.get("field", "transversal")
+    if _accepts(int, dim) and not 1 <= dim <= 3:
+        errors.append(f"field.dimension = {dim}: fields have 1 to 3 dimensions")
+    elif _accepts(int, dim) and _accepts(bool, transversal):
+        shape = f"{'transversal ' if transversal else ''}{dim}-D field"
+        errors += [f"key {key!r} in section [field] is not read by a {shape}"
+                   for key in sorted((fs.keys() & _FIELD.keys())
+                                     - _field_keys(dim, transversal))]
 
-    for key in ("a11", "a12", "a13", "a22", "a23", "a33", "atilde11",
-                "atilde12", "atilde22", "potential"):
-        raw = sections.get("field", {}).get(key)
-        if isinstance(raw, str):
-            try:
-                parse_expression(raw)
-            except ExpressionError as exc:
-                errors.append(f"field.{key}: {exc}")
-
-    val = sections.get("weight", {}).get("R")
-    if isinstance(val, (int, float)) and val < 1:
-        errors.append(
-            f"weight.R = {val}: the weighted-inequality scale requires R >= 1")
-    for val in sections.get("params", {}).get("R_values", []) or []:
-        if isinstance(val, (int, float)) and val < 1:
-            errors.append(
-                f"params.R_values contains {val}: the weighted-inequality "
-                f"scale requires R >= 1")
-
-    pts = sections.get("grid", {}).get("points")
-    if pts is not None:
-        pts_list = pts if isinstance(pts, list) else [pts]
-        for n in pts_list:
-            if not (isinstance(n, int) and n >= 2 and (n & (n - 1)) == 0):
-                errors.append(f"grid.points entry {n} is not a power of two")
-
+    def numbers(section: str, key: str) -> list:
+        """The numbers given for ``key``: its value or its list's entries."""
+        val = sections.get(section, {}).get(key)
+        return [v for v in (val if isinstance(val, list) else [val])
+                if _accepts(_NUM, v)]
+    scale = "the weighted-inequality scale requires R >= 1"
+    errors += [f"weight.R = {v}: {scale}" for v in numbers("weight", "R") if v < 1]
+    errors += [f"params.R_values contains {v}: {scale}"
+               for v in numbers("params", "R_values") if v < 1]
+    errors += [f"grid.points entry {n} is not a power of two"
+               for n in numbers("grid", "points")
+               if not (_accepts(int, n) and n >= 2 and (n & (n - 1)) == 0)]
     if errors:
         raise ConfigError(errors)
-
-    output = Path(exp.get("output", f"out/{kind}"))
-    return ExperimentConfig(kind, seed, output, sections,
-                            sections.get("tolerances", {}))
+    return cfg
 
 
 def load_config(path) -> ExperimentConfig:
@@ -231,65 +298,51 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 
 
 # ---------------------------------------------------------------------------
-# shared builders
+# runners and their shared builders
 # ---------------------------------------------------------------------------
 
 def _build_field(cfg: ExperimentConfig):
-    fs = cfg.sections.get("field", {})
-    dim = int(fs.get("dimension", 1))
-    pot = parse_expression(str(fs.get("potential", "0")))
+    dim = cfg.get("field", "dimension")
+
+    def expr(key: str):
+        return parse_expression(str(cfg.get("field", key)))
 
     def table(prefix: str, m: int):
         """Symmetric m x m table from keys prefix11, prefix12, ..."""
-        return tuple(tuple(parse_expression(str(fs.get(
-            f"{prefix}{min(k, j) + 1}{max(k, j) + 1}", "1" if k == j else "0")))
-            for j in range(m)) for k in range(m))
-    if fs.get("transversal"):
-        return TransversalField(dim, parse_expression(str(fs.get("a11", "1"))),
-                                table("atilde", dim - 1), pot)
-    return CoefficientField(dim, table("a", dim), pot)
+        return tuple(tuple(expr(f"{prefix}{min(k, j) + 1}{max(k, j) + 1}")
+                           for j in range(m)) for k in range(m))
+    if cfg.get("field", "transversal"):
+        return TransversalField(dim, expr("a11"), table("atilde", dim - 1),
+                                expr("potential"))
+    return CoefficientField(dim, table("a", dim), expr("potential"))
 
 
 def _build_grid(cfg: ExperimentConfig) -> Grid:
-    gs = cfg.sections.get("grid", {})
-    ext = gs.get("extents", [12.0])
-    pts = gs.get("points", [1024])
-    ext = ext if isinstance(ext, list) else [ext]
-    pts = pts if isinstance(pts, list) else [pts]
-    return Grid(tuple(float(e) for e in ext), tuple(int(p) for p in pts))
-
-
-def _build_packet(cfg: ExperimentConfig, dim: int) -> GaussianPacket:
-    ps = cfg.sections.get("initial", {})
-    s = complex(float(ps.get("s_re", 1.0)), float(ps.get("s_im", 0.0)))
-    center = ps.get("center", [0.0] * dim)
-    center = tuple(float(c) for c in (center if isinstance(center, list)
-                                      else [center]))
-    return GaussianPacket(s, center, complex(float(ps.get("amplitude", 1.0))))
+    return Grid(tuple(float(e) for e in cfg.get("grid", "extents")),
+                tuple(int(p) for p in cfg.get("grid", "points")))
 
 
 def _propagate_from_config(cfg: ExperimentConfig):
     fld = _build_field(cfg)
     base = fld.to_field() if isinstance(fld, TransversalField) else fld
     grid = _build_grid(cfg)
-    packet = _build_packet(cfg, base.dim)
-    ev = cfg.sections.get("evolution", {})
-    d = DissipationParams(float(ev.get("a", 0.0)), float(ev.get("b", 1.0)))
-    steps = int(ev.get("steps", 1024))
-    frames = int(ev.get("frames", 65))
-    t_end = float(ev.get("t_end", 1.0))
-    u0 = WaveState(0.0, packet.sample(grid), grid)
-    traj = propagate(u0, base, d, (0.0, t_end), steps, frames)
-    return base, grid, packet, traj
 
+    def num(section: str, key: str) -> float:
+        return float(cfg.get(section, key))
+    packet = GaussianPacket(
+        complex(num("initial", "s_re"), num("initial", "s_im")),
+        tuple(float(c) for c in cfg.get("initial", "center")),
+        complex(num("initial", "amplitude")))
+    d = DissipationParams(num("evolution", "a"), num("evolution", "b"))
+    traj = propagate(WaveState(0.0, packet.sample(grid), grid), base, d,
+                     (0.0, num("evolution", "t_end")),
+                     cfg.get("evolution", "steps"), cfg.get("evolution", "frames"))
+    return base, traj
 
-# ---------------------------------------------------------------------------
-# runners
-# ---------------------------------------------------------------------------
 
 def _run_simulate(cfg: ExperimentConfig, out: Path):
-    fld, grid, packet, traj = _propagate_from_config(cfg)
-    beta = float(cfg.get("weight", "beta", 0.0))
+    _, traj = _propagate_from_config(cfg)
+    beta = float(cfg.get("weight", "beta"))
     rows = []
     for i, t in enumerate(traj.times):
         st = traj.state(i)
@@ -300,9 +353,10 @@ def _run_simulate(cfg: ExperimentConfig, out: Path):
     ckpt = out / "trajectory.uctj"
     write_checkpoint(ckpt, traj)
     drift = abs(rows[-1][1] - rows[0][1]) / rows[0][1]
-    a = float(cfg.get("evolution", "a", 0.0))
-    checks = {}
-    if a == 0.0:
+    n_inf = sum(not math.isfinite(H) for *_, H in rows)
+    checks = {"H_finite": {"status": "pass" if n_inf == 0 else "fail",
+                           "non_finite": n_inf, "tolerance": 0}}
+    if float(cfg.get("evolution", "a")) == 0.0:
         checks["mass_conservation"] = {
             "status": "pass" if drift < 1e-7 else "fail",
             "value": drift, "tolerance": 1e-7}
@@ -315,13 +369,11 @@ def _run_simulate(cfg: ExperimentConfig, out: Path):
 
 
 def _run_convexity(cfg: ExperimentConfig, out: Path):
-    fld, grid, packet, traj = _propagate_from_config(cfg)
-    ws = cfg.sections.get("weight", {})
-    betas = ws.get("beta_values", [ws.get("beta", 0.1)])
-    budget = float(cfg.tolerances.get("boundary_budget", 1e-12))
-    interp_C = float(cfg.tolerances.get("interp_C", 1.0 + 1e-6))
-    d2_floor = float(cfg.tolerances.get("d2_floor", -1e-3))
-    box = SamplingBox.cube(grid.dim, min(grid.extents), 33)
+    fld, traj = _propagate_from_config(cfg)
+    betas = cfg.get("weight", "beta_values")
+    budget, interp_C, d2_floor = (float(cfg.get("tolerances", key)) for key in
+                                  ("boundary_budget", "interp_C", "d2_floor"))
+    box = SamplingBox.cube(traj.grid.dim, min(traj.grid.extents), 33)
     M1 = fld.m1_norm(box)
     checks, metrics, artifacts = {}, {}, []
     for beta in betas:
@@ -351,30 +403,20 @@ def _run_convexity(cfg: ExperimentConfig, out: Path):
 
 
 def _run_carleman(cfg: ExperimentConfig, out: Path):
-    ps = cfg.sections.get("params", {})
     fld = _build_field(cfg) if "field" in cfg.sections else None
-    grid = _build_grid(cfg) if "grid" in cfg.sections else None
-    kwargs = dict(mode=ps.get("mode", "annulus"))
-    if grid is not None:
-        kwargs["extents"] = grid.extents
-        kwargs["points"] = grid.points
-        kwargs["nt"] = int(cfg.get("grid", "nt", 64))
-    for key in ("r0", "n_samples", "c0", "C1", "constant", "space_width",
-                "frontier_probes"):
-        if key in ps:
-            kwargs[key] = ps[key]
-    if "R_values" in ps:
-        kwargs["R_values"] = tuple(float(v) for v in ps["R_values"])
-    if "frontier_R_values" in ps and ps["frontier_R_values"]:
-        kwargs["frontier_R_values"] = tuple(float(v)
-                                            for v in ps["frontier_R_values"])
-    kwargs["seed0"] = cfg.seed
-    sweep = carleman_sweep(SweepConfig(**kwargs), fld)
+    grid = _build_grid(cfg)
+    # the params keys are SweepConfig's field names
+    params = {key: cfg.get("params", key) for key in _TABLE[cfg.kind]["params"]}
+    for key in ("R_values", "frontier_R_values"):
+        params[key] = tuple(float(v) for v in params[key])
+    sweep = carleman_sweep(SweepConfig(
+        **params, nt=cfg.get("grid", "nt"), extents=grid.extents,
+        points=grid.points, seed0=cfg.seed), fld)
     path = out / "carleman_samples.csv"
     write_csv(path, ["mode", "beta", "R", "seed", "lhs", "rhs", "slack", "pass"],
               sweep.rows)
     artifacts = [path]
-    slack_tol = float(cfg.tolerances.get("slack_tol", 1e-6))
+    slack_tol = float(cfg.get("tolerances", "slack_tol"))
     checks = {"inequality_at_threshold": {
         "status": "pass" if sweep.min_slack >= 1 - slack_tol else "fail",
         "min_slack": sweep.min_slack, "tolerance": 1 - slack_tol}}
@@ -394,14 +436,10 @@ def _run_carleman(cfg: ExperimentConfig, out: Path):
 def _run_symbolic(cfg: ExperimentConfig, out: Path):
     fld = _build_field(cfg)
     base = fld.to_field() if isinstance(fld, TransversalField) else fld
-    ws = cfg.sections.get("weight", {})
-    import sympy as sp
-    beta = ws.get("beta", "beta")
-    beta_val = sp.Symbol("beta", positive=True) if isinstance(beta, str) else beta
-    R_val = ws.get("R")
-    R_sym = sp.Symbol("R", positive=True) if R_val is None else R_val
-    w = WeightSpec(ws.get("variant", "quadratic"), beta_val,
-                   alpha=ws.get("alpha", 1), R=R_sym)
+    variant, beta, alpha, R = (cfg.get("weight", key)
+                               for key in ("variant", "beta", "alpha", "R"))
+    w = WeightSpec(variant, sp.Symbol("beta", positive=True) if beta is None else beta,
+                   alpha=alpha, R=sp.Symbol("R", positive=True) if R is None else R)
     rep = verify_T_decomposition(base, w)
     rows = [(label, rep.residual_max[label], rep.residual_exprs[label] or "0")
             for label in sorted(rep.residual_max)]
@@ -414,22 +452,18 @@ def _run_symbolic(cfg: ExperimentConfig, out: Path):
         "status": "pass" if rep.commutator_spatial_order <= 2 else "fail",
         "order": rep.commutator_spatial_order, "tolerance": 2}
     metrics = {"residual_max": rep.residual_max}
-    w_num = WeightSpec(w.variant, 1.0, alpha=ws.get("alpha", 2 if w.variant ==
-                                                    "power" else 1), R=2.0)
     grouping = remainder_grouping_report(
-        base, w_num, SamplingBox.cube(base.dim, 4.0, 9))
+        base, WeightSpec(variant, 1.0, alpha=alpha, R=2.0),
+        SamplingBox.cube(base.dim, 4.0, 9))
     metrics["order1_containment_C"] = grouping["order1_containment_C"]
     return checks, metrics, [path]
 
 
 def _run_subordination(cfg: ExperimentConfig, out: Path):
-    ps = cfg.sections.get("params", {})
-    rv = ps.get("r_values")
-    if rv is None:
-        rv = list(np.logspace(-1, 1, 20))
-    case = SubordinationCase(float(ps.get("p", 1.5)), float(ps.get("kappa", 10.0)),
-                             float(ps.get("lambda0", 1.0)),
-                             tuple(float(r) for r in rv))
+    p, kappa, lambda0 = (float(cfg.get("params", key))
+                         for key in ("p", "kappa", "lambda0"))
+    case = SubordinationCase(p, kappa, lambda0, tuple(
+        float(r) for r in cfg.get("params", "r_values")))
     res = subordination_ratio(case)
     rows = [(case.p, case.q, case.kappa, case.lambda0, r,
              res.log_integrals[i], res.log_targets[i], res.ratios[i])
@@ -437,7 +471,7 @@ def _run_subordination(cfg: ExperimentConfig, out: Path):
     path = out / "subordination.csv"
     write_csv(path, ["p", "q", "kappa", "lambda0", "r", "log_integral",
                      "log_target", "ratio"], rows)
-    band_limit = float(cfg.tolerances.get("slack_tol", 0.0)) or 1.25
+    band_limit = float(cfg.get("tolerances", "slack_tol"))
     mono = bool(np.all(np.diff(res.log_integrals) > 0))
     checks = {
         "ratio_band": {"status": "pass" if res.band < band_limit else "fail",
@@ -450,14 +484,12 @@ def _run_subordination(cfg: ExperimentConfig, out: Path):
 
 
 def _run_poincare(cfg: ExperimentConfig, out: Path):
-    ps = cfg.sections.get("params", {})
     grid = _build_grid(cfg)
-    radii = [float(r) for r in ps.get("radii", [0.5, 1.0, 2.0])]
-    n_fields = int(ps.get("n_fields", 200))
-    k_cut = float(ps.get("k_cut", 6.0))
+    radii = [float(r) for r in cfg.get("params", "radii")]
+    k_cut = float(cfg.get("params", "k_cut"))
     rows = []
     worst = 0.0
-    for i in range(n_fields):
+    for i in range(cfg.get("params", "n_fields")):
         f = band_limited_noise(grid, np.random.default_rng(cfg.seed + i), k_cut)
         for r in radii:
             chk = poincare_weighted_check(f, grid, r)
@@ -465,15 +497,14 @@ def _run_poincare(cfg: ExperimentConfig, out: Path):
             rows.append((r, chk.lhs, chk.rhs_grad, chk.rhs_moment, chk.ratio))
     path = out / "poincare.csv"
     write_csv(path, ["r", "lhs", "rhs_grad", "rhs_moment", "ratio"], rows)
-    cn = float(cfg.tolerances.get("interp_C", 2.0))
+    cn = float(cfg.get("tolerances", "interp_C"))
     checks = {"ratio_below_C": {"status": "pass" if worst < cn else "fail",
                                 "worst": worst, "tolerance": cn}}
     return checks, {"worst_ratio": worst}, [path]
 
 
 def _run_hardy(cfg: ExperimentConfig, out: Path):
-    ps = cfg.sections.get("params", {})
-    s_values = [float(s) for s in ps.get("s_values", [1.0, 0.5, 0.1, 0.01])]
+    s_values = [float(s) for s in cfg.get("params", "s_values")]
     rows = []
     prods = []
     for s in s_values:
@@ -485,7 +516,7 @@ def _run_hardy(cfg: ExperimentConfig, out: Path):
         prods.append((A * B, oracle))
     path = out / "hardy.csv"
     write_csv(path, ["s", "A", "B", "AB", "oracle", "threshold"], rows)
-    tol = float(cfg.tolerances.get("slack_tol", 1e-8))
+    tol = float(cfg.get("tolerances", "slack_tol"))
     agree = all(abs(ab - orc) <= tol for ab, orc in prods)
     below = all(ab <= 1.0 / 16.0 + 1e-15 for ab, _ in prods)
     mono = all(prods[i][0] < prods[i + 1][0] for i in range(len(prods) - 1)
@@ -502,18 +533,16 @@ def _run_hardy(cfg: ExperimentConfig, out: Path):
 
 
 def _run_lowerbound(cfg: ExperimentConfig, out: Path):
-    fld, grid, packet, traj = _propagate_from_config(cfg)
-    ps = cfg.sections.get("params", {})
-    radii = np.asarray(ps.get("radii", list(np.linspace(2.0, 6.0, 9))),
-                       dtype=float)
-    window = tuple(ps.get("t_window", [0.125, 0.875]))
-    prof = annulus_mass_profile(traj, radii, window,
-                                R0=ps.get("R0"), E2=ps.get("E2"))
+    _, traj = _propagate_from_config(cfg)
+    radii, window, R0, E2 = (cfg.get("params", key)
+                             for key in ("radii", "t_window", "R0", "E2"))
+    prof = annulus_mass_profile(traj, np.asarray(radii, dtype=float),
+                                tuple(window), R0=R0, E2=E2)
     rows = [(float(R), float(d), float(math.log(d)) if d > 0 else math.nan)
             for R, d in zip(prof.radii, prof.deltas)]
     path = out / "profile.csv"
     write_csv(path, ["R", "delta", "logdelta"], rows)
-    res_tol = float(cfg.tolerances.get("slack_tol", 0.05))
+    res_tol = float(cfg.get("tolerances", "slack_tol"))
     ok = prof.preferred_p == 2 and prof.fits[2]["rel_residual"] < res_tol
     checks = {"quadratic_fit_preferred": {
         "status": "pass" if ok else "fail",
@@ -529,23 +558,18 @@ def _run_lowerbound(cfg: ExperimentConfig, out: Path):
 
 def _run_gauge(cfg: ExperimentConfig, out: Path):
     fld = _build_field(cfg)
-    if not isinstance(fld, TransversalField):
-        fs = cfg.sections.get("field", {})
-        fld = TransversalField(1, parse_expression(str(fs.get("a11", "1"))),
-                               (), parse_expression(str(fs.get("potential", "0"))))
-    ps = cfg.sections.get("params", {})
-    x1r = ps.get("x1_range", [-10.0, 10.0])
-    gr = gauge_reduce(fld, (float(x1r[0]), float(x1r[1])),
-                      int(ps.get("npts", 4001)))
+    if isinstance(fld, CoefficientField):
+        fld = TransversalField(1, fld.entries[0][0], (), fld.potential)
+    gr = gauge_reduce(fld, tuple(float(x) for x in cfg.get("params", "x1_range")),
+                      cfg.get("params", "npts"))
     ys = np.linspace(gr.y1_grid[0] * 0.92, gr.y1_grid[-1] * 0.92, 257)
     rows = [(float(y), float(gr.x_of_y(y)), float(gr.psi(np.array([y]))[0]),
              float(gr.reduced_potential(np.array([y]))[0])) for y in ys]
     path = out / "gauge.csv"
     write_csv(path, ["y1", "x1", "psi", "V_reduced"], rows)
-    from .coefficients import verify_gauge_transport
-    err = verify_gauge_transport(gr, n_tests=int(ps.get("n_tests", 10)),
+    err = verify_gauge_transport(gr, n_tests=cfg.get("params", "n_tests"),
                                  seed=cfg.seed)
-    tol = float(cfg.tolerances.get("slack_tol", 1e-6))
+    tol = float(cfg.get("tolerances", "slack_tol"))
     mono = bool(np.all(np.diff(gr.y1_grid) > 0))
     checks = {
         "transport_identity": {"status": "pass" if err < tol else "fail",

@@ -173,18 +173,15 @@ class SpaceTimeGrid:
     def shape(self) -> tuple[int, ...]:
         return (self.nt, *self.space.points)
 
-    def t_mesh(self) -> np.ndarray:
-        return self.times.reshape((self.nt,) + (1,) * self.space.dim)
-
     @cached_property
     def open_mesh(self) -> tuple[np.ndarray, ...]:
         """Broadcastable (t, x1, .., xn) axes, like :attr:`Grid.open_mesh`."""
         g = self.space
         return np.ix_(self.times, *(g.axis(i) for i in range(g.dim)))
 
-    def time_derivative(self, values: np.ndarray, order: int = 1) -> np.ndarray:
+    def time_derivative(self, values: np.ndarray) -> np.ndarray:
         k = 2 * np.pi * np.fft.fftfreq(self.nt, d=self.dt)
-        return _fourier_derivative(values, k, order, 0)
+        return _fourier_derivative(values, k, 1, 0)
 
 
 def band_limited_noise(grid: Grid, rng: np.random.Generator,

@@ -27,7 +27,7 @@ import sympy as sp
 
 from .coefficients import CoefficientField, SamplingBox, derivative_sq_sums
 from .expressions import Expression, T_SYMBOL, X_SYMBOLS, sample
-from .grids import Grid, SpaceTimeGrid, check_resolved, spectral_derivative
+from .grids import Grid, SpaceTimeGrid, spectral_derivative
 
 Key = tuple[int, tuple[int, ...]]
 
@@ -163,20 +163,6 @@ class DiffOperator:
             out += coef * df
         return sp.expand(out)
 
-    def apply_grid(self, values: np.ndarray, st: SpaceTimeGrid) -> np.ndarray:
-        """Apply on a sampled space-time field (axis 0 = t, then x axes)."""
-        out = np.zeros_like(values, dtype=complex)
-        syms = (T_SYMBOL, *X_SYMBOLS[:st.space.dim])
-        for (a, al), coef in self.terms.items():
-            d = values
-            if a:
-                d = st.time_derivative(d, a)
-            for i, m in enumerate(al):
-                if m:
-                    d = spectral_derivative(d, st.space, i, m, time_offset=1)
-            out += sample(coef, st.open_mesh, syms) * d
-        return out
-
     def to_text(self) -> str:
         lines = []
         for (a, al), coef in sorted(self.terms.items()):
@@ -188,18 +174,6 @@ class DiffOperator:
 def operators_equal(p: DiffOperator, q: DiffOperator, tol: float = 1e-10) -> bool:
     diff = p - q
     return all(coeff_is_zero(c, p.dim, tol) for c in diff.terms.values())
-
-
-def apply(op: DiffOperator, f, st: "SpaceTimeGrid | None" = None):
-    """Apply an operator to a symbolic expression or a sampled space-time
-    field (axis 0 = t); sampled fields need their grid and must be resolved
-    to the operator's order."""
-    if isinstance(f, np.ndarray):
-        if st is None:
-            raise ValueError("sampled fields need their space-time grid")
-        check_resolved(f, 1e-2)
-        return op.apply_grid(f, st)
-    return op.apply_symbolic(f)
 
 
 def commutator(s: DiffOperator, a: DiffOperator,
@@ -514,10 +488,11 @@ def verify_T_decomposition(fld: CoefficientField, w: WeightSpec
 # ---------------------------------------------------------------------------
 
 def remainder_grouping_report(fld: CoefficientField, w: WeightSpec,
-                              box: SamplingBox, t_samples: int = 9
-                              ) -> dict[str, float]:
+                              box: SamplingBox) -> dict[str, float]:
     """Smallest constants C with |remainder coefficients| <= C * majorant on
-    the box, for the first-order and zero-order remainder groupings."""
+    the box and 9 times in [0, 1], for the first-order and zero-order
+    remainder groupings."""
+    t_samples = 9
     n = fld.dim
     phi = w.phi(n)
     xs = X_SYMBOLS[:n]

@@ -221,17 +221,6 @@ def test_worker_count_env(monkeypatch):
     assert worker_count() >= 1
 
 
-def test_apply_dispatch():
-    import sympy as sp
-    from ucont.operators import DiffOperator, apply
-    from ucont.expressions import X_SYMBOLS
-    lap = DiffOperator.build(1, {(0, (2,)): sp.Integer(1)})
-    assert sp.simplify(apply(lap, sp.exp(-X_SYMBOLS[0] ** 2)).subs(
-        X_SYMBOLS[0], 0) + 2) == 0
-    with pytest.raises(ValueError, match="grid"):
-        apply(lap, np.zeros((4, 8), dtype=complex))
-
-
 def test_slack_stable_under_refinement():
     # the sides converge under doubling the grid in both t and x
     cut = CutoffSpec(r0=1.0, R=1.0)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ucont.coefficients import CoefficientField
-from ucont.evolution import (HEAT, SCHRODINGER, BlowUpError, DissipationParams,
-                             GaussianPacket, StabilityError,
+from ucont.evolution import (HEAT, SCHRODINGER, BlowUpError, CheckpointError,
+                             DissipationParams, GaussianPacket, StabilityError,
                              WaveState, free_flow_closed_form,
                              linear_potential_closed_form, mass, propagate,
                              read_checkpoint, regularized_flow,
@@ -207,3 +207,19 @@ def test_checkpoint_roundtrip(tmp_path, line_grid, identity_field_1d,
     assert np.allclose(back.times, traj.times)
     # frames stored as complex64
     assert np.max(np.abs(back.frames - traj.frames)) < 1e-6
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda data: data[:-10],                              # cut short
+    lambda data: data[:4] + (7).to_bytes(4, "little") + data[8:],  # version 7
+    lambda data: data + b"\0" * 8,                        # trailing bytes
+], ids=["truncated", "version", "trailing"])
+def test_checkpoint_corruption_raises(tmp_path, line_grid, identity_field_1d,
+                                      unit_packet, corrupt):
+    u0 = WaveState(0.0, unit_packet.sample(line_grid), line_grid)
+    path = tmp_path / "traj.uctj"
+    write_checkpoint(path, propagate(u0, identity_field_1d, SCHRODINGER,
+                                     steps=8, n_frames=3))
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(CheckpointError):
+        read_checkpoint(path)

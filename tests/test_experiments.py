@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from ucont import experiments
 from ucont.cli import main as cli_main
-from ucont.experiments import ConfigError, load_config, run, validate
+from ucont.experiments import KINDS, ConfigError, ExperimentConfig, \
+    load_config, run, validate
 
 CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.cfg"))
 
@@ -212,3 +214,246 @@ def test_sample_config_runs(path, tmp_path, monkeypatch):
         assert len(rows) == len(
             payload["config"]["sections"]["params"]["frontier_R_values"])
         assert abs(payload["metrics"]["frontier_exponent"] - 3.0) <= 0.2
+
+
+# one config a kind's table rejects, with the keys its errors must name
+REJECTED = {
+    "poincare-unread-keys": ("""
+[experiment]
+kind = poincare
+[grid]
+extents = [4.0, 4.0]
+points = [64, 64]
+nt = 32
+[params]
+n_fields = 2
+r_values = [1.0]
+gamma = 1.0
+M1 = 0.5
+[tolerances]
+boundary_budget = 1e-6
+""", ["'nt'", "'r_values'", "'gamma'", "'M1'", "'boundary_budget'"]),
+    "carleman-n_samples-type": ("""
+[experiment]
+kind = carleman-sweep
+[params]
+n_samples = "ten"
+""", ["n_samples", "integer"]),
+    "carleman-mode-choice": ("""
+[experiment]
+kind = carleman-sweep
+[params]
+mode = "radial"
+""", ["mode", "'annulus', 'translated'"]),
+    "simulate-entry-beyond-dimension": ("""
+[experiment]
+kind = simulate
+[field]
+dimension = 1
+a22 = 2
+""", ["'a22'", "1-D"]),
+    "transversal-leaves-a12-unread": ("""
+[experiment]
+kind = gauge-reduce
+[field]
+dimension = 2
+transversal = true
+a12 = 0.5
+""", ["'a12'", "transversal 2-D"]),
+    "scalar-extents": ("""
+[experiment]
+kind = poincare
+[grid]
+extents = 4.0
+""", ["grid.extents", "list"]),
+    "variant-choice": ("""
+[experiment]
+kind = symbolic-verify
+[weight]
+variant = "cubic"
+""", ["weight.variant", "'quadratic'"]),
+}
+
+
+@pytest.mark.parametrize("name", REJECTED)
+def test_table_rejects_config(name, tmp_path, capsys):
+    text, named = REJECTED[name]
+    path = tmp_path / "c.cfg"
+    path.write_text(text.replace(
+        "[experiment]\n", f"[experiment]\noutput = {tmp_path / 'o'}\n"))
+    assert cli_main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    for word in named:
+        assert word in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_symbolic_power_without_alpha_runs(tmp_path):
+    text = ("[experiment]\nkind = symbolic-verify\noutput = {out}\n"
+            "[field]\ndimension = 1\n[weight]\nvariant = \"power\"\n")
+    path = tmp_path / "c.cfg"
+    path.write_text(text.format(out=tmp_path / "o"))
+    assert cli_main(["run", str(path)]) == 0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_simulate_non_finite_H_fails(tmp_path):
+    # the weight e^{1.6 x^2} against the rate-0.05 packet overflows float64
+    # on the box, so H ends in inf
+    text = """
+[experiment]
+kind = simulate
+output = {out}
+[field]
+dimension = 1
+[grid]
+extents = [15.0]
+points = [1024]
+[initial]
+s_re = 0.05
+[weight]
+beta = 1.6
+[evolution]
+steps = 64
+frames = 5
+""".format(out=tmp_path / "o")
+    path = tmp_path / "c.cfg"
+    path.write_text(text)
+    assert cli_main(["run", str(path)]) == 1
+    payload = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert payload["checks"]["H_finite"]["status"] == "fail"
+    assert payload["checks"]["H_finite"]["non_finite"] >= 1
+
+
+def test_convexity_d2_column_is_the_gated_value(tmp_path):
+    # with t_end = 0.5 raw-time and rescaled-time second differences of
+    # log H differ by 1/t_end^2; the CSV and the floor check share one
+    text = """
+[experiment]
+kind = convexity
+output = {out}
+[field]
+dimension = 1
+[grid]
+extents = [11.25]
+points = [512]
+[initial]
+s_re = 0.5
+s_im = -0.5
+[evolution]
+steps = 32
+frames = 17
+t_end = 0.5
+[weight]
+beta_values = [0.05]
+""".format(out=tmp_path / "o")
+    report = run(validate(text))
+    with open(tmp_path / "o" / "convexity_beta0.05.csv", newline="") as fh:
+        d2 = [float(r["d2logH"]) for r in csv.DictReader(fh)][1:-1]
+    gated = report.checks["d2_logH_floor[beta=0.05]"]["min_d2"]
+    assert min(d2) == gated
+    assert report.metrics["min_d2_logH[beta=0.05]"] == gated
+
+
+# a small config per kind that leaves every table key readable
+GUARD_CONFIGS = {
+    "simulate": """
+[field]
+dimension = 1
+[grid]
+extents = [12.0]
+points = [256]
+[evolution]
+steps = 16
+frames = 5
+""",
+    "convexity": """
+[field]
+dimension = 1
+[grid]
+extents = [11.25]
+points = [512]
+[initial]
+s_re = 0.5
+s_im = -0.5
+[evolution]
+steps = 16
+frames = 9
+""",
+    "carleman-sweep": """
+[field]
+dimension = 1
+[grid]
+extents = [8.0]
+points = [256]
+nt = 64
+[params]
+R_values = [1.0]
+n_samples = 2
+""",
+    "symbolic-verify": """
+[field]
+dimension = 1
+""",
+    "subordination": """
+[params]
+r_values = [0.5, 1.0, 2.0]
+""",
+    "poincare": """
+[grid]
+extents = [4.0, 4.0]
+points = [64, 64]
+[params]
+n_fields = 2
+""",
+    "hardy": "",
+    "lowerbound-fit": """
+[field]
+dimension = 1
+[grid]
+extents = [12.0]
+points = [512]
+[evolution]
+steps = 32
+frames = 17
+[params]
+radii = [2.0, 3.0, 4.0]
+""",
+    "gauge-reduce": """
+[field]
+dimension = 1
+transversal = true
+a11 = 1 + 0.5*exp(-x1^2)
+[params]
+npts = 401
+n_tests = 2
+""",
+}
+
+
+def test_every_table_key_is_read(tmp_path, monkeypatch):
+    """Each kind's runner reads every key its table declares (field entries
+    that the dimension and the transversal flag leave unused exempt) and no
+    key the table does not declare."""
+    assert set(GUARD_CONFIGS) == set(KINDS)
+    read = set()
+    get = ExperimentConfig.get
+
+    def recording(self, section, key, default=None):
+        read.add((section, key))
+        return get(self, section, key, default)
+    monkeypatch.setattr(ExperimentConfig, "get", recording)
+    for kind, body in GUARD_CONFIGS.items():
+        cfg = validate(f"[experiment]\nkind = {kind}\noutput = "
+                       f"{tmp_path / kind}\n" + body)
+        read.clear()
+        run(cfg)
+        table = experiments._TABLE[kind]
+        unused = set()
+        if "field" in table:
+            unused = set(table["field"]) - experiments._field_keys(
+                cfg.get("field", "dimension"), cfg.get("field", "transversal"))
+        declared = {(sec, key) for sec, keys in table.items() for key in keys}
+        exempt = {("field", key) for key in unused}
+        assert declared - exempt - read == set(), kind
+        assert read <= declared - exempt, kind

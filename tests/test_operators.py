@@ -206,22 +206,6 @@ def test_apply_time_derivative_phase():
     assert sp.simplify(out + sp.exp(sp.I * T_SYMBOL)) == 0
 
 
-def test_grid_apply_matches_symbolic():
-    st = SpaceTimeGrid(32, Grid((6.0,), (128,)))
-    op = DiffOperator.build(1, {(0, (2,)): 1 + sp.Rational(1, 2) * X_SYMBOLS[0],
-                                (1, (0,)): sp.I,
-                                (0, (0,)): X_SYMBOLS[0] ** 2})
-    expr = sp.exp(-X_SYMBOLS[0] ** 2) * sp.cos(2 * sp.pi * T_SYMBOL)
-    mesh_t = st.t_mesh()
-    vals = np.exp(-st.space.meshes[0][None] ** 2) * np.cos(2 * np.pi * mesh_t)
-    out = op.apply_grid(vals.astype(complex), st)
-    sym = op.apply_symbolic(expr)
-    fn = sp.lambdify((T_SYMBOL, X_SYMBOLS[0]), sym, modules="numpy")
-    expect = fn(np.broadcast_to(mesh_t, vals.shape),
-                np.broadcast_to(st.space.meshes[0][None], vals.shape))
-    assert np.max(np.abs(out - expect)) < 1e-8 * np.max(np.abs(expect))
-
-
 def test_operator_text_form_golden():
     s_op, a_op = conjugate_decompose(CoefficientField.identity(1),
                                      WeightSpec("quadratic", BETA))
