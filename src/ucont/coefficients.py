@@ -18,7 +18,7 @@ import sympy as sp
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
-from .expressions import Expression, X_SYMBOLS, const, sample
+from .expressions import Expression, X_SYMBOLS, coeff_is_zero, const, sample
 
 
 class EllipticityError(ValueError):
@@ -61,7 +61,7 @@ class CoefficientField:
             raise ValueError("entry table must be dim x dim")
         for k in range(self.dim):
             for j in range(k + 1, self.dim):
-                if sp.simplify(self.entries[k][j].sym - self.entries[j][k].sym) != 0:
+                if not coeff_is_zero(self.entries[k][j].sym - self.entries[j][k].sym):
                     raise ValueError(f"entry table not symmetric at ({k},{j})")
         allowed = set(X_SYMBOLS[:self.dim])
         for row in self.entries:

@@ -263,8 +263,27 @@ def validate(text: str) -> ExperimentConfig:
                 if _accepts(_NUM, v)]
     scale = "the weighted-inequality scale requires R >= 1"
     errors += [f"weight.R = {v}: {scale}" for v in numbers("weight", "R") if v < 1]
-    errors += [f"params.R_values contains {v}: {scale}"
-               for v in numbers("params", "R_values") if v < 1]
+    errors += [f"params.{key} contains {v}: {scale}"
+               for key in ("R_values", "frontier_R_values")
+               for v in numbers("params", key) if v < 1]
+    if cfg.get("weight", "variant") == "power":
+        errors += [f"weight.alpha = {v}: the power weight requires alpha > 1"
+                   for v in numbers("weight", "alpha") if v <= 1]
+    if sections.get("weight", {}).get("beta_values") == []:
+        errors.append("weight.beta_values is empty")
+    if kind == "gauge-reduce" and dim != 1 and transversal is not True:
+        errors.append(f"field.dimension = {dim}: gauge-reduce takes a 1-D or "
+                      f"a transversal field")
+    extents, points = cfg.get("grid", "extents"), cfg.get("grid", "points")
+    if _accepts(list, extents) and _accepts(list, points):
+        if len(extents) != len(points):
+            errors.append(f"len(grid.extents) = {len(extents)} differs from "
+                          f"len(grid.points) = {len(points)}")
+        # a carleman-sweep without [field] builds its field from the grid
+        elif _accepts(int, dim) and dim != len(extents) \
+                and (kind != "carleman-sweep" or "field" in sections):
+            errors.append(f"field.dimension = {dim} differs from "
+                          f"len(grid.extents) = {len(extents)}")
     errors += [f"grid.points entry {n} is not a power of two"
                for n in numbers("grid", "points")
                if not (_accepts(int, n) and n >= 2 and (n & (n - 1)) == 0)]
@@ -436,10 +455,14 @@ def _run_carleman(cfg: ExperimentConfig, out: Path):
 def _run_symbolic(cfg: ExperimentConfig, out: Path):
     fld = _build_field(cfg)
     base = fld.to_field() if isinstance(fld, TransversalField) else fld
-    variant, beta, alpha, R = (cfg.get("weight", key)
-                               for key in ("variant", "beta", "alpha", "R"))
-    w = WeightSpec(variant, sp.Symbol("beta", positive=True) if beta is None else beta,
-                   alpha=alpha, R=sp.Symbol("R", positive=True) if R is None else R)
+    variant, alpha = cfg.get("weight", "variant"), cfg.get("weight", "alpha")
+
+    def exact(key: str) -> sp.Expr:
+        """The config number as an exact rational; absent, a symbol."""
+        value = cfg.get("weight", key)
+        return sp.Symbol(key, positive=True) if value is None \
+            else parse_expression(str(value)).sym
+    w = WeightSpec(variant, exact("beta"), alpha=exact("alpha"), R=exact("R"))
     rep = verify_T_decomposition(base, w)
     rows = [(label, rep.residual_max[label], rep.residual_exprs[label] or "0")
             for label in sorted(rep.residual_max)]

@@ -4,8 +4,10 @@ A small fixed grammar (sums, products, integer powers, exp/sin/cos/atan,
 variables t and x1..x9) is parsed into sympy trees.  Keeping the grammar
 closed guarantees that exact symbolic derivatives up to the orders needed
 by the operator machinery (3 in the coefficients, 4 in the weights) always
-exist.  The :class:`Expression` wrapper carries the sympy tree; every
-numeric evaluation of a sympy expression goes through :func:`sample`.
+exist.  Numbers parse to exact rationals (``0.1`` is 1/10), so symbolic
+identities hold exactly and :func:`coeff_is_zero` decides them.  The
+:class:`Expression` wrapper carries the sympy tree; every numeric
+evaluation of a sympy expression goes through :func:`sample`.
 
 Grammar (whitespace insignificant)::
 
@@ -152,9 +154,7 @@ class _Parser:
     def base(self) -> sp.Expr:
         tok = self.advance()
         if tok.kind == "num":
-            if re.fullmatch(r"\d+", tok.text):
-                return sp.Integer(int(tok.text))
-            return sp.Float(tok.text)
+            return sp.Rational(tok.text)
         if tok.kind == "op" and tok.text == "(":
             e = self.expr()
             self.expect_op(")")
@@ -208,6 +208,12 @@ def sample(expr: sp.Expr, mesh, syms=None):
     """
     syms = X_SYMBOLS[:len(mesh)] if syms is None else tuple(syms)
     return _lambdify(expr, syms)(*mesh)
+
+
+def coeff_is_zero(expr: sp.Expr) -> bool:
+    """Exact zero test: the expansion of ``expr`` is 0 or cancels to 0."""
+    expr = sp.expand(expr)
+    return expr == 0 or sp.cancel(expr) == 0
 
 
 @dataclass(frozen=True)

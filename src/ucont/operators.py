@@ -26,7 +26,8 @@ import numpy as np
 import sympy as sp
 
 from .coefficients import CoefficientField, SamplingBox, derivative_sq_sums
-from .expressions import Expression, T_SYMBOL, X_SYMBOLS, sample
+from .expressions import Expression, T_SYMBOL, X_SYMBOLS, coeff_is_zero, \
+    sample
 from .grids import Grid, SpaceTimeGrid, spectral_derivative
 
 Key = tuple[int, tuple[int, ...]]
@@ -40,34 +41,15 @@ class OrderOverflowError(RuntimeError):
 # operator algebra
 # ---------------------------------------------------------------------------
 
-def _is_structurally_zero(expr: sp.Expr) -> bool:
-    return sp.expand(expr) == 0
-
-
-_PROBE_RNG_SEED = 0xC0FFEE
-
-
-def probe_max_abs(expr: sp.Expr, dim: int, npoints: int = 64) -> float:
-    """Max |expr| over random points (deterministic seed); 0 for the zero
-    expr.  Abstract profiles are evaluated through their stand-ins."""
-    expr = sp.expand(expr)
-    if expr == 0:
-        return 0.0
+def probe_max_abs(expr: sp.Expr, dim: int) -> float:
+    """Max |expr| over 64 random points (deterministic seed), the size of a
+    residual already proven nonzero.  Abstract profiles are evaluated
+    through their stand-ins."""
     syms = [T_SYMBOL, *X_SYMBOLS[:dim]]
-    free = sorted(expr.free_symbols - set(syms), key=lambda s: s.name)
-    syms += free
-    rng = np.random.default_rng(_PROBE_RNG_SEED)
-    pts = rng.uniform(0.25, 1.75, size=(npoints, len(syms)))
+    syms += sorted(expr.free_symbols - set(syms), key=lambda s: s.name)
+    rng = np.random.default_rng(0xC0FFEE)
+    pts = rng.uniform(0.25, 1.75, size=(64, len(syms)))
     return float(np.max(np.abs(sample(expr, pts.T, syms))))
-
-
-def coeff_is_zero(expr: sp.Expr, dim: int, tol: float = 1e-10) -> bool:
-    """Symbolic simplification plus randomized evaluation at 64 points."""
-    if _is_structurally_zero(expr):
-        return True
-    if sp.simplify(expr) == 0:
-        return True
-    return probe_max_abs(expr, dim) <= tol
 
 
 @dataclass(frozen=True)
@@ -79,18 +61,8 @@ class DiffOperator:
 
     @classmethod
     def build(cls, dim: int, raw: Mapping[Key, sp.Expr]) -> "DiffOperator":
-        merged: dict[Key, sp.Expr] = {}
-        for key, coef in raw.items():
-            coef = sp.expand(coef)
-            if coef == 0:
-                continue
-            if key in merged:
-                merged[key] = sp.expand(merged[key] + coef)
-                if merged[key] == 0:
-                    del merged[key]
-            else:
-                merged[key] = coef
-        return cls(dim, dict(sorted(merged.items())))
+        expanded = {key: sp.expand(coef) for key, coef in sorted(raw.items())}
+        return cls(dim, {key: c for key, c in expanded.items() if c != 0})
 
     @classmethod
     def zero(cls, dim: int) -> "DiffOperator":
@@ -144,10 +116,9 @@ class DiffOperator:
         return DiffOperator.build(
             self.dim, {k: v for k, v in self.terms.items() if sum(k[1]) == spatial_order})
 
-    def prune_zeros(self, tol: float = 1e-10) -> "DiffOperator":
-        """Drop terms whose coefficients are zero under full simplification."""
-        kept = {k: v for k, v in self.terms.items()
-                if not coeff_is_zero(v, self.dim, tol)}
+    def prune_zeros(self) -> "DiffOperator":
+        """Drop terms whose coefficients are exactly zero."""
+        kept = {k: v for k, v in self.terms.items() if not coeff_is_zero(v)}
         return DiffOperator(self.dim, dict(sorted(kept.items())))
 
     def apply_symbolic(self, f: sp.Expr | Expression) -> sp.Expr:
@@ -171,9 +142,8 @@ class DiffOperator:
         return "\n".join(lines)
 
 
-def operators_equal(p: DiffOperator, q: DiffOperator, tol: float = 1e-10) -> bool:
-    diff = p - q
-    return all(coeff_is_zero(c, p.dim, tol) for c in diff.terms.values())
+def operators_equal(p: DiffOperator, q: DiffOperator) -> bool:
+    return all(coeff_is_zero(c) for c in (p - q).terms.values())
 
 
 def commutator(s: DiffOperator, a: DiffOperator,
@@ -187,8 +157,7 @@ def commutator(s: DiffOperator, a: DiffOperator,
     comm = s.compose(a) - a.compose(s)
     if max_spatial_order is not None and comm.spatial_order() > max_spatial_order:
         high = {k: v for k, v in comm.terms.items() if sum(k[1]) > max_spatial_order}
-        survivors = {k: v for k, v in high.items()
-                     if not coeff_is_zero(v, comm.dim)}
+        survivors = {k: v for k, v in high.items() if not coeff_is_zero(v)}
         if survivors:
             raise OrderOverflowError(
                 f"commutator kept spatial order > {max_spatial_order}: "
@@ -203,6 +172,7 @@ def commutator(s: DiffOperator, a: DiffOperator,
 # ---------------------------------------------------------------------------
 
 VARIANTS = ("quadratic", "power", "scaled-time", "translated")
+_NUMBER = (int, float, sp.Number)
 
 
 @dataclass(frozen=True)
@@ -228,11 +198,11 @@ class WeightSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown weight variant {self.variant!r}")
-        if isinstance(self.beta, (int, float)) and not self.beta >= 0:
+        if isinstance(self.beta, _NUMBER) and not self.beta >= 0:
             raise ValueError("beta must be positive (0 allowed for the trivial weight)")
-        if isinstance(self.R, (int, float)) and self.R < 1:
+        if isinstance(self.R, _NUMBER) and self.R < 1:
             raise ValueError("R must be >= 1")
-        if self.variant == "power" and isinstance(self.alpha, (int, float)) \
+        if self.variant == "power" and isinstance(self.alpha, _NUMBER) \
                 and not self.alpha > 1:
             raise ValueError("power variant requires alpha > 1")
 
@@ -472,11 +442,11 @@ def verify_T_decomposition(fld: CoefficientField, w: WeightSpec
         worst = 0.0
         bad = []
         for key, coef in op.terms.items():
-            if coeff_is_zero(coef, fld.dim):
+            if coeff_is_zero(coef):
                 continue
             all_zero = False
             worst = max(worst, probe_max_abs(coef, fld.dim))
-            bad.append(f"{key}: {sp.sstr(sp.simplify(coef))}")
+            bad.append(f"{key}: {sp.sstr(sp.cancel(sp.expand(coef)))}")
         residual_max[label] = worst
         residual_exprs[label] = "; ".join(bad)
     return TDecompositionReport(fld.dim, w.variant, residual_max, residual_exprs,

@@ -272,6 +272,49 @@ kind = symbolic-verify
 [weight]
 variant = "cubic"
 """, ["weight.variant", "'quadratic'"]),
+    "power-alpha-at-most-one": ("""
+[experiment]
+kind = symbolic-verify
+[weight]
+variant = "power"
+alpha = 0.5
+""", ["weight.alpha = 0.5", "alpha > 1"]),
+    "field-dimension-differs-from-grid": ("""
+[experiment]
+kind = simulate
+[field]
+dimension = 2
+[grid]
+extents = [12.0]
+points = [256]
+""", ["field.dimension = 2", "len(grid.extents) = 1"]),
+    "extents-points-lengths": ("""
+[experiment]
+kind = poincare
+[grid]
+extents = [4.0, 4.0]
+points = [64]
+""", ["len(grid.extents) = 2", "len(grid.points) = 1"]),
+    "frontier-R-below-one": ("""
+[experiment]
+kind = carleman-sweep
+[params]
+frontier_R_values = [0.5, 2.0]
+""", ["frontier_R_values contains 0.5", "R >= 1"]),
+    "empty-beta-values": ("""
+[experiment]
+kind = convexity
+[weight]
+beta_values = []
+""", ["weight.beta_values"]),
+    "gauge-non-transversal-2d": ("""
+[experiment]
+kind = gauge-reduce
+[field]
+dimension = 2
+a12 = 0.3
+a22 = 5
+""", ["field.dimension = 2", "transversal"]),
 }
 
 
@@ -291,6 +334,17 @@ def test_table_rejects_config(name, tmp_path, capsys):
 def test_symbolic_power_without_alpha_runs(tmp_path):
     text = ("[experiment]\nkind = symbolic-verify\noutput = {out}\n"
             "[field]\ndimension = 1\n[weight]\nvariant = \"power\"\n")
+    path = tmp_path / "c.cfg"
+    path.write_text(text.format(out=tmp_path / "o"))
+    assert cli_main(["run", str(path)]) == 0
+
+
+def test_symbolic_decimal_weight_numbers_pass(tmp_path):
+    # beta and R reach the weight as the exact rationals 3/10 and 5/2, so
+    # the residuals cancel exactly
+    text = ("[experiment]\nkind = symbolic-verify\noutput = {out}\n"
+            "[field]\ndimension = 1\na11 = \"1 + 0.1/(1+x1^2)\"\n"
+            "[weight]\nvariant = \"scaled-time\"\nbeta = 0.3\nR = 2.5\n")
     path = tmp_path / "c.cfg"
     path.write_text(text.format(out=tmp_path / "o"))
     assert cli_main(["run", str(path)]) == 0

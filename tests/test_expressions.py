@@ -39,6 +39,12 @@ def test_unary_minus_and_signed_exponent():
     assert parse_expression("x1^-2")(x1=2.0) == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize("text,value", [("0.1", sp.Rational(1, 10)),
+                                        ("1e-12", sp.Rational(1, 10 ** 12))])
+def test_decimals_parse_to_rationals(text, value):
+    assert parse_expression(text).sym == value
+
+
 def test_syntax_error_carries_position():
     with pytest.raises(ExpressionError) as err:
         parse_expression("x1 + * 2")

@@ -1,6 +1,9 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from ucont.coefficients import CoefficientField, SamplingBox, TransversalField
 from ucont.expressions import T_SYMBOL, X_SYMBOLS, const, parse_expression
@@ -62,6 +65,37 @@ def test_split_equals_direct_conjugation(variant, kwargs):
     w = WeightSpec(variant, BETA, **kwargs)
     s_op, a_op = conjugate_decompose(fld, w)
     assert operators_equal(s_op + a_op, conjugated_operator(fld, w))
+
+
+@lru_cache(maxsize=None)
+def _decimal_field_split():
+    """S + A and the direct conjugation for a field written with a decimal."""
+    fld = CoefficientField(1, ((pe("1 + 0.1/(1+x1^2)"),),))
+    w = WeightSpec("quadratic", BETA)
+    s_op, a_op = conjugate_decompose(fld, w)
+    return s_op + a_op, conjugated_operator(fld, w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 9), st.integers(-15, -4), st.integers(0, 3))
+def test_operators_equal_is_exact(digit, exponent, k):
+    # a decimal perturbation eps x1^k of the zero-order term, eps in
+    # [1e-15, 9e-4], is nonzero however small
+    split, direct = _decimal_field_split()
+    assert operators_equal(split, direct)
+    eps = pe(f"{digit}e{exponent}").sym
+    bump = DiffOperator.build(1, {(0, (0,)): eps * X_SYMBOLS[0] ** k})
+    assert not operators_equal(split + bump, direct)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"variant": "power", "beta": BETA, "alpha": sp.Rational(1, 2)},
+    {"variant": "quadratic", "beta": sp.Integer(-1)},
+    {"variant": "translated", "beta": BETA, "R": sp.Rational(1, 2)},
+])
+def test_weight_range_checks_take_exact_numbers(kwargs):
+    with pytest.raises(ValueError):
+        WeightSpec(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +169,21 @@ def test_t_decomposition_identity_quadratic_zero_residuals():
                                  WeightSpec("quadratic", BETA))
     assert rep.ok
     assert all(v == 0.0 for v in rep.residual_max.values())
+
+
+def test_t_decomposition_calls_no_simplify(monkeypatch):
+    # criterion 01's decimal field: every residual is decided exactly
+    calls = []
+    simplify = sp.simplify
+
+    def counting(expr, *args, **kwargs):
+        calls.append(expr)
+        return simplify(expr, *args, **kwargs)
+    monkeypatch.setattr(sp, "simplify", counting)
+    fld = CoefficientField(1, ((pe("1 + 0.1/(1+x1^2)"),),))
+    rep = verify_T_decomposition(fld, WeightSpec("quadratic", BETA))
+    assert rep.ok
+    assert calls == []
 
 
 def test_t_first_order_reduction_constant_diagonal_scaled_time():
