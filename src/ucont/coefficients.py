@@ -78,12 +78,11 @@ class CoefficientField:
         return cls(dim, rows, potential or const(0))
 
     @classmethod
-    def diagonal(cls, diag: Sequence[Expression],
-                 potential: Expression | None = None) -> "CoefficientField":
+    def diagonal(cls, diag: Sequence[Expression]) -> "CoefficientField":
         dim = len(diag)
         rows = tuple(tuple(diag[k] if k == j else const(0) for j in range(dim))
                      for k in range(dim))
-        return cls(dim, rows, potential or const(0))
+        return cls(dim, rows)
 
     def entry(self, k: int, j: int) -> sp.Expr:
         return self.entries[k][j].sym

@@ -13,10 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .coefficients import CoefficientField
 from .evolution import DissipationParams, Trajectory, WaveState
 from .grids import Grid, spectral_gradient
-from .operators import ConjugatedGridOps, WeightSpec
 
 
 class BoundaryMassError(RuntimeError):
@@ -74,7 +72,6 @@ def weighted_norm(u: WaveState, beta: float, alpha: float = 1.0, *,
 class ConvexityTrace:
     times: np.ndarray
     H: np.ndarray
-    D: np.ndarray
     beta: float
     max_interp_ratio_c1: float       # with C = 1, recorded separately
     violation: bool                  # the ratio exceeds the configured C
@@ -93,46 +90,31 @@ class ConvexityTrace:
             float(np.min(self.d2_logH(), initial=math.inf))
 
 
-def logconvexity_check(traj: Trajectory, beta: float, M1: float,
-                       fld: CoefficientField | None = None,
-                       C: float = 1.0 + 1e-6, *, strict: bool = True,
+def logconvexity_check(traj: Trajectory, beta: float, M1: float, *,
+                       C: float = 1.0 + 1e-6,
                        boundary_budget: float = 1e-12) -> ConvexityTrace:
     """Weighted-energy trace with the interpolation-bound and discrete
     second-difference diagnostics.
 
     The bound checked is H(t) <= C e^{M1^2} H(0)^{1-t} H(1)^t; the max ratio
-    with C = 1 is recorded separately.  D(t) = <(aS + ibA) f, f> is computed
-    when the coefficient field is supplied.
+    with C = 1 is recorded separately.
     """
-    grid = traj.grid
     times = np.asarray(traj.times, dtype=float)
-    H = np.array([weighted_norm(traj.state(i), beta, strict=strict,
+    H = np.array([weighted_norm(traj.state(i), beta,
                                 boundary_budget=boundary_budget)
                   for i in range(len(times))])
-    vacuous = bool(H[0] <= 0.0 or H[-1] <= 0.0)
-
-    D = np.zeros_like(H)
-    if fld is not None:
-        a = float(traj.meta.get("a", 0.0))
-        b = float(traj.meta.get("b", 1.0))
-        ops = ConjugatedGridOps.build(fld, WeightSpec("quadratic", beta), grid)
-        for i in range(len(times)):
-            f = _weighted(traj.frames[i], grid, beta)
-            sf, af = ops.apply_S(f), ops.apply_A(f)
-            val = np.sum((a * sf + 1j * b * af) * np.conj(f)) * grid.cell_volume
-            D[i] = float(val.real)
-    if vacuous:
-        return ConvexityTrace(times, H, D, beta, math.inf, False, True)
+    if H[0] <= 0.0 or H[-1] <= 0.0:
+        return ConvexityTrace(times, H, beta, math.inf, False, True)
 
     tt = (times - times[0]) / (times[-1] - times[0])
     interp = H[0] ** (1 - tt) * H[-1] ** tt
     max_c1 = float(np.max(H / (math.exp(M1 ** 2) * interp)))
-    return ConvexityTrace(times, H, D, beta, max_c1, bool(max_c1 / C > 1.0),
+    return ConvexityTrace(times, H, beta, max_c1, bool(max_c1 / C > 1.0),
                           False)
 
 
-def derivative_bound_check(traj: Trajectory, beta: float, M1: float = 0.0,
-                           C: float = 1.0, *, strict: bool = True) -> float:
+def derivative_bound_check(traj: Trajectory, beta: float, M1: float = 0.0, *,
+                           strict: bool = True) -> float:
     """Ratio of the time-weighted gradient/moment energy to the endpoint
     bound:
 
@@ -157,7 +139,7 @@ def derivative_bound_check(traj: Trajectory, beta: float, M1: float = 0.0,
     lhs = float(np.trapezoid(vals, times))
     H0 = weighted_norm(traj.state(0), beta, strict=strict)
     H1 = weighted_norm(traj.state(len(times) - 1), beta, strict=strict)
-    rhs = C * math.exp(M1 ** 2) * (H0 + H1)
+    rhs = math.exp(M1 ** 2) * (H0 + H1)
     return lhs / rhs
 
 
@@ -170,13 +152,12 @@ class DecaySchedule:
     gamma: float
     times: np.ndarray
     alphas: np.ndarray
-    params: dict
     degenerate: bool = False
 
 
 def gaussian_decay_schedule(gamma: float, d: DissipationParams, lam: float,
-                            Lam: float, normA: float, C_dim: float = 1.0,
-                            times: np.ndarray | None = None) -> DecaySchedule:
+                            Lam: float, normA: float, C_dim: float = 1.0
+                            ) -> DecaySchedule:
     """Maintained Gaussian rate of the dissipative flow:
 
         alpha(t) = gamma lam a / (lam a + 4 gamma (lam a^2 Lam
@@ -186,15 +167,12 @@ def gaussian_decay_schedule(gamma: float, d: DissipationParams, lam: float,
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    ts = np.linspace(0.0, 1.0, 65) if times is None else np.asarray(times, float)
-    params = {"a": d.a, "b": d.b, "lam": lam, "Lam": Lam, "normA": normA,
-              "C_dim": C_dim}
+    ts = np.linspace(0.0, 1.0, 65)
     if d.a == 0.0:
-        alphas = np.where(ts == 0.0, gamma, 0.0)
-        return DecaySchedule(gamma, ts, alphas, params, True)
+        return DecaySchedule(gamma, ts, np.where(ts == 0.0, gamma, 0.0), True)
     denom = lam * d.a + 4 * gamma * (lam * d.a ** 2 * Lam
                                      + 4 * d.b ** 2 * normA ** 2 * C_dim) * ts
-    return DecaySchedule(gamma, ts, gamma * lam * d.a / denom, params, False)
+    return DecaySchedule(gamma, ts, gamma * lam * d.a / denom, False)
 
 
 def decay_schedule_companion(traj: Trajectory, schedule: DecaySchedule

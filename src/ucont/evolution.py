@@ -157,20 +157,16 @@ def _kinetic_symbol(abar: np.ndarray, grid: Grid) -> np.ndarray:
 
 def propagate(u0: WaveState, fld: CoefficientField, d: DissipationParams,
               t_span: tuple[float, float] = (0.0, 1.0), steps: int = 256,
-              n_frames: int = 2, *, blowup_factor: float = 1e3,
-              resolution_budget: float = 1e-10) -> Trajectory:
+              n_frames: int = 2, *, blowup_factor: float = 1e3) -> Trajectory:
     """Second-order Strang trajectory of d_t u = (a+ib)(L+V)u.
 
     Frames are stored at n_frames uniformly spaced times (endpoints
     included); steps must be a multiple of n_frames - 1.
     """
-    if d.a < 0:
-        raise ValueError("dissipation a must be >= 0 for forward propagation")
     if n_frames < 2 or steps % (n_frames - 1) != 0:
         raise ValueError("steps must be a positive multiple of n_frames - 1")
     grid = u0.grid
-    if resolution_budget is not None:
-        check_resolved(u0.values, resolution_budget)
+    check_resolved(u0.values, 1e-10)
 
     entries = [[sample(fld.entry(k, j), grid.open_mesh)
                 for j in range(grid.dim)] for k in range(grid.dim)]
@@ -245,17 +241,16 @@ def propagate(u0: WaveState, fld: CoefficientField, d: DissipationParams,
                     f"norm exceeded {blowup_factor:.0e} x initial at t={times[idx]:.4f}")
         else:
             uhat_pending = uhat
-    meta = {"a": d.a, "b": d.b, "steps": steps, "t_span": (t0, t1)}
-    return Trajectory(grid, times, frames, meta)
+    return Trajectory(grid, times, frames, {"steps": steps})
 
 
-def regularized_flow(traj: Trajectory, fld: CoefficientField, eps: float,
-                     steps: int | None = None) -> Trajectory:
+def regularized_flow(traj: Trajectory, fld: CoefficientField, eps: float
+                     ) -> Trajectory:
     """Trajectory of e^{t (eps + i)(L+V)} from the same initial state, on the
     same sample times as ``traj``."""
     if not eps > 0:
         raise ValueError("regularization strength eps must be > 0")
-    steps = steps or traj.meta.get("steps", 256)
+    steps = traj.meta.get("steps", 256)
     n_frames = len(traj.times)
     steps = steps - steps % (n_frames - 1) if steps % (n_frames - 1) else steps
     return propagate(traj.initial, fld, DissipationParams(eps, 1.0),

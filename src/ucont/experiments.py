@@ -34,15 +34,17 @@ import sympy as sp
 from . import __version__
 from .analysis import SubordinationCase, poincare_weighted_check, \
     subordination_ratio
-from .carleman import SweepConfig, carleman_sweep
+from .carleman import FrontierError, SupportError, SweepConfig, \
+    carleman_sweep
 from .coefficients import CoefficientField, SamplingBox, \
     TransversalField, gauge_reduce, verify_gauge_transport
-from .diagnostics import annulus_mass_profile, derivative_bound_check, \
-    logconvexity_check, weighted_norm
-from .evolution import DissipationParams, GaussianPacket, WaveState, \
-    free_flow_closed_form, mass, propagate, write_checkpoint
+from .diagnostics import BoundaryMassError, annulus_mass_profile, \
+    derivative_bound_check, logconvexity_check, weighted_norm
+from .evolution import BlowUpError, DissipationParams, GaussianPacket, \
+    StabilityError, WaveState, free_flow_closed_form, mass, propagate, \
+    write_checkpoint
 from .expressions import ExpressionError, parse_expression
-from .grids import Grid, band_limited_noise
+from .grids import Grid, ResolutionError, band_limited_noise
 from .operators import VARIANTS, WeightSpec, remainder_grouping_report, \
     verify_T_decomposition
 
@@ -136,6 +138,8 @@ def _accepts(accepted, value) -> bool:
         return value in accepted
     if accepted is list:
         return isinstance(value, list) and all(_accepts(_NUM, v) for v in value)
+    if isinstance(value, float) and not math.isfinite(value):
+        return False        # JSON's NaN, Infinity and -Infinity
     return isinstance(value, accepted) and (accepted is bool
                                             or not isinstance(value, bool))
 
@@ -143,9 +147,9 @@ def _accepts(accepted, value) -> bool:
 def _expected(accepted) -> str:
     if isinstance(accepted, tuple) and isinstance(accepted[0], str):
         return "one of " + ", ".join(repr(c) for c in accepted)
-    return {int: "an integer", _NUM: "a number", _EXPR: "a string or a number",
-            bool: "true or false", str: "a string",
-            list: "a list of numbers"}[accepted]
+    return {int: "an integer", _NUM: "a finite number",
+            _EXPR: "a string or a finite number", bool: "true or false",
+            str: "a string", list: "a list of finite numbers"}[accepted]
 
 
 class ConfigError(ValueError):
@@ -269,6 +273,9 @@ def validate(text: str) -> ExperimentConfig:
     if cfg.get("weight", "variant") == "power":
         errors += [f"weight.alpha = {v}: the power weight requires alpha > 1"
                    for v in numbers("weight", "alpha") if v <= 1]
+    if kind == "symbolic-verify":
+        errors += [f"weight.beta = {v}: the weight requires beta >= 0"
+                   for v in numbers("weight", "beta") if v < 0]
     if sections.get("weight", {}).get("beta_values") == []:
         errors.append("weight.beta_values is empty")
     if kind == "gauge-reduce" and dim != 1 and transversal is not True:
@@ -396,7 +403,7 @@ def _run_convexity(cfg: ExperimentConfig, out: Path):
     M1 = fld.m1_norm(box)
     checks, metrics, artifacts = {}, {}, []
     for beta in betas:
-        tr = logconvexity_check(traj, float(beta), M1, fld, C=interp_C,
+        tr = logconvexity_check(traj, float(beta), M1, C=interp_C,
                                 boundary_budget=budget)
         d2 = tr.d2_logH()
         rows = [(float(t), tr.H[i], math.log(tr.H[i]),
@@ -602,6 +609,10 @@ def _run_gauge(cfg: ExperimentConfig, out: Path):
     return checks, {"transport_max_rel_err": err}, [path]
 
 
+# numeric guards that end a run: recorded as one failed check, not raised
+_GUARD_ERRORS = (FrontierError, ResolutionError, SupportError, StabilityError,
+                 BlowUpError, BoundaryMassError)
+
 _RUNNERS = {
     "simulate": _run_simulate,
     "convexity": _run_convexity,
@@ -617,11 +628,18 @@ _RUNNERS = {
 
 def run(cfg: ExperimentConfig) -> ExperimentReport:
     """Execute the experiment, write its artifacts, and return the report.
-    Deterministic for a fixed (config, seed)."""
+    Deterministic for a fixed (config, seed).  A numeric guard error ends
+    the run as one failed ``numeric_guard`` check."""
     out = cfg.output
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    checks, metrics, artifacts = _RUNNERS[cfg.kind](cfg, out)
+    try:
+        checks, metrics, artifacts = _RUNNERS[cfg.kind](cfg, out)
+    except _GUARD_ERRORS as exc:
+        checks = {"numeric_guard": {"status": "fail",
+                                    "error": type(exc).__name__,
+                                    "message": str(exc)}}
+        metrics, artifacts = {}, []
     wall = time.perf_counter() - t0
     report = ExperimentReport(
         config={"kind": cfg.kind, "seed": cfg.seed, "output": str(cfg.output),

@@ -102,17 +102,15 @@ def spectral_gradient(values: np.ndarray, grid: Grid, *,
             for i in range(grid.dim)]
 
 
-def spectral_tail_fraction(values: np.ndarray, axes: tuple[int, ...] | None = None
-                           ) -> float:
+def spectral_tail_fraction(values: np.ndarray) -> float:
     """Max magnitude in the top-sixth wavenumber shell relative to the peak."""
-    vhat = np.fft.fftn(values, axes=axes)
+    vhat = np.fft.fftn(values)
     peak = np.abs(vhat).max()
     if peak == 0.0:
         return 0.0
     frac = 0.0
     ndim = values.ndim
-    use_axes = range(ndim) if axes is None else axes
-    for ax in use_axes:
+    for ax in range(ndim):
         n = values.shape[ax]
         lo, hi = n // 2 - n // 6, n // 2 + n // 6
         sl = [slice(None)] * ndim
@@ -121,9 +119,8 @@ def spectral_tail_fraction(values: np.ndarray, axes: tuple[int, ...] | None = No
     return float(frac)
 
 
-def check_resolved(values: np.ndarray, budget: float = 1e-10,
-                   axes: tuple[int, ...] | None = None) -> None:
-    frac = spectral_tail_fraction(values, axes)
+def check_resolved(values: np.ndarray, budget: float = 1e-10) -> None:
+    frac = spectral_tail_fraction(values)
     if frac > budget:
         raise ResolutionError(
             f"spectral tail fraction {frac:.3e} exceeds budget {budget:.1e}")

@@ -515,55 +515,42 @@ def remainder_grouping_report(fld: CoefficientField, w: WeightSpec,
 
 @dataclass
 class ConjugatedGridOps:
-    """Structured grid realizations of the symmetric part, antisymmetric part
-    and their sum for one (field, weight) pair on one grid.
+    """Structured space-time grid realizations of the symmetric part,
+    antisymmetric part and their sum of e^phi (i dt + L) e^{-phi} for one
+    (field, weight) pair.
 
-    On a :class:`SpaceTimeGrid` these realize the split of
-    e^phi (i dt + L) e^{-phi}; on a spatial :class:`Grid` they realize the
-    fixed-time split of e^phi L e^{-phi}, which needs a time-independent
-    weight.  The symmetric part is applied in divergence form and the
-    antisymmetric part in antisymmetrized form, so the discrete adjoint
-    identities (and hence ||(S+A)f||^2 = ||Sf||^2 + ||Af||^2 + <[S,A]f, f>)
-    hold to roundoff.  Coefficients keep their natural sampled shapes.
+    The symmetric part is applied in divergence form and the antisymmetric
+    part in antisymmetrized form, so the discrete adjoint identities (and
+    hence ||(S+A)f||^2 = ||Sf||^2 + ||Af||^2 + <[S,A]f, f>) hold to roundoff.
+    Coefficients keep their natural sampled shapes.
     """
 
-    grid: SpaceTimeGrid | Grid
+    grid: SpaceTimeGrid
     a_entries: list[list[np.ndarray]]
     grad_phi: list[np.ndarray]
-    dt_phi: np.ndarray | None       # None on a spatial grid
+    dt_phi: np.ndarray
 
     @classmethod
     def build(cls, fld: CoefficientField, w: WeightSpec,
-              grid: SpaceTimeGrid | Grid) -> "ConjugatedGridOps":
+              grid: SpaceTimeGrid) -> "ConjugatedGridOps":
         n = fld.dim
         phi = w.phi(n)
-        xs = X_SYMBOLS[:n]
-        dt_phi = sp.diff(phi, T_SYMBOL)
-        timed = isinstance(grid, SpaceTimeGrid)
-        if not timed and dt_phi != 0:
-            raise ValueError("the fixed-time split on a spatial grid needs a "
-                             "time-independent weight")
-        syms = (T_SYMBOL, *xs) if timed else xs
+        syms = (T_SYMBOL, *X_SYMBOLS[:n])
 
         def on_grid(e: sp.Expr):
             return sample(e, grid.open_mesh, syms)
         return cls(grid,
                    [[on_grid(fld.entry(k, j)) for j in range(n)]
                     for k in range(n)],
-                   [on_grid(sp.diff(phi, x)) for x in xs],
-                   on_grid(dt_phi) if timed else None)
-
-    @property
-    def timed(self) -> bool:
-        return isinstance(self.grid, SpaceTimeGrid)
+                   [on_grid(sp.diff(phi, x)) for x in syms[1:]],
+                   on_grid(sp.diff(phi, T_SYMBOL)))
 
     @property
     def space(self) -> Grid:
-        return self.grid.space if self.timed else self.grid
+        return self.grid.space
 
     def _dx(self, f: np.ndarray, i: int) -> np.ndarray:
-        return spectral_derivative(f, self.space, i, 1,
-                                   time_offset=int(self.timed))
+        return spectral_derivative(f, self.space, i, 1, time_offset=1)
 
     @property
     def zero_order(self) -> np.ndarray:
@@ -576,9 +563,7 @@ class ConjugatedGridOps:
     def apply_S0(self, f: np.ndarray) -> np.ndarray:
         """The weight-free part i dt + div(A grad) of the symmetric part."""
         n = self.space.dim
-        out = np.zeros_like(f, dtype=complex)
-        if self.timed:
-            out += 1j * self.grid.time_derivative(f)
+        out = 1j * self.grid.time_derivative(f)
         grads = [self._dx(f, j) for j in range(n)]
         for k in range(n):
             flux = sum(self.a_entries[k][j] * grads[j] for j in range(n))
@@ -597,8 +582,7 @@ class ConjugatedGridOps:
              for m in range(n)]
         for m in range(n):
             out -= c[m] * self._dx(f, m) + self._dx(c[m] * f, m)
-        if self.timed:
-            out += -1j * self.dt_phi * f
+        out += -1j * self.dt_phi * f
         return out
 
     def apply_sum(self, f: np.ndarray) -> np.ndarray:

@@ -236,7 +236,7 @@ def test_acceptance_06_log_convexity():
     details = []
     ok = True
     for beta in (0.05, 0.1, 0.2):
-        tr = logconvexity_check(traj, beta, 0.0, fld, C=1 + 1e-6,
+        tr = logconvexity_check(traj, beta, 0.0, C=1 + 1e-6,
                                 boundary_budget=1e-4)
         closed = np.array([_free_H_closed(beta, 0.5, -0.5, float(t))
                            for t in tr.times])
@@ -250,7 +250,7 @@ def test_acceptance_06_log_convexity():
     gv = Grid((13.5,), (2048,))
     u0v = WaveState(0.0, packet.sample(gv), gv)
     trajv = propagate(u0v, var, SCHRODINGER, steps=2048, n_frames=65)
-    trv = logconvexity_check(trajv, 0.05, 0.0, var, C=1 + 1e-6,
+    trv = logconvexity_check(trajv, 0.05, 0.0, C=1 + 1e-6,
                              boundary_budget=1e-8)
     ok &= small <= 0.05 and trv.min_d2_logH >= -1e-3 and not trv.violation
     details.append(f"var field (smallness {small:.3f}): d2min "

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 import scipy.special as ss
-import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from ucont.diagnostics import (AnnulusResolutionError, BoundaryMassError,
@@ -13,7 +12,6 @@ from ucont.diagnostics import (AnnulusResolutionError, BoundaryMassError,
                                square_completion_band, weighted_norm)
 from ucont.evolution import (HEAT, SCHRODINGER, Trajectory, WaveState,
                              mass, propagate)
-from ucont import expressions
 from ucont.expressions import parse_expression
 from ucont.grids import Grid
 
@@ -86,8 +84,7 @@ def test_logconvexity_free_flow_matches_closed_form(identity_field_1d,
     u0 = WaveState(0.0, chirped_packet.sample(g), g)
     traj = propagate(u0, identity_field_1d, SCHRODINGER, steps=64, n_frames=65)
     for beta in (0.05, 0.1, 0.2):
-        tr = logconvexity_check(traj, beta, 0.0, identity_field_1d,
-                                boundary_budget=1e-4)
+        tr = logconvexity_check(traj, beta, 0.0, boundary_budget=1e-4)
         ref = np.array([H_closed(beta, 0.5, -0.5, float(t)) for t in tr.times])
         assert np.max(np.abs(tr.H / ref - 1)) < 1e-6
         assert not tr.violation
@@ -102,25 +99,6 @@ def test_logconvexity_stationary_trace(line_grid, unit_packet):
     assert np.allclose(np.diff(np.log(tr.H)), 0.0, atol=1e-13)
     assert abs(tr.min_d2_logH) < 1e-9
     assert not tr.violation
-
-
-def test_logconvexity_compiles_each_expression_once(monkeypatch, line_grid,
-                                                   unit_packet, mild_field_1d):
-    # the fixed-time split is built once per call, not once per frame
-    compiled = []
-    lambdify = sp.lambdify
-
-    def counting(syms, expr, *args, **kwargs):
-        compiled.append(expr)
-        return lambdify(syms, expr, *args, **kwargs)
-    monkeypatch.setattr(sp, "lambdify", counting)
-    expressions._lambdify.cache_clear()
-    frames = np.stack([unit_packet.sample(line_grid)] * 65)
-    traj = Trajectory(line_grid, np.linspace(0, 1, 65), frames,
-                      {"a": 0, "b": 1})
-    tr = logconvexity_check(traj, 0.05, 0.0, mild_field_1d)
-    assert np.all(np.isfinite(tr.D)) and np.any(tr.D != 0)
-    assert compiled and len(compiled) == len(set(compiled))
 
 
 def test_logconvexity_vacuous_zero_endpoint(line_grid, unit_packet):

@@ -315,6 +315,37 @@ dimension = 2
 a12 = 0.3
 a22 = 5
 """, ["field.dimension = 2", "transversal"]),
+    "symbolic-beta-nan": ("""
+[experiment]
+kind = symbolic-verify
+[weight]
+beta = NaN
+""", ["weight.beta = nan", "finite number"]),
+    "symbolic-beta-negative": ("""
+[experiment]
+kind = symbolic-verify
+[weight]
+beta = -0.5
+""", ["weight.beta = -0.5", "beta >= 0"]),
+    "simulate-t_end-infinity": ("""
+[experiment]
+kind = simulate
+[evolution]
+t_end = Infinity
+""", ["evolution.t_end = inf", "finite number"]),
+    "field-entry-nan": ("""
+[experiment]
+kind = simulate
+[field]
+a11 = NaN
+""", ["field.a11 = nan", "finite number"]),
+    "extents-entry-minus-infinity": ("""
+[experiment]
+kind = poincare
+[grid]
+extents = [4.0, -Infinity]
+points = [64, 64]
+""", ["grid.extents = [4.0, -inf]", "finite numbers"]),
 }
 
 
@@ -378,6 +409,33 @@ frames = 5
     assert payload["checks"]["H_finite"]["status"] == "fail"
     assert payload["checks"]["H_finite"]["non_finite"] >= 1
 
+
+def test_numeric_guard_error_is_a_failed_check(tmp_path):
+    # the translated probe at R = 2.4 leaves a time tail of 5.09e-3 on
+    # nt = 128, over make_test_function's 5e-3 resolution budget
+    text = """
+[experiment]
+kind = carleman-sweep
+seed = 19
+output = {out}
+[grid]
+extents = [6.0]
+points = [512]
+nt = 128
+[params]
+mode = "translated"
+R_values = [1.0]
+n_samples = 1
+frontier_R_values = [2.4]
+frontier_probes = 1
+""".format(out=tmp_path / "o")
+    path = tmp_path / "c.cfg"
+    path.write_text(text)
+    assert cli_main(["run", str(path)]) == 1
+    payload = json.loads((tmp_path / "o" / "report.json").read_text())
+    guard = payload["checks"]["numeric_guard"]
+    assert guard["status"] == "fail" and guard["error"] == "ResolutionError"
+    assert "spectral tail fraction" in guard["message"]
 
 def test_convexity_d2_column_is_the_gated_value(tmp_path):
     # with t_end = 0.5 raw-time and rescaled-time second differences of

@@ -5,6 +5,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+from ucont.carleman import CutoffSpec
 from ucont.coefficients import CoefficientField, SamplingBox, TransversalField
 from ucont.expressions import T_SYMBOL, X_SYMBOLS, const, parse_expression
 from ucont.grids import Grid, SpaceTimeGrid, band_limited_noise, l2_inner, \
@@ -295,36 +296,55 @@ def test_discrete_symmetry_antisymmetry():
         assert anti < 1e-9 * scale
 
 
+_DIAGONALS = ("1 + 0.3*exp(-x1^2/2)", "1 + 0.2*cos(x2)", "2 + 0.1*sin(x3)")
+
+
+@settings(max_examples=8, deadline=None)
+@given(dim=st.sampled_from((2, 3)), seed=st.integers(0, 2 ** 16),
+       beta=st.floats(0.05, 2.0), translated=st.booleans())
+def test_discrete_adjoint_identities_2d_3d(dim, seed, beta, translated):
+    # <Sf, g> = <f, Sg> and <Af, g> = -<f, Ag> to roundoff on a variable
+    # diagonal field, for the quadratic and the x1-translated weight
+    stg = SpaceTimeGrid(16, Grid((4.0,) * dim, (32 if dim == 2 else 16,) * dim))
+    fld = CoefficientField.diagonal(tuple(pe(e) for e in _DIAGONALS[:dim]))
+    w = WeightSpec("translated", beta, R=2,
+                   profile=CutoffSpec(R=2).profile_expression()) \
+        if translated else WeightSpec("quadratic", beta)
+    ops = ConjugatedGridOps.build(fld, w, stg)
+    f, g = _random_field(stg, seed), _random_field(stg, seed + 1)
+
+    def inner(u, v):
+        return l2_inner(u, v, stg.space, stg.dt)
+
+    def norm(u):
+        return np.sqrt(l2_norm_sq(u, stg.space, stg.dt))
+    for apply, sign in ((ops.apply_S, -1), (ops.apply_A, 1)):
+        pf, pg = apply(f), apply(g)
+        scale = norm(pf) * norm(g) + norm(f) * norm(pg)
+        assert abs(inner(pf, g) + sign * inner(f, pg)) < 1e-9 * scale
+
+
 def test_reconstruction_against_direct_conjugation():
     # apply(S,f) + apply(A,f) == e^phi (i dt + L)(e^{-phi} f), 100 fields;
     # the direct route multiplies by e^{+phi} at the end, so it needs the
     # intermediate spectrally clean: use a well-resolved grid and moderate beta.
-    # On the spatial grid the fixed-time split must give e^phi L(e^{-phi} f).
     st = SpaceTimeGrid(32, Grid((8.0,), (256,)))
     fld = CoefficientField(1, ((pe("1 + 0.3*exp(-x1^2/2)"),),))
     beta = 0.1
-    w = WeightSpec("quadratic", beta)
+    ops = ConjugatedGridOps.build(fld, WeightSpec("quadratic", beta), st)
     x = st.space.meshes[0]
     phi = beta * x ** 2
     a_vals = 1 + 0.3 * np.exp(-x ** 2 / 2)
     from ucont.grids import spectral_derivative
-    for grid in (st, st.space):
-        ops = ConjugatedGridOps.build(fld, w, grid)
-        timed = grid is st
-        for seed in range(100):
-            f = _random_field(st, seed)
-            if not timed:
-                f = f[seed % st.nt]
-            lead = (None,) if timed else ()
-            inner = np.exp(-phi)[lead] * f
-            df = spectral_derivative(inner, st.space, 0, 1,
-                                     time_offset=int(timed))
-            lf = spectral_derivative(a_vals[lead] * df, st.space, 0, 1,
-                                     time_offset=int(timed))
-            if timed:
-                lf = lf + 1j * st.time_derivative(inner)
-            direct = np.exp(phi)[lead] * lf
-            ours = ops.apply_sum(f)
-            num = np.sqrt(l2_norm_sq(ours - direct, st.space))
-            den = np.sqrt(l2_norm_sq(direct, st.space))
-            assert num < 1e-8 * den
+    for seed in range(100):
+        f = _random_field(st, seed)
+        inner = np.exp(-phi)[None] * f
+        df = spectral_derivative(inner, st.space, 0, 1, time_offset=1)
+        lf = spectral_derivative(a_vals[None] * df, st.space, 0, 1,
+                                 time_offset=1)
+        lf = lf + 1j * st.time_derivative(inner)
+        direct = np.exp(phi)[None] * lf
+        ours = ops.apply_sum(f)
+        num = np.sqrt(l2_norm_sq(ours - direct, st.space))
+        den = np.sqrt(l2_norm_sq(direct, st.space))
+        assert num < 1e-8 * den
