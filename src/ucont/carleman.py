@@ -53,57 +53,51 @@ class SupportError(ValueError):
     """Requested support constraint unsatisfiable or violated on the grid."""
 
 
+# the time profile rises from 0 to PROFILE_HEIGHT between the first two
+# knots, stays flat through the third and falls back to 0 at the fourth; the
+# transitions are quintic smoothsteps, so the derivative sup-norms are
+# explicit.  Test functions vanish OUTER_PAD inside the box.
+PROFILE_HEIGHT = 3.0
+PROFILE_KNOTS = (0.125, 0.25, 0.75, 0.875)
+OUTER_PAD = 0.5
+_EDGE_WIDTH = min(PROFILE_KNOTS[1] - PROFILE_KNOTS[0],
+                  PROFILE_KNOTS[3] - PROFILE_KNOTS[2])
+
+
 @dataclass(frozen=True)
 class CutoffSpec:
-    """Profiles used by the weighted inequalities and their test functions.
-
-    The time profile rises from 0 to ``plateau`` between knots[0] and
-    knots[1], stays flat through knots[2], and falls back to 0 at knots[3];
-    transitions are quintic smoothsteps, so the derivative sup-norms are
-    explicit.
-    """
+    """Inner radius, weight scale and spatial transition width used by the
+    weighted inequalities and their test functions."""
 
     r0: float = 1.0
     R: float = 1.0
-    plateau: float = 3.0
-    knots: tuple[float, float, float, float] = (0.125, 0.25, 0.75, 0.875)
     space_width: float = 0.5
-    outer_pad: float = 0.5
 
     def __post_init__(self):
         if self.R < 1.0:
             raise ValueError("weight scale R must be >= 1")
-        k = self.knots
-        if not (0.0 <= k[0] < k[1] < k[2] < k[3] <= 1.0):
-            raise ValueError("time knots must be increasing within [0, 1]")
-
-    @property
-    def edge_width(self) -> float:
-        """Width of the narrower of the rise and the fall."""
-        k = self.knots
-        return min(k[1] - k[0], k[3] - k[2])
 
     @property
     def profile_d1_max(self) -> float:
-        return self.plateau * SMOOTHSTEP_D1_MAX / self.edge_width
+        return PROFILE_HEIGHT * SMOOTHSTEP_D1_MAX / _EDGE_WIDTH
 
     @property
     def profile_d2_max(self) -> float:
-        return self.plateau * SMOOTHSTEP_D2_MAX / self.edge_width ** 2
+        return PROFILE_HEIGHT * SMOOTHSTEP_D2_MAX / _EDGE_WIDTH ** 2
 
     def profile_expression(self) -> Expression:
         t = T_SYMBOL
-        k = self.knots
+        k = PROFILE_KNOTS
         rise = smoothstep5_sym((t - k[0]) / (k[1] - k[0]))
         fall = smoothstep5_sym((k[3] - t) / (k[3] - k[2]))
-        return Expression(self.plateau * rise * fall)
+        return Expression(PROFILE_HEIGHT * rise * fall)
 
     def profile_values(self, t: np.ndarray) -> np.ndarray:
-        return self.plateau * self.time_window(t)
+        return PROFILE_HEIGHT * self.time_window(t)
 
     def time_window(self, t: np.ndarray) -> np.ndarray:
-        """[0,1]-valued window supported exactly on (knots[0], knots[3])."""
-        k = self.knots
+        """[0,1]-valued window supported exactly on the outer knots."""
+        k = PROFILE_KNOTS
         return smoothstep5((t - k[0]) / (k[1] - k[0])) \
             * smoothstep5((k[3] - t) / (k[3] - k[2]))
 
@@ -126,7 +120,6 @@ class TestField:
     st: SpaceTimeGrid
     mode: str
     seed: int
-    cutoff: CutoffSpec
 
 
 def make_test_function(mode: str, st: SpaceTimeGrid, cutoff: CutoffSpec,
@@ -157,7 +150,7 @@ def make_test_function(mode: str, st: SpaceTimeGrid, cutoff: CutoffSpec,
     if w / h < 8:
         raise SupportError(
             f"cutoff transition {w} spans {w/h:.1f} cells (< 8); refine grid")
-    outer = min(g.extents) - cutoff.outer_pad
+    outer = min(g.extents) - OUTER_PAD
     rad = np.sqrt(g.radius_sq)
     if mode == "annulus" and cutoff.r0 + w >= outer - w:
         raise SupportError("empty admissible region: r0 too close to the box")
@@ -202,7 +195,7 @@ def make_test_function(mode: str, st: SpaceTimeGrid, cutoff: CutoffSpec,
     if np.any(f[np.broadcast_to(bad, f.shape)] != 0):
         raise SupportError("support constraint violated on the grid")
     check_resolved(f, resolution_budget)
-    return TestField(f, st, mode, seed, cutoff)
+    return TestField(f, st, mode, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +209,8 @@ class CarlemanReport:
     R: float
     seed: int
     lhs: float
-    rhs: float                # constant included (lambda^-2 or C)
+    rhs: float                # lambda^-2 (radial) or 1 (translated) x raw_rhs
     raw_rhs: float            # ||(S+A) f||^2
-    constant: float
-    threshold_beta: float
     admissible: bool
     slack: float
     comm_form: float          # <[S,A] f, f>
@@ -231,11 +222,10 @@ class CarlemanReport:
                 self.slack, self.passed)
 
 
-def beta_threshold_cubic(lam: float, cutoff: CutoffSpec, R: float,
-                         C1: float = 1.0) -> float:
-    """max(lam^-1 ||profile''||^{1/2} r0^-1 R^3, C1 (1 + r0^-1) R^2)."""
+def beta_threshold_cubic(lam: float, cutoff: CutoffSpec, R: float) -> float:
+    """max(lam^-1 ||profile''||^{1/2} r0^-1 R^3, (1 + r0^-1) R^2)."""
     return max(math.sqrt(cutoff.profile_d2_max) * R ** 3 / (lam * cutoff.r0),
-               C1 * (1.0 + 1.0 / cutoff.r0) * R ** 2)
+               (1.0 + 1.0 / cutoff.r0) * R ** 2)
 
 
 def beta_threshold_translated(c0: float, R: float) -> float:
@@ -323,35 +313,42 @@ def frontier_root(forms: list[BetaForms], lam: float, R: float) -> float:
     return beta
 
 
-def _sides(f: TestField, fld: CoefficientField, beta: float, cutoff: CutoffSpec,
-           lam: float, constant: float, threshold: float) -> CarlemanReport:
-    p = _beta_forms(f, _unit_ops(fld, cutoff, f.mode, f.st), cutoff)
+def _sides(p: BetaForms, mode: str, beta: float, R: float, lam: float,
+           threshold: float) -> CarlemanReport:
+    """Both sides at beta from a test function's beta-polynomial
+    coefficients; the right-hand side carries lambda^-2 for the radial
+    weight, 1 for the translated one."""
     b2 = beta ** 2
     lhs = beta * (p.g1 + p.g3 * b2)
     comm = beta * (p.c1 + p.c3 * b2)
     raw = p.n0 + b2 * (p.n2 + b2 * p.n4) + comm
-    rhs = constant * raw
+    rhs = (lam ** -2 if mode == "annulus" else 1.0) * raw
     slack = rhs / lhs if lhs > 0 else math.inf
     comm_denom = lam ** 2 * lhs
     comm_slack = comm / comm_denom if comm_denom > 0 else math.inf
-    return CarlemanReport(f.mode, float(beta), float(cutoff.R), f.seed, lhs,
-                          rhs, raw, constant, threshold,
+    return CarlemanReport(mode, float(beta), float(R), p.seed, lhs, rhs, raw,
                           beta >= threshold - 1e-12, slack, comm, comm_slack,
                           slack >= 1.0 - 1e-6)
 
 
+def _lower_ellipticity(fld: CoefficientField, g: Grid) -> float:
+    """lambda: the smallest eigenvalue of the field sampled over the box."""
+    lam, _ = ellipticity_bounds(
+        fld, SamplingBox.cube(fld.dim, min(g.extents), 17))
+    return lam
+
+
 def carleman_sides_cubic(f: TestField, fld: CoefficientField, beta: float,
-                         cutoff: CutoffSpec, *, lam: float | None = None,
-                         C1: float = 1.0) -> CarlemanReport:
+                         cutoff: CutoffSpec, *, lam: float | None = None
+                         ) -> CarlemanReport:
     """Radial-weight inequality sides: the right-hand side carries the
     ellipticity constant lambda^{-2}."""
     if f.mode != "annulus":
         raise SupportError("cubic-regime sides need an annulus-mode field")
-    if lam is None:
-        lam, _ = ellipticity_bounds(
-            fld, SamplingBox.cube(fld.dim, min(f.st.space.extents), 17))
-    thr = beta_threshold_cubic(lam, cutoff, cutoff.R, C1)
-    return _sides(f, fld, beta, cutoff, lam, lam ** -2, thr)
+    lam = _lower_ellipticity(fld, f.st.space) if lam is None else lam
+    p = _beta_forms(f, _unit_ops(fld, cutoff, f.mode, f.st), cutoff)
+    return _sides(p, f.mode, beta, cutoff.R, lam,
+                  beta_threshold_cubic(lam, cutoff, cutoff.R))
 
 
 def _block_field(tfld: TransversalField) -> CoefficientField:
@@ -362,19 +359,16 @@ def _block_field(tfld: TransversalField) -> CoefficientField:
 
 def carleman_sides_translated(f: TestField, tfld: TransversalField, beta: float,
                               cutoff: CutoffSpec, *, c0: float = 4.0,
-                              constant: float = 1.0,
                               lam: float | None = None) -> CarlemanReport:
     """Translated-weight inequality sides under the block assumption
-    (constant a11 > 0); the right-hand constant is configurable and defaults
-    to the raw conjugated energy."""
+    (constant a11 > 0); the right-hand side is the raw conjugated energy."""
     if f.mode != "translated":
         raise SupportError("translated sides need a translated-mode field")
     fld = _block_field(tfld)
-    if lam is None:
-        lam, _ = ellipticity_bounds(
-            fld, SamplingBox.cube(fld.dim, min(f.st.space.extents), 17))
-    thr = beta_threshold_translated(c0, cutoff.R)
-    return _sides(f, fld, beta, cutoff, lam, constant, thr)
+    lam = _lower_ellipticity(fld, f.st.space) if lam is None else lam
+    p = _beta_forms(f, _unit_ops(fld, cutoff, f.mode, f.st), cutoff)
+    return _sides(p, f.mode, beta, cutoff.R, lam,
+                  beta_threshold_translated(c0, cutoff.R))
 
 
 # ---------------------------------------------------------------------------
@@ -412,9 +406,7 @@ class SweepConfig:
     R_values: tuple[float, ...] = (1.0, 1.5, 2.0)
     n_samples: int = 20
     seed0: int = 1
-    C1: float = 1.0
     c0: float = 4.0
-    constant: float = 1.0
     space_width: float = 0.5
     frontier_R_values: tuple[float, ...] | None = None
     frontier_probes: int = 8
@@ -442,7 +434,7 @@ def _frontier_variants(mode: str, cutoff: CutoffSpec, R: float, n: int,
     probes with frequency comparable to R x (profile slope), time-localized
     on the rise/fall, both carrier signs.
     """
-    k = cutoff.knots
+    k = PROFILE_KNOTS
     out = []
     if mode == "annulus":
         t_bend = k[0] + 0.79 * (k[1] - k[0])
@@ -473,24 +465,13 @@ def _frontier_variants(mode: str, cutoff: CutoffSpec, R: float, n: int,
     return out
 
 
-def _frontier_beta(cfg: SweepConfig, st: SpaceTimeGrid, fld: CoefficientField,
-                   R: float, lam: float) -> float:
-    """Smallest beta at which the commutator form dominates, with margin
-    lambda^2, for every probe in the ensemble: one unit-scale split and one
-    test function per probe, then the exact root."""
-    cutoff = CutoffSpec(r0=cfg.r0, R=R, space_width=cfg.space_width)
-    ops = _unit_ops(fld, cutoff, cfg.mode, st)
-    forms = [_beta_forms(make_test_function(cfg.mode, st, cutoff, **kw), ops,
-                         cutoff)
-             for kw in _frontier_variants(cfg.mode, cutoff, R,
-                                          cfg.frontier_probes,
-                                          cfg.seed0 + 1000)]
-    return frontier_root(forms, lam, R)
-
-
 def carleman_sweep(cfg: SweepConfig, fld=None) -> SweepReport:
     """Run the sides over all (R, seed) pairs at the mode's threshold beta,
-    then fit the admissibility frontier exponent over the frontier R grid."""
+    then fit the admissibility frontier exponent over the frontier R grid.
+
+    Threshold samples and frontier probes are one task list: each test
+    function is drawn and reduced to its beta forms in the pool, against the
+    unit-scale split built once per distinct R."""
     st = SpaceTimeGrid(cfg.nt, Grid(cfg.extents, cfg.points))
     if fld is None:
         if cfg.mode == "annulus":
@@ -501,34 +482,46 @@ def carleman_sweep(cfg: SweepConfig, fld=None) -> SweepReport:
                 tuple(const(int(i == j)) for j in range(dim - 1))
                 for i in range(dim - 1)))
     base_field = _block_field(fld) if cfg.mode == "translated" else fld
-    lam, _ = ellipticity_bounds(
-        base_field, SamplingBox.cube(base_field.dim, min(cfg.extents), 17))
+    lam = _lower_ellipticity(base_field, st.space)
+    fr = cfg.frontier_R_values or ()
+    cutoffs = {R: CutoffSpec(r0=cfg.r0, R=R, space_width=cfg.space_width)
+               for R in (*cfg.R_values, *fr)}
+    splits = {R: _unit_ops(base_field, cut, cfg.mode, st)
+              for R, cut in cutoffs.items()}
+    samples = [(R, {"seed": cfg.seed0 + i})
+               for R in cfg.R_values for i in range(cfg.n_samples)]
+    probes = [(R, kw) for R in fr
+              for kw in _frontier_variants(cfg.mode, cutoffs[R], R,
+                                           cfg.frontier_probes,
+                                           cfg.seed0 + 1000)]
 
-    def run_one(args):
-        R, i = args
-        cutoff = CutoffSpec(r0=cfg.r0, R=R, space_width=cfg.space_width)
-        f = make_test_function(cfg.mode, st, cutoff, cfg.seed0 + i)
-        if cfg.mode == "annulus":
-            beta = beta_threshold_cubic(lam, cutoff, R, cfg.C1)
-            return carleman_sides_cubic(f, fld, beta, cutoff, lam=lam, C1=cfg.C1)
-        beta = beta_threshold_translated(cfg.c0, R)
-        return carleman_sides_translated(f, fld, beta, cutoff, c0=cfg.c0,
-                                         constant=cfg.constant, lam=lam)
+    def forms(task):
+        R, kw = task
+        f = make_test_function(cfg.mode, st, cutoffs[R], **kw)
+        return _beta_forms(f, splits[R], cutoffs[R])
 
-    tasks = [(R, i) for R in cfg.R_values for i in range(cfg.n_samples)]
+    tasks = samples + probes
     with ThreadPoolExecutor(
             max_workers=max(1, min(worker_count(), len(tasks)))) as pool:
-        reports = list(pool.map(run_one, tasks))
+        all_forms = list(pool.map(forms, tasks))
+
+    reports = []
+    for (R, _), p in zip(samples, all_forms):
+        beta = beta_threshold_cubic(lam, cutoffs[R], R) \
+            if cfg.mode == "annulus" else beta_threshold_translated(cfg.c0, R)
+        reports.append(_sides(p, cfg.mode, beta, R, lam, beta))
     rows = [rep.row() for rep in reports]
     failures = [rep.row() for rep in reports if not rep.passed]
     min_slack = min((rep.slack for rep in reports), default=math.inf)
 
     frontier_R = frontier_beta = exponent = coef = fitted_c0 = None
-    fr = cfg.frontier_R_values
     if fr:
         frontier_R = np.asarray(fr, dtype=float)
+        probe_forms = all_forms[len(samples):]
+        n = cfg.frontier_probes
         frontier_beta = np.array(
-            [_frontier_beta(cfg, st, base_field, R, lam) for R in fr])
+            [frontier_root(probe_forms[i * n:(i + 1) * n], lam, R)
+             for i, R in enumerate(fr)])
         design = np.column_stack([np.ones_like(frontier_R),
                                   np.log(frontier_R)])
         sol, *_ = np.linalg.lstsq(design, np.log(frontier_beta), rcond=None)

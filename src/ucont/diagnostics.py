@@ -124,9 +124,9 @@ def derivative_bound_check(traj: Trajectory, beta: float, M1: float = 0.0, *,
     """
     grid = traj.grid
     times = np.asarray(traj.times, dtype=float)
-    if strict:
-        for i in (0, len(times) - 1):
-            weighted_norm(traj.state(i), beta, strict=True)
+    # the endpoint norms first, so a strict boundary check fails fast
+    H0 = weighted_norm(traj.state(0), beta, strict=strict)
+    H1 = weighted_norm(traj.state(len(times) - 1), beta, strict=strict)
     rad2 = grid.radius_sq
     vals = np.empty_like(times)
     for i in range(len(times)):
@@ -137,8 +137,6 @@ def derivative_bound_check(traj: Trajectory, beta: float, M1: float = 0.0, *,
             + beta ** 3 * rad2 * np.abs(_weighted(u, grid, beta)) ** 2
         vals[i] = float(integ.sum() * grid.cell_volume) * times[i] * (1 - times[i])
     lhs = float(np.trapezoid(vals, times))
-    H0 = weighted_norm(traj.state(0), beta, strict=strict)
-    H1 = weighted_norm(traj.state(len(times) - 1), beta, strict=strict)
     rhs = math.exp(M1 ** 2) * (H0 + H1)
     return lhs / rhs
 

@@ -89,8 +89,8 @@ _TABLE = {
         "grid": {**_GRID, "nt": (int, 64)},
         "params": {"mode": (("annulus", "translated"), "annulus"),
                    "R_values": (list, [1.0, 1.5, 2.0]), "n_samples": (int, 20),
-                   "r0": (_NUM, 1.0), "C1": (_NUM, 1.0), "c0": (_NUM, 4.0),
-                   "constant": (_NUM, 1.0), "space_width": (_NUM, 0.5),
+                   "r0": (_NUM, 1.0), "c0": (_NUM, 4.0),
+                   "space_width": (_NUM, 0.5),
                    "frontier_R_values": (list, []), "frontier_probes": (int, 8)},
         "tolerances": {"slack_tol": (_NUM, 1e-6)}},
     "symbolic-verify": {

@@ -353,3 +353,33 @@ def test_one_task_sweep_starts_one_worker(monkeypatch):
     rep = carleman_sweep(SweepConfig(mode="annulus", R_values=(1.0,),
                                      n_samples=1))
     assert widths == [1] and len(rep.rows) == 1
+
+
+def test_sweep_builds_one_split_per_R(monkeypatch):
+    builds = []
+    build = ConjugatedGridOps.build.__func__
+
+    def counting(cls, fld, w, grid):
+        builds.append(w.R)
+        return build(cls, fld, w, grid)
+    monkeypatch.setattr(ConjugatedGridOps, "build", classmethod(counting))
+    rep = carleman_sweep(SweepConfig(mode="annulus", R_values=(1.0, 1.5),
+                                     n_samples=3, frontier_R_values=(2.0,),
+                                     frontier_probes=2))
+    assert sorted(builds) == [1.0, 1.5, 2.0] and len(rep.rows) == 6
+
+
+def test_frontier_probes_run_in_the_pool(monkeypatch):
+    mapped = []
+    pool = carleman.ThreadPoolExecutor
+
+    class Recording(pool):
+        def map(self, fn, *iterables, **kwargs):
+            tasks = list(iterables[0])
+            mapped.append(len(tasks))
+            return super().map(fn, tasks, **kwargs)
+    monkeypatch.setattr(carleman, "ThreadPoolExecutor", Recording)
+    rep = carleman_sweep(SweepConfig(mode="annulus", R_values=(1.0,),
+                                     n_samples=0, frontier_R_values=(2.0,),
+                                     frontier_probes=2))
+    assert mapped == [2] and rep.rows == [] and rep.frontier_beta[0] > 0

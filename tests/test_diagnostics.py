@@ -121,6 +121,25 @@ def test_derivative_bound_stable_under_refinement(identity_field_1d,
     assert vals[0] == pytest.approx(vals[1], rel=0.02)
 
 
+@pytest.mark.parametrize("strict", [True, False])
+def test_derivative_bound_weighs_each_endpoint_once(strict, monkeypatch,
+                                                    identity_field_1d,
+                                                    chirped_packet):
+    from ucont import diagnostics
+    g = Grid((11.25,), (256,))
+    traj = propagate(WaveState(0.0, chirped_packet.sample(g), g),
+                     identity_field_1d, SCHRODINGER, steps=8, n_frames=5)
+    calls = []
+    norm = diagnostics.weighted_norm
+
+    def counting(u, beta, *args, **kwargs):
+        calls.append(kwargs.get("strict"))
+        return norm(u, beta, *args, **kwargs)
+    monkeypatch.setattr(diagnostics, "weighted_norm", counting)
+    derivative_bound_check(traj, 0.1, strict=strict)
+    assert calls == [strict, strict]
+
+
 def test_decay_schedule_formula_specialization():
     # b = 0, lam = Lam = 1, a = 1: alpha(t) = gamma / (1 + 4 gamma t)
     sch = gaussian_decay_schedule(0.3, HEAT, 1.0, 1.0, 1.0)

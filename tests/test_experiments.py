@@ -245,6 +245,19 @@ kind = carleman-sweep
 [params]
 mode = "radial"
 """, ["mode", "'annulus', 'translated'"]),
+    # the sides' constants are fixed: lambda^-2 radial, 1 translated
+    "carleman-C1-unread": ("""
+[experiment]
+kind = carleman-sweep
+[params]
+C1 = 2.0
+""", ["'C1'", "not read"]),
+    "carleman-constant-unread": ("""
+[experiment]
+kind = carleman-sweep
+[params]
+constant = 2.0
+""", ["'constant'", "not read"]),
     "simulate-entry-beyond-dimension": ("""
 [experiment]
 kind = simulate
