@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .grids import Grid, spectral_gradient
 
@@ -89,6 +88,8 @@ def _log_subordination_integral(r: float, q: float, kappa: float,
     def integrand(lam: float) -> float:
         return math.exp(exponent(lam) - M) * lam ** ((q - 2.0) / 2.0)
 
+    from scipy.integrate import quad  # here, so `import ucont` loads no scipy
+
     pts = [lam_star] if lambda0 < lam_star < upper else None
     val, err = quad(integrand, lambda0, upper, points=pts, limit=400,
                     epsabs=1e-13, epsrel=1e-11)
@@ -125,26 +126,35 @@ class PoincareCheck:
     ratio: float
 
 
-def poincare_weighted_check(values: np.ndarray, grid: Grid, r: float
-                            ) -> PoincareCheck:
+def poincare_weighted_check(values: np.ndarray, grid: Grid, radii
+                            ) -> list[PoincareCheck] | PoincareCheck:
     """lhs and right-hand components of
 
         ||f||_{L^2(B_r)} <= C ( r ||grad f||_{L^2(B_2r)}
                                 + r^{-1} ||x f||_{L^2(B_2r)} )
 
-    with cell-center ball membership; returns the ratio lhs / (sum)."""
-    if 2 * r > min(grid.extents):
-        raise ValueError(f"ball B_{{2r}} with r={r} not contained in the grid")
+    with cell-center ball membership, one :class:`PoincareCheck` (with the
+    ratio lhs / (sum)) per radius of the sequence ``radii``; the gradient is
+    taken once for all of them.  A single radius gives its check alone."""
+    one = np.ndim(radii) == 0
+    rs = (radii,) if one else tuple(radii)
+    for r in rs:
+        if 2 * r > min(grid.extents):
+            raise ValueError(
+                f"ball B_{{2r}} with r={r} not contained in the grid")
     rad = np.sqrt(grid.radius_sq)
-    inner = rad <= r
-    outer = rad <= 2 * r
     vol = grid.cell_volume
-    lhs = math.sqrt(float((np.abs(values) ** 2)[inner].sum() * vol))
-    grads = spectral_gradient(values, grid)
-    g2 = sum(np.abs(g) ** 2 for g in grads)
-    rhs_grad = r * math.sqrt(float(g2[outer].sum() * vol))
-    rhs_moment = math.sqrt(float((grid.radius_sq * np.abs(values) ** 2)[outer]
-                                 .sum() * vol)) / r
-    denom = rhs_grad + rhs_moment
-    ratio = lhs / denom if denom > 0 else 0.0
-    return PoincareCheck(r, lhs, rhs_grad, rhs_moment, ratio)
+    dens = np.abs(values) ** 2
+    g2 = sum(np.abs(g) ** 2 for g in spectral_gradient(values, grid))
+    moment = grid.radius_sq * dens
+    checks = []
+    for r in rs:
+        inner = rad <= r
+        outer = rad <= 2 * r
+        lhs = math.sqrt(float(dens[inner].sum() * vol))
+        rhs_grad = r * math.sqrt(float(g2[outer].sum() * vol))
+        rhs_moment = math.sqrt(float(moment[outer].sum() * vol)) / r
+        denom = rhs_grad + rhs_moment
+        ratio = lhs / denom if denom > 0 else 0.0
+        checks.append(PoincareCheck(r, lhs, rhs_grad, rhs_moment, ratio))
+    return checks[0] if one else checks

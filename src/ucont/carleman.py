@@ -278,13 +278,16 @@ def _beta_forms(f: TestField, ops: ConjugatedGridOps,
         # Re<u, v> summed by numpy, not BLAS: BLAS threads left spinning
         # after each call would bill their idle time to the process
         return float(np.sum(u.real * v.real) + np.sum(u.imag * v.imag)) * vol
-    grad = sum(dot(d, d) for d in spectral_gradient(vals, g, time_offset=1))
+    # one gradient serves ||grad f||^2, S0 f and A1 f
+    grads = spectral_gradient(vals, g, time_offset=1)
+    grad = sum(dot(d, d) for d in grads)
     q2 = translated_shift(cutoff, st) ** 2 if f.mode == "translated" \
         else g.radius_sq[None]
     moment = float(np.sum(q2 * np.abs(vals) ** 2)) * vol
-    del q2  # at most four full-size fields from here on
-    s0 = ops.apply_S0(vals)
-    a1 = ops.apply_A(vals)
+    del q2
+    s0 = ops.apply_S0(vals, grads)
+    a1 = ops.apply_A(vals, grads)
+    del grads  # at most four full-size fields from here on
     s2 = ops.zero_order * vals
     return BetaForms(f.seed, c1=2 * dot(s0, a1), c3=2 * dot(s2, a1),
                      g1=grad / cutoff.R ** 2, g3=moment / cutoff.R ** 6,

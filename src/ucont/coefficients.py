@@ -15,10 +15,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 import sympy as sp
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 
 from .expressions import Expression, X_SYMBOLS, coeff_is_zero, const, sample
+from .grids import Grid, spectral_derivative
 
 
 class EllipticityError(ValueError):
@@ -239,8 +238,8 @@ def verify_gauge_transport(gr: GaugeReduction, n_tests: int = 10,
     n_grid = 2048
     rng = np.random.default_rng(seed)
     ymax = 0.88 * min(-gr.y1_grid[0], gr.y1_grid[-1])
-    ys = -ymax + (2 * ymax / n_grid) * np.arange(n_grid)
-    k = 2 * np.pi * np.fft.fftfreq(n_grid, d=ys[1] - ys[0])
+    grid = Grid((ymax,), (n_grid,))
+    ys = grid.axis(0)
     xv = np.asarray(gr.x_of_y(ys), dtype=float)
     a11 = gr.original.a11.sym
     vpot = gr.original.potential.sym.subs(
@@ -253,7 +252,7 @@ def verify_gauge_transport(gr: GaugeReduction, n_tests: int = 10,
         u = (c0 + c1 * x1 + c2 * x1 ** 2) * sp.exp(-(x1 - ctr) ** 2 / (2 * width ** 2))
         orig = sp.diff(a11 * sp.diff(u, x1), x1) + vpot * u
         w = np.exp(gr.psi(ys)) * sample(u, (xv,))
-        wyy = np.fft.ifft(-(k ** 2) * np.fft.fft(w)).real
+        wyy = spectral_derivative(w, grid, 0, 2).real
         lhs = wyy + gr.reduced_potential(ys) * w
         rhs = np.exp(gr.psi(ys)) * sample(orig, (xv,))
         scale = np.max(np.abs(rhs))
@@ -266,6 +265,10 @@ def gauge_reduce(fld: TransversalField, x1_range: tuple[float, float] = (-12.0, 
     """Normalize a11 to 1 by the change of variables dy1/dx1 = a11(x1)^{-1/2}
     plus the quarter-log gauge; returns tabulated maps and the modified
     bounded potential."""
+    # imported here, so `import ucont` loads no scipy
+    from scipy.integrate import quad
+    from scipy.interpolate import CubicSpline
+
     a11 = fld.a11.sym
     x1 = X_SYMBOLS[0]
     xs = np.linspace(x1_range[0], x1_range[1], npts)

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .evolution import DissipationParams, Trajectory, WaveState
 from .grids import Grid, spectral_gradient
@@ -225,10 +224,9 @@ def square_completion_band(kappa: float, beta0: float,
         raise ValueError("the band argument requires kappa >= beta0")
     vals = []
     for r in np.asarray(radii, dtype=float):
+        # kappa int_lo^inf e^{-g^2} dg, in closed form
         lo = beta0 / kappa - kappa * r ** 2
-        val, _ = quad(lambda g: math.exp(-g * g), lo, max(lo + 60.0, 60.0),
-                      limit=200)
-        vals.append(kappa * val)
+        vals.append(kappa * (math.sqrt(math.pi) / 2) * math.erfc(lo))
     vals_arr = np.array(vals)
     upper = kappa * math.sqrt(math.pi)
     lower = kappa / 10.0

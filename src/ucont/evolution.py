@@ -195,7 +195,7 @@ def propagate(u0: WaveState, fld: CoefficientField, d: DissipationParams,
                 f"> 2.7; increase steps to >= {int(steps * radius / 2.5) + 1}")
 
     def remainder_rhs(w: np.ndarray) -> np.ndarray:
-        out = v * w.astype(complex)
+        out = v * w
         grads = [spectral_derivative(w, grid, j, 1) for j in range(grid.dim)]
         for k in range(grid.dim):
             flux = sum(delta[k][j] * grads[j] for j in range(grid.dim))
@@ -221,26 +221,25 @@ def propagate(u0: WaveState, fld: CoefficientField, d: DissipationParams,
     m0 = l2_norm_sq(frames[0], grid)
     stride = steps // (n_frames - 1)
 
-    u = frames[0].copy()
-    uhat_pending = None
+    u = frames[0]
+    uhat = None
     for step in range(steps):
-        # merge adjacent half kinetic steps except around stored frames
-        if uhat_pending is None:
-            u = np.fft.ifftn(np.fft.fftn(u) * half_kin)
-        else:
-            u = np.fft.ifftn(uhat_pending * half_kin)
-        u = remainder_step(u)
-        uhat = np.fft.fftn(u) * half_kin
+        # merge adjacent half kinetic steps except around stored frames; each
+        # half step multiplies into the transform and inverts it in place
+        if uhat is None:
+            uhat = np.fft.fftn(u)
+        uhat *= half_kin
+        u = remainder_step(np.fft.ifftn(uhat, out=uhat))
+        uhat = np.fft.fftn(u)
+        uhat *= half_kin
         if (step + 1) % stride == 0:
-            u = np.fft.ifftn(uhat)
-            uhat_pending = None
+            u = np.fft.ifftn(uhat, out=uhat)
+            uhat = None
             idx = (step + 1) // stride
             frames[idx] = u
             if m0 > 0 and l2_norm_sq(u, grid) > blowup_factor * m0:
                 raise BlowUpError(
                     f"norm exceeded {blowup_factor:.0e} x initial at t={times[idx]:.4f}")
-        else:
-            uhat_pending = uhat
     return Trajectory(grid, times, frames, {"steps": steps})
 
 

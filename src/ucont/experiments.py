@@ -521,10 +521,10 @@ def _run_poincare(cfg: ExperimentConfig, out: Path):
     worst = 0.0
     for i in range(cfg.get("params", "n_fields")):
         f = band_limited_noise(grid, np.random.default_rng(cfg.seed + i), k_cut)
-        for r in radii:
-            chk = poincare_weighted_check(f, grid, r)
+        for chk in poincare_weighted_check(f, grid, radii):
             worst = max(worst, chk.ratio)
-            rows.append((r, chk.lhs, chk.rhs_grad, chk.rhs_moment, chk.ratio))
+            rows.append((chk.r, chk.lhs, chk.rhs_grad, chk.rhs_moment,
+                         chk.ratio))
     path = out / "poincare.csv"
     write_csv(path, ["r", "lhs", "rhs_grad", "rhs_moment", "ratio"], rows)
     cn = float(cfg.get("tolerances", "interp_C"))

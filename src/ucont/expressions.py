@@ -194,7 +194,9 @@ def _lambdify(expr: sp.Expr, syms: tuple[sp.Symbol, ...]):
     if unbound:
         raise ValueError(f"expression has unbound symbols "
                          f"{sorted(s.name for s in unbound)}")
-    return sp.lambdify(syms, ready, modules="numpy")
+    # the module object, not "numpy": the string makes sympy run
+    # `from numpy import *`, which imports numpy.f2py, .testing and .ma
+    return sp.lambdify(syms, ready, modules=np)
 
 
 def sample(expr: sp.Expr, mesh, syms=None):

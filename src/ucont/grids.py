@@ -11,7 +11,7 @@ Carleman quadratic forms rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -76,24 +76,34 @@ class Grid:
         return 2 * np.pi * np.fft.fftfreq(n, d=h)
 
 
-def _fourier_derivative(values: np.ndarray, k: np.ndarray, order: int,
-                        axis: int) -> np.ndarray:
-    """d^order along ``axis`` as the Fourier multiplier (ik)^order, with the
-    Nyquist mode zeroed for odd orders."""
-    mult = (1j * k) ** order
+@lru_cache(maxsize=128)
+def _multiplier(n: int, h: float, order: int) -> np.ndarray:
+    """(ik)^order on the n FFT wavenumbers of spacing h, with the Nyquist
+    mode zeroed for odd orders.  Read-only: every caller shares it."""
+    mult = (1j * (2 * np.pi * np.fft.fftfreq(n, d=h))) ** order
     if order % 2 == 1:
-        mult[len(k) // 2] = 0.0
+        mult[n // 2] = 0.0
+    mult.flags.writeable = False
+    return mult
+
+
+def _fourier_derivative(values: np.ndarray, mult: np.ndarray,
+                        axis: int) -> np.ndarray:
+    """The Fourier multiplier ``mult`` applied along ``axis``: one forward
+    transform, multiplied and inverse-transformed in place, so the result is
+    the only array allocated and ``values`` is left unchanged."""
     shape = [1] * values.ndim
-    shape[axis] = len(k)
+    shape[axis] = mult.size
     vhat = np.fft.fft(values, axis=axis)
-    return np.fft.ifft(vhat * mult.reshape(shape), axis=axis)
+    vhat *= mult.reshape(shape)
+    return np.fft.ifft(vhat, axis=axis, out=vhat)
 
 
 def spectral_derivative(values: np.ndarray, grid: Grid, axis: int,
                         order: int = 1, *, time_offset: int = 0) -> np.ndarray:
     """d^order/dx_axis^order via FFT along ``axis + time_offset`` of ``values``."""
-    return _fourier_derivative(values, grid.wavenumbers(axis), order,
-                               axis + time_offset)
+    mult = _multiplier(grid.points[axis], grid.spacings[axis], order)
+    return _fourier_derivative(values, mult, axis + time_offset)
 
 
 def spectral_gradient(values: np.ndarray, grid: Grid, *,
@@ -177,8 +187,7 @@ class SpaceTimeGrid:
         return np.ix_(self.times, *(g.axis(i) for i in range(g.dim)))
 
     def time_derivative(self, values: np.ndarray) -> np.ndarray:
-        k = 2 * np.pi * np.fft.fftfreq(self.nt, d=self.dt)
-        return _fourier_derivative(values, k, 1, 0)
+        return _fourier_derivative(values, _multiplier(self.nt, self.dt, 1), 0)
 
 
 def band_limited_noise(grid: Grid, rng: np.random.Generator,

@@ -560,11 +560,14 @@ class ConjugatedGridOps:
         return sum(self.grad_phi[k] * self.grad_phi[j] * self.a_entries[k][j]
                    for k in range(n) for j in range(n))
 
-    def apply_S0(self, f: np.ndarray) -> np.ndarray:
-        """The weight-free part i dt + div(A grad) of the symmetric part."""
+    def apply_S0(self, f: np.ndarray,
+                 grads: list[np.ndarray] | None = None) -> np.ndarray:
+        """The weight-free part i dt + div(A grad) of the symmetric part.
+        ``grads`` is the spatial gradient of f, when the caller has it."""
         n = self.space.dim
         out = 1j * self.grid.time_derivative(f)
-        grads = [self._dx(f, j) for j in range(n)]
+        if grads is None:
+            grads = [self._dx(f, j) for j in range(n)]
         for k in range(n):
             flux = sum(self.a_entries[k][j] * grads[j] for j in range(n))
             out += self._dx(flux, k)
@@ -575,13 +578,18 @@ class ConjugatedGridOps:
         out += self.zero_order * f
         return out
 
-    def apply_A(self, f: np.ndarray) -> np.ndarray:
+    def apply_A(self, f: np.ndarray,
+                grads: list[np.ndarray] | None = None) -> np.ndarray:
+        """The antisymmetric part; ``grads`` as for :meth:`apply_S0`."""
         n = self.space.dim
         out = np.zeros_like(f, dtype=complex)
         c = [sum(self.a_entries[m][l] * self.grad_phi[l] for l in range(n))
              for m in range(n)]
         for m in range(n):
-            out -= c[m] * self._dx(f, m) + self._dx(c[m] * f, m)
+            # c dx f + dx(c f), summed into the transform's own array
+            term = self._dx(c[m] * f, m)
+            term += c[m] * (self._dx(f, m) if grads is None else grads[m])
+            out -= term
         out += -1j * self.dt_phi * f
         return out
 

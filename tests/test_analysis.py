@@ -86,14 +86,16 @@ def test_normalized_band_matches_constant_scale():
 
 def test_poincare_zero_field():
     g = Grid((4.0,), (256,))
-    chk = poincare_weighted_check(np.zeros(g.points, dtype=complex), g, 1.0)
+    [chk] = poincare_weighted_check(np.zeros(g.points, dtype=complex), g,
+                                    (1.0,))
     assert (chk.lhs, chk.rhs_grad, chk.rhs_moment, chk.ratio) == (0, 0, 0, 0)
 
 
 def test_poincare_constant_field_exact_integrals():
     # f == 1, n = 1, r = 1: lhs = sqrt(2), moment side = sqrt(16/3)
     g = Grid((4.0,), (2048,))
-    chk = poincare_weighted_check(np.ones(g.points, dtype=complex), g, 1.0)
+    [chk] = poincare_weighted_check(np.ones(g.points, dtype=complex), g,
+                                    (1.0,))
     assert chk.lhs == pytest.approx(math.sqrt(2), rel=2e-3)
     assert chk.rhs_grad == pytest.approx(0.0, abs=1e-12)
     assert chk.rhs_moment == pytest.approx(math.sqrt(16 / 3), rel=2e-3)
@@ -104,15 +106,15 @@ def test_poincare_constant_field_exact_integrals():
 def test_poincare_scaling_invariance():
     g = Grid((3.0, 3.0), (128, 128))
     f = band_limited_noise(g, np.random.default_rng(5), 6.0)
-    r1 = poincare_weighted_check(f, g, 1.0).ratio
-    r2 = poincare_weighted_check(7.3 * f, g, 1.0).ratio
+    r1 = poincare_weighted_check(f, g, (1.0,))[0].ratio
+    r2 = poincare_weighted_check(7.3 * f, g, (1.0,))[0].ratio
     assert r1 == pytest.approx(r2, rel=1e-12)
 
 
 def test_poincare_ball_containment():
     g = Grid((3.0,), (256,))
     with pytest.raises(ValueError, match="not contained"):
-        poincare_weighted_check(np.ones(g.points, dtype=complex), g, 2.0)
+        poincare_weighted_check(np.ones(g.points, dtype=complex), g, (2.0,))
 
 
 def _embed(coarse: np.ndarray, fine_shape) -> np.ndarray:
@@ -134,8 +136,24 @@ def test_poincare_worst_ratio_stable_under_refinement():
     for i in range(60):
         f = band_limited_noise(g_coarse, np.random.default_rng(300 + i), 6.0)
         ff = _embed(f, g_fine.points)
-        for r in (0.5, 1.0):
-            worst_c = max(worst_c, poincare_weighted_check(f, g_coarse, r).ratio)
-            worst_f = max(worst_f, poincare_weighted_check(ff, g_fine, r).ratio)
+        for chk in poincare_weighted_check(f, g_coarse, (0.5, 1.0)):
+            worst_c = max(worst_c, chk.ratio)
+        for chk in poincare_weighted_check(ff, g_fine, (0.5, 1.0)):
+            worst_f = max(worst_f, chk.ratio)
     assert worst_c == pytest.approx(worst_f, rel=0.05)
     assert worst_c < 2.0
+
+
+def test_poincare_radii_share_one_gradient(monkeypatch):
+    g = Grid((4.0, 4.0), (64, 64))
+    f = band_limited_noise(g, np.random.default_rng(3), 6.0)
+    radii = (0.5, 1.0, 2.0)
+    calls = []
+    fft = np.fft.fft
+    monkeypatch.setattr(np.fft, "fft",
+                        lambda *a, **k: calls.append(1) or fft(*a, **k))
+    checks = poincare_weighted_check(f, g, radii)
+    assert len(calls) == 2  # one gradient: one forward transform per axis
+    monkeypatch.undo()
+    assert checks == [poincare_weighted_check(f, g, (r,))[0] for r in radii]
+    assert poincare_weighted_check(f, g, 1.0) == checks[1]

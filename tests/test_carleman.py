@@ -383,3 +383,36 @@ def test_frontier_probes_run_in_the_pool(monkeypatch):
                                      n_samples=0, frontier_R_values=(2.0,),
                                      frontier_probes=2))
     assert mapped == [2] and rep.rows == [] and rep.frontier_beta[0] > 0
+
+
+def test_beta_forms_take_each_derivative_once(monkeypatch, st_grid,
+                                              st_grid_2d):
+    # one gradient of f serves ||grad f||^2, S0 f and A1 f: d/dt, grad f,
+    # div of the flux and A1's dx(c f) make 1 + 2 + 2 + 2 forward
+    # transforms in 2-D and 1 + 1 + 1 + 1 in 1-D
+    cut2 = CutoffSpec(r0=1.0, R=1.0, space_width=1.0)
+    block = carleman._block_field(TransversalField(
+        2, const(1), ((pe("1 + 0.06*exp(-x2^2/4)"),),)))
+    cut1 = CutoffSpec(r0=1.0, R=1.0)
+    mild = CoefficientField(1, ((pe("1 + 0.06*exp(-x1^2/4)"),),))
+    cases = [(make_test_function("translated", st_grid_2d, cut2, 3),
+              carleman._unit_ops(block, cut2, "translated", st_grid_2d),
+              cut2, 7),
+             (make_test_function("annulus", st_grid, cut1, 5),
+              carleman._unit_ops(mild, cut1, "annulus", st_grid), cut1, 4)]
+    fft = np.fft.fft
+    for f, ops, cut, want in cases:
+        calls = []
+        monkeypatch.setattr(np.fft, "fft",
+                            lambda *a, **k: calls.append(1) or fft(*a, **k))
+        carleman._beta_forms(f, ops, cut)
+        monkeypatch.undo()
+        assert len(calls) == want
+        # the shared gradient gives the split's own values, bit for bit
+        grads = [spectral_derivative(f.values, f.st.space, i, 1,
+                                     time_offset=1)
+                 for i in range(f.st.space.dim)]
+        assert np.array_equal(ops.apply_S0(f.values, grads),
+                              ops.apply_S0(f.values))
+        assert np.array_equal(ops.apply_A(f.values, grads),
+                              ops.apply_A(f.values))

@@ -136,3 +136,19 @@ def test_stand_in_same_in_every_process():
                                   capture_output=True, text=True,
                                   check=True, timeout=120).stdout)
     assert out[0] == out[1] and "sin" in out[0]
+
+
+def test_import_and_sample_load_no_scipy():
+    # scipy serves only the gauge reduction and the subordination check, and
+    # the numpy module object keeps lambdify off `from numpy import *`
+    code = ("import sys\nimport numpy as np\nimport ucont\n"
+            "from ucont.expressions import parse_expression, sample\n"
+            "sample(parse_expression('1 + 0.06*exp(-x1^2/4)').sym,\n"
+            "       (np.linspace(-1.0, 1.0, 5),))\n"
+            "print(sorted(m for m in ('scipy', 'numpy.f2py') "
+            "if m in sys.modules))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=120).stdout
+    assert out.strip() == "[]"
