@@ -163,7 +163,7 @@ def propagate(u0: WaveState, fld: CoefficientField, d: DissipationParams,
     Frames are stored at n_frames uniformly spaced times (endpoints
     included); steps must be a multiple of n_frames - 1.
     """
-    if n_frames < 2 or steps % (n_frames - 1) != 0:
+    if n_frames < 2 or steps <= 0 or steps % (n_frames - 1) != 0:
         raise ValueError("steps must be a positive multiple of n_frames - 1")
     grid = u0.grid
     check_resolved(u0.values, 1e-10)

@@ -261,8 +261,9 @@ def validate(text: str) -> ExperimentConfig:
                                      - _field_keys(dim, transversal))]
 
     def numbers(section: str, key: str) -> list:
-        """The numbers given for ``key``: its value or its list's entries."""
-        val = sections.get(section, {}).get(key)
+        """The numbers in effect for ``key`` (given, else the table default):
+        its value or its list's entries."""
+        val = cfg.get(section, key)
         return [v for v in (val if isinstance(val, list) else [val])
                 if _accepts(_NUM, v)]
     scale = "the weighted-inequality scale requires R >= 1"
@@ -276,6 +277,26 @@ def validate(text: str) -> ExperimentConfig:
     if kind == "symbolic-verify":
         errors += [f"weight.beta = {v}: the weight requires beta >= 0"
                    for v in numbers("weight", "beta") if v < 0]
+    if "evolution" in table:
+        steps, frames = (cfg.get("evolution", key) for key in ("steps", "frames"))
+        if _accepts(int, frames) and frames < 2:
+            errors.append(f"evolution.frames = {frames}: a trajectory stores "
+                          f"at least 2 frames")
+        elif _accepts(int, steps) and _accepts(int, frames) \
+                and (steps <= 0 or steps % (frames - 1)):
+            errors.append(f"evolution.steps = {steps}: not a positive multiple "
+                          f"of evolution.frames - 1 = {frames - 1}")
+    positive_list = {"poincare": "radii", "hardy": "s_values",
+                     "subordination": "r_values"}.get(kind)
+    if positive_list:
+        errors += [f"params.{positive_list} contains {v}: entries must be positive"
+                   for v in numbers("params", positive_list) if v <= 0]
+    if kind == "subordination":
+        errors += [f"params.{key} = {v}: {key} must be positive"
+                   for key in ("kappa", "lambda0")
+                   for v in numbers("params", key) if v <= 0]
+        errors += [f"params.p = {v}: p must lie in (1, 2)"
+                   for v in numbers("params", "p") if not 1 < v < 2]
     if sections.get("weight", {}).get("beta_values") == []:
         errors.append("weight.beta_values is empty")
     if kind == "gauge-reduce" and dim != 1 and transversal is not True:
@@ -291,6 +312,10 @@ def validate(text: str) -> ExperimentConfig:
                 and (kind != "carleman-sweep" or "field" in sections):
             errors.append(f"field.dimension = {dim} differs from "
                           f"len(grid.extents) = {len(extents)}")
+        if kind == "poincare" and extents:
+            errors += [f"params.radii contains {v}: the ball B_2r exceeds "
+                       f"min(grid.extents) / 2 = {min(extents) / 2}"
+                       for v in numbers("params", "radii") if 2 * v > min(extents)]
     errors += [f"grid.points entry {n} is not a power of two"
                for n in numbers("grid", "points")
                if not (_accepts(int, n) and n >= 2 and (n & (n - 1)) == 0)]

@@ -128,6 +128,16 @@ def test_negative_a_rejected():
         DissipationParams(-0.1, 1.0)
 
 
+@pytest.mark.parametrize("steps, n_frames", [(0, 2), (0, 5), (-4, 5),
+                                             (100, 65), (64, 1)])
+def test_propagate_rejects_step_counts(line_grid, identity_field_1d,
+                                       unit_packet, steps, n_frames):
+    u0 = WaveState(0.0, unit_packet.sample(line_grid), line_grid)
+    with pytest.raises(ValueError, match="positive multiple"):
+        propagate(u0, identity_field_1d, SCHRODINGER, steps=steps,
+                  n_frames=n_frames)
+
+
 def test_stability_guard(mild_field_1d, chirped_packet):
     g = Grid((13.5,), (2048,))
     u0 = WaveState(0.0, chirped_packet.sample(g), g)

@@ -359,6 +359,78 @@ kind = poincare
 extents = [4.0, -Infinity]
 points = [64, 64]
 """, ["grid.extents = [4.0, -inf]", "finite numbers"]),
+    "simulate-steps-not-multiple": ("""
+[experiment]
+kind = simulate
+[evolution]
+steps = 100
+frames = 65
+""", ["evolution.steps = 100", "evolution.frames - 1 = 64"]),
+    "simulate-steps-zero": ("""
+[experiment]
+kind = simulate
+[evolution]
+steps = 0
+frames = 2
+""", ["evolution.steps = 0", "positive multiple"]),
+    "convexity-one-frame": ("""
+[experiment]
+kind = convexity
+[evolution]
+frames = 1
+""", ["evolution.frames = 1", "at least 2"]),
+    "lowerbound-fit-steps-not-multiple": ("""
+[experiment]
+kind = lowerbound-fit
+[evolution]
+steps = 64
+frames = 6
+""", ["evolution.steps = 64", "evolution.frames - 1 = 5"]),
+    "poincare-radius-zero": ("""
+[experiment]
+kind = poincare
+[params]
+radii = [0.0, 1.0]
+""", ["params.radii contains 0.0", "positive"]),
+    "poincare-radius-beyond-grid": ("""
+[experiment]
+kind = poincare
+[grid]
+extents = [4.0, 4.0]
+points = [64, 64]
+[params]
+radii = [1.0, 2.5]
+""", ["params.radii contains 2.5", "min(grid.extents) / 2 = 2.0"]),
+    "subordination-r-negative": ("""
+[experiment]
+kind = subordination
+[params]
+r_values = [-1.0, 1.0]
+""", ["params.r_values contains -1.0", "positive"]),
+    "subordination-p-outside": ("""
+[experiment]
+kind = subordination
+[params]
+p = 2.0
+""", ["params.p = 2.0", "(1, 2)"]),
+    "subordination-kappa-zero": ("""
+[experiment]
+kind = subordination
+[params]
+kappa = 0.0
+""", ["params.kappa = 0.0", "positive"]),
+    "subordination-lambda0-negative": ("""
+[experiment]
+kind = subordination
+[params]
+lambda0 = -1.0
+""", ["params.lambda0 = -1.0", "positive"]),
+    "hardy-s-zero": ("""
+[experiment]
+kind = hardy
+[params]
+s_values = [1.0, 0.0]
+""", ["params.s_values contains 0.0", "positive"]),
 }
 
 

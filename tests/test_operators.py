@@ -1,3 +1,4 @@
+import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from ucont.carleman import CutoffSpec
 from ucont.coefficients import CoefficientField, SamplingBox, TransversalField
-from ucont.expressions import T_SYMBOL, X_SYMBOLS, const, parse_expression
+from ucont.expressions import T_SYMBOL, X_SYMBOLS, const, parse_expression, \
+    sample
 from ucont.grids import Grid, SpaceTimeGrid, band_limited_noise, l2_inner, \
     l2_norm_sq
 from ucont.operators import (ConjugatedGridOps, DiffOperator, WeightSpec,
@@ -232,6 +234,69 @@ def test_remainder_grouping_containment_finite():
                                     SamplingBox.cube(2, 3.0, 7))
     assert np.isfinite(out["order1_containment_C"])
     assert out["order1_containment_C"] >= 0.0
+
+
+@pytest.mark.parametrize("w", [WeightSpec("power", 1.0, alpha=2),
+                               WeightSpec("translated", 1.0, R=2.0)],
+                         ids=["power", "translated"])
+def test_remainder_grouping_report_takes_off_the_principal_families(w):
+    # the two principal first-order families, written out here, taken off
+    # the graded order1 piece: the report must measure this remainder
+    # against the majorant |D^2 phi||DA| + |D phi||DA|^2 + |D phi||D^2 A|
+    fld, n = full_sym_field(), 2
+    xs, phi = X_SYMBOLS[:n], w.phi(n)
+    a = [[fld.entry(k, j) for j in range(n)] for k in range(n)]
+    order1 = t_decomposition_terms(fld, w)["order1"]
+    remainder = []
+    for m in range(n):
+        principal = sum(-4 * sp.I * a[m][l] * sp.diff(phi, T_SYMBOL, xs[l])
+                        for l in range(n))
+        principal += sum(-4 * a[k][j] * a[m][l] * sp.diff(phi, xs[k], xs[j], xs[l])
+                         for k in range(n) for j in range(n) for l in range(n))
+        key = (0, tuple(int(i == m) for i in range(n)))
+        remainder.append(order1.terms.get(key, sp.Integer(0)) - principal)
+
+    box = SamplingBox.cube(n, 3.0, 6)       # an even count leaves out x = 0
+    coords = box.lattice()
+    shape = (9, coords[0].size)
+    mesh = (np.linspace(0.0, 1.0, 9)[:, None], *(c[None] for c in coords))
+
+    def norm(exprs):
+        return np.sqrt(sum(np.abs(np.broadcast_to(
+            sample(e, mesh, (T_SYMBOL, *xs)), shape)) ** 2 for e in exprs))
+    entries = [e for row in a for e in row]
+    g1 = norm([sp.diff(phi, x) for x in xs])
+    g2 = norm([sp.diff(phi, x, y) for x in xs for y in xs])
+    a1 = norm([sp.diff(e, x) for e in entries for x in xs])
+    a2 = norm([sp.diff(e, x, y) for e in entries
+               for x, y in itertools.combinations_with_replacement(xs, 2)])
+    rem = norm(remainder)
+    majorant = g2 * a1 + g1 * a1 ** 2 + g1 * a2
+    assert np.min(majorant) > 0 and np.max(rem) > 0
+
+    out = remainder_grouping_report(fld, w, box)
+    assert out["remainder_sup"] == pytest.approx(float(np.max(rem)), rel=1e-9)
+    assert out["majorant_sup"] == pytest.approx(float(np.max(majorant)), rel=1e-9)
+    assert out["order1_containment_C"] == pytest.approx(
+        float(np.max(rem / majorant)), rel=1e-9)
+
+
+def test_symbolic_builders_take_each_partial_once(monkeypatch):
+    calls = []
+    diff = sp.diff
+
+    def counting(expr, *args, **kwargs):
+        calls.append((expr, args))
+        return diff(expr, *args, **kwargs)
+    monkeypatch.setattr(sp, "diff", counting)
+    fld, w = full_sym_field(), WeightSpec("translated", 1.0, R=2.0)
+    for build in (lambda: conjugate_decompose(fld, w),
+                  lambda: t_decomposition_terms(fld, w),
+                  lambda: remainder_grouping_report(
+                      fld, w, SamplingBox.cube(2, 3.0, 6))):
+        calls.clear()
+        build()
+        assert calls and len(set(calls)) == len(calls)
 
 
 # ---------------------------------------------------------------------------
