@@ -4,7 +4,7 @@ continuation for variable-coefficient Schrodinger equations."""
 
 __version__ = "0.1.0"
 
-from .expressions import Expression, ExpressionError, parse_expression
+from .expressions import ExpressionError, parse_expression
 from .coefficients import (CoefficientField, SamplingBox, TransversalField,
                            decay_smallness, ellipticity_bounds, gauge_reduce)
 from .grids import Grid, SpaceTimeGrid

@@ -29,7 +29,7 @@ import sympy as sp
 
 from .coefficients import CoefficientField, SamplingBox, TransversalField, \
     ellipticity_bounds
-from .expressions import Expression, T_SYMBOL, const
+from .expressions import T_SYMBOL, const
 from .grids import Grid, SpaceTimeGrid, band_limited_noise, check_resolved, \
     spectral_gradient
 from .operators import ConjugatedGridOps, WeightSpec
@@ -85,12 +85,12 @@ class CutoffSpec:
     def profile_d2_max(self) -> float:
         return PROFILE_HEIGHT * SMOOTHSTEP_D2_MAX / _EDGE_WIDTH ** 2
 
-    def profile_expression(self) -> Expression:
+    def profile_expression(self) -> sp.Expr:
         t = T_SYMBOL
         k = PROFILE_KNOTS
         rise = smoothstep5_sym((t - k[0]) / (k[1] - k[0]))
         fall = smoothstep5_sym((k[3] - t) / (k[3] - k[2]))
-        return Expression(PROFILE_HEIGHT * rise * fall)
+        return PROFILE_HEIGHT * rise * fall
 
     def profile_values(self, t: np.ndarray) -> np.ndarray:
         return PROFILE_HEIGHT * self.time_window(t)

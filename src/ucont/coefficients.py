@@ -16,7 +16,8 @@ from typing import Callable, Sequence
 import numpy as np
 import sympy as sp
 
-from .expressions import Expression, X_SYMBOLS, coeff_is_zero, const, sample
+from .expressions import X_SYMBOLS, Partials, coeff_is_zero, const, \
+    partials, sample
 from .grids import Grid, spectral_derivative
 
 
@@ -50,8 +51,8 @@ class CoefficientField:
     """Symmetric coefficient table A(x) = (a_kj) plus real potential V(x)."""
 
     dim: int
-    entries: tuple[tuple[Expression, ...], ...]
-    potential: Expression = field(default_factory=lambda: const(0))
+    entries: tuple[tuple[sp.Expr, ...], ...]
+    potential: sp.Expr = field(default_factory=lambda: const(0))
 
     def __post_init__(self):
         if not 1 <= self.dim <= 3:
@@ -60,31 +61,31 @@ class CoefficientField:
             raise ValueError("entry table must be dim x dim")
         for k in range(self.dim):
             for j in range(k + 1, self.dim):
-                if not coeff_is_zero(self.entries[k][j].sym - self.entries[j][k].sym):
+                if not coeff_is_zero(self.entries[k][j] - self.entries[j][k]):
                     raise ValueError(f"entry table not symmetric at ({k},{j})")
         allowed = set(X_SYMBOLS[:self.dim])
         for row in self.entries:
             for e in row:
-                if not e.sym.free_symbols <= allowed:
+                if not e.free_symbols <= allowed:
                     raise ValueError(f"entry {e} uses variables outside x1..x{self.dim}")
-        if not self.potential.sym.free_symbols <= allowed:
+        if not self.potential.free_symbols <= allowed:
             raise ValueError("potential uses variables outside the field dimension")
 
     @classmethod
-    def identity(cls, dim: int, potential: Expression | None = None) -> "CoefficientField":
+    def identity(cls, dim: int, potential: sp.Expr | None = None) -> "CoefficientField":
         rows = tuple(tuple(const(1 if k == j else 0) for j in range(dim))
                      for k in range(dim))
-        return cls(dim, rows, potential or const(0))
+        return cls(dim, rows, const(0) if potential is None else potential)
 
     @classmethod
-    def diagonal(cls, diag: Sequence[Expression]) -> "CoefficientField":
+    def diagonal(cls, diag: Sequence[sp.Expr]) -> "CoefficientField":
         dim = len(diag)
         rows = tuple(tuple(diag[k] if k == j else const(0) for j in range(dim))
                      for k in range(dim))
         return cls(dim, rows)
 
     def entry(self, k: int, j: int) -> sp.Expr:
-        return self.entries[k][j].sym
+        return self.entries[k][j]
 
     def matrix_at(self, coords: Sequence[np.ndarray]) -> np.ndarray:
         """Stacked matrices, shape (npts, dim, dim)."""
@@ -97,7 +98,7 @@ class CoefficientField:
 
     def m1_norm(self, box: SamplingBox) -> float:
         """sup |V| over the box (the bound called M1 in the convexity checks)."""
-        return float(np.max(np.abs(sample(self.potential.sym, box.lattice()))))
+        return float(np.max(np.abs(sample(self.potential, box.lattice()))))
 
 
 @dataclass(frozen=True)
@@ -105,26 +106,26 @@ class TransversalField:
     """Block structure A = diag(a11(x1), Atilde(x')) of the anisotropic case."""
 
     dim: int
-    a11: Expression
-    atilde: tuple[tuple[Expression, ...], ...]
-    potential: Expression = field(default_factory=lambda: const(0))
+    a11: sp.Expr
+    atilde: tuple[tuple[sp.Expr, ...], ...]
+    potential: sp.Expr = field(default_factory=lambda: const(0))
 
     def __post_init__(self):
         m = self.dim - 1
         if not (self.dim >= 1 and len(self.atilde) == m
                 and all(len(r) == m for r in self.atilde)):
             raise ValueError("atilde must be (dim-1) x (dim-1)")
-        if not self.a11.sym.free_symbols <= {X_SYMBOLS[0]}:
+        if not self.a11.free_symbols <= {X_SYMBOLS[0]}:
             raise ValueError("a11 must depend on x1 only")
         prim = set(X_SYMBOLS[1:self.dim])
         for row in self.atilde:
             for e in row:
-                if not e.sym.free_symbols <= prim:
+                if not e.free_symbols <= prim:
                     raise ValueError("atilde entries must depend on x' only")
 
     def is_assumption_61(self) -> bool:
         """Constant a11 > 0 (the translated-weight Carleman hypothesis)."""
-        return self.a11.is_constant() and float(self.a11.sym) > 0
+        return not self.a11.free_symbols and float(self.a11) > 0
 
     def to_field(self) -> CoefficientField:
         zero = const(0)
@@ -156,20 +157,24 @@ def ellipticity_bounds(fld: CoefficientField, box: SamplingBox) -> tuple[float, 
     return lam, Lam
 
 
-def derivative_sq_sums(table: Sequence[Sequence[Expression]], order: int,
+def derivative_sq_sums(table: Sequence[Sequence[sp.Expr]], order: int,
                        coords: Sequence[np.ndarray],
-                       syms: Sequence[sp.Symbol]) -> list[np.ndarray]:
+                       syms: Sequence[sp.Symbol],
+                       d: Partials | None = None) -> list[np.ndarray]:
     """For each multi-index alpha over ``syms`` with |alpha| = ``order``, the
     pointwise sum over the entries of ``table`` of (d^alpha entry)^2 sampled
-    on the lattice ``coords`` (bound to ``syms``)."""
+    on the lattice ``coords`` (bound to ``syms``).  Partials come from ``d``,
+    the caller's memoized table if it has one, so none is taken twice."""
+    d = partials() if d is None else d
+    axes = [X_SYMBOLS.index(s) for s in syms]
     out = []
-    for alpha in itertools.combinations_with_replacement(syms, order):
+    for alpha in itertools.combinations_with_replacement(axes, order):
         total = np.zeros_like(coords[0], dtype=float)
         for row in table:
             for e in row:
-                d = sp.diff(e.sym, *alpha)
-                if d != 0:
-                    total += sample(d, coords, syms) ** 2
+                de = d(e, *alpha)
+                if de != 0:
+                    total += sample(de, coords, syms) ** 2
         out.append(total)
     return out
 
@@ -241,8 +246,8 @@ def verify_gauge_transport(gr: GaugeReduction, n_tests: int = 10,
     grid = Grid((ymax,), (n_grid,))
     ys = grid.axis(0)
     xv = np.asarray(gr.x_of_y(ys), dtype=float)
-    a11 = gr.original.a11.sym
-    vpot = gr.original.potential.sym.subs(
+    a11 = gr.original.a11
+    vpot = gr.original.potential.subs(
         {s: 0 for s in X_SYMBOLS[1:gr.original.dim]})
     worst = 0.0
     for _ in range(n_tests):
@@ -269,7 +274,7 @@ def gauge_reduce(fld: TransversalField, x1_range: tuple[float, float] = (-12.0, 
     from scipy.integrate import quad
     from scipy.interpolate import CubicSpline
 
-    a11 = fld.a11.sym
+    a11 = fld.a11
     x1 = X_SYMBOLS[0]
     xs = np.linspace(x1_range[0], x1_range[1], npts)
     amin = float(np.min(sample(a11, (xs,))))
@@ -295,7 +300,7 @@ def gauge_reduce(fld: TransversalField, x1_range: tuple[float, float] = (-12.0, 
     a11p = sp.diff(a11, x1)
     a11pp = sp.diff(a11, x1, 2)
     # the potential on the x1-axis (x' = 0)
-    v_axis = fld.potential.sym.subs({s: 0 for s in X_SYMBOLS[1:fld.dim]})
+    v_axis = fld.potential.subs({s: 0 for s in X_SYMBOLS[1:fld.dim]})
 
     def _at_x(expr, xv):
         return np.broadcast_to(sample(expr, (xv,)), np.shape(xv))

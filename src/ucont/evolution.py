@@ -170,7 +170,7 @@ def propagate(u0: WaveState, fld: CoefficientField, d: DissipationParams,
 
     entries = [[sample(fld.entry(k, j), grid.open_mesh)
                 for j in range(grid.dim)] for k in range(grid.dim)]
-    v = sample(fld.potential.sym, grid.open_mesh)
+    v = sample(fld.potential, grid.open_mesh)
     abar = np.array([[np.mean(entries[k][j]) for j in range(grid.dim)]
                      for k in range(grid.dim)])
     delta = [[entries[k][j] - abar[k, j] for j in range(grid.dim)]

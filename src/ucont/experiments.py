@@ -36,14 +36,15 @@ from .analysis import SubordinationCase, poincare_weighted_check, \
     subordination_ratio
 from .carleman import FrontierError, SupportError, SweepConfig, \
     carleman_sweep
-from .coefficients import CoefficientField, SamplingBox, \
-    TransversalField, gauge_reduce, verify_gauge_transport
-from .diagnostics import BoundaryMassError, annulus_mass_profile, \
-    derivative_bound_check, logconvexity_check, weighted_norm
+from .coefficients import CoefficientField, EllipticityError, GaugeError, \
+    SamplingBox, TransversalField, gauge_reduce, verify_gauge_transport
+from .diagnostics import AnnulusResolutionError, BoundaryMassError, \
+    annulus_mass_profile, derivative_bound_check, logconvexity_check, \
+    weighted_norm
 from .evolution import BlowUpError, DissipationParams, GaussianPacket, \
     StabilityError, WaveState, free_flow_closed_form, mass, propagate, \
     write_checkpoint
-from .expressions import ExpressionError, parse_expression
+from .expressions import ExpressionError, SamplingError, parse_expression
 from .grids import Grid, ResolutionError, band_limited_noise
 from .operators import VARIANTS, WeightSpec, remainder_grouping_report, \
     verify_T_decomposition
@@ -286,6 +287,17 @@ def validate(text: str) -> ExperimentConfig:
                 and (steps <= 0 or steps % (frames - 1)):
             errors.append(f"evolution.steps = {steps}: not a positive multiple "
                           f"of evolution.frames - 1 = {frames - 1}")
+    window, t_end = cfg.get("params", "t_window"), cfg.get("evolution", "t_end")
+    if kind == "lowerbound-fit" and _accepts(list, window) and len(window) != 2:
+        errors.append(f"params.t_window = {window}: expected [start, end]")
+    elif kind == "lowerbound-fit" and _accepts(list, window) \
+            and _accepts(_NUM, t_end) and _accepts(int, frames) and frames >= 2:
+        # the frame times, and the slack annulus_mass_profile selects with
+        times = np.linspace(0.0, float(t_end), frames)
+        inside = np.sum((times >= window[0] - 1e-12) & (times <= window[1] + 1e-12))
+        if inside < 2:
+            errors.append(f"params.t_window = {window} holds {inside} of the "
+                          f"{frames} frame times; the fit needs 2")
     positive_list = {"poincare": "radii", "hardy": "s_values",
                      "subordination": "r_values"}.get(kind)
     if positive_list:
@@ -316,6 +328,10 @@ def validate(text: str) -> ExperimentConfig:
             errors += [f"params.radii contains {v}: the ball B_2r exceeds "
                        f"min(grid.extents) / 2 = {min(extents) / 2}"
                        for v in numbers("params", "radii") if 2 * v > min(extents)]
+        if kind == "lowerbound-fit" and extents:
+            errors += [f"params.radii contains {v}: the annulus exceeds "
+                       f"min(grid.extents) = {min(extents)}"
+                       for v in numbers("params", "radii") if v > min(extents)]
     errors += [f"grid.points entry {n} is not a power of two"
                for n in numbers("grid", "points")
                if not (_accepts(int, n) and n >= 2 and (n & (n - 1)) == 0)]
@@ -493,7 +509,7 @@ def _run_symbolic(cfg: ExperimentConfig, out: Path):
         """The config number as an exact rational; absent, a symbol."""
         value = cfg.get("weight", key)
         return sp.Symbol(key, positive=True) if value is None \
-            else parse_expression(str(value)).sym
+            else parse_expression(str(value))
     w = WeightSpec(variant, exact("beta"), alpha=exact("alpha"), R=exact("R"))
     rep = verify_T_decomposition(base, w)
     rows = [(label, rep.residual_max[label], rep.residual_exprs[label] or "0")
@@ -507,10 +523,13 @@ def _run_symbolic(cfg: ExperimentConfig, out: Path):
         "status": "pass" if rep.commutator_spatial_order <= 2 else "fail",
         "order": rep.commutator_spatial_order, "tolerance": 2}
     metrics = {"residual_max": rep.residual_max}
-    grouping = remainder_grouping_report(
-        base, WeightSpec(variant, 1.0, alpha=alpha, R=2.0),
-        SamplingBox.cube(base.dim, 4.0, 9))
-    metrics["order1_containment_C"] = grouping["order1_containment_C"]
+    try:
+        metrics.update(remainder_grouping_report(
+            base, WeightSpec(variant, 1.0, alpha=alpha, R=2.0),
+            SamplingBox.cube(base.dim, 4.0, 9)))
+    except SamplingError as exc:
+        checks["remainder_grouping"] = {"status": "fail", "error": "SamplingError",
+                                        "message": str(exc)}
     return checks, metrics, [path]
 
 
@@ -636,7 +655,8 @@ def _run_gauge(cfg: ExperimentConfig, out: Path):
 
 # numeric guards that end a run: recorded as one failed check, not raised
 _GUARD_ERRORS = (FrontierError, ResolutionError, SupportError, StabilityError,
-                 BlowUpError, BoundaryMassError)
+                 BlowUpError, BoundaryMassError, AnnulusResolutionError,
+                 EllipticityError, GaugeError)
 
 _RUNNERS = {
     "simulate": _run_simulate,

@@ -5,9 +5,9 @@ variables t and x1..x9) is parsed into sympy trees.  Keeping the grammar
 closed guarantees that exact symbolic derivatives up to the orders needed
 by the operator machinery (3 in the coefficients, 4 in the weights) always
 exist.  Numbers parse to exact rationals (``0.1`` is 1/10), so symbolic
-identities hold exactly and :func:`coeff_is_zero` decides them.  The
-:class:`Expression` wrapper carries the sympy tree; every numeric
-evaluation of a sympy expression goes through :func:`sample`.
+identities hold exactly and :func:`coeff_is_zero` decides them.
+Coefficients and weights are plain sympy expressions; every numeric
+evaluation of one goes through :func:`sample`.
 
 Grammar (whitespace insignificant)::
 
@@ -24,13 +24,15 @@ import re
 import zlib
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 import sympy as sp
 
 T_SYMBOL = sp.Symbol("t", real=True)
 X_SYMBOLS = tuple(sp.Symbol(f"x{i}", real=True) for i in range(1, 10))
+
+Partials = Callable[..., sp.Expr]
 
 _FUNCTIONS = {"exp": sp.exp, "sin": sp.sin, "cos": sp.cos, "atan": sp.atan,
               "arctan": sp.atan}
@@ -42,6 +44,10 @@ class ExpressionError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+class SamplingError(ValueError):
+    """An expression that does not sample to the finite numbers required."""
 
 
 @dataclass(frozen=True)
@@ -192,8 +198,8 @@ def _lambdify(expr: sp.Expr, syms: tuple[sp.Symbol, ...]):
     ready = with_stand_ins(expr)
     unbound = ready.free_symbols - set(syms)
     if unbound:
-        raise ValueError(f"expression has unbound symbols "
-                         f"{sorted(s.name for s in unbound)}")
+        raise SamplingError(f"expression has unbound symbols "
+                            f"{sorted(s.name for s in unbound)}")
     # the module object, not "numpy": the string makes sympy run
     # `from numpy import *`, which imports numpy.f2py, .testing and .ma
     return sp.lambdify(syms, ready, modules=np)
@@ -206,10 +212,30 @@ def sample(expr: sp.Expr, mesh, syms=None):
     The value keeps its natural shape: a scalar for a constant, and only the
     axes of the variables it depends on otherwise (on an open mesh).  Each
     (expression, symbols) pair is compiled once per process; symbols left
-    unbound raise :class:`ValueError`.
+    unbound, or a function numpy lacks, raise :class:`SamplingError`.
     """
     syms = X_SYMBOLS[:len(mesh)] if syms is None else tuple(syms)
-    return _lambdify(expr, syms)(*mesh)
+    try:
+        return _lambdify(expr, syms)(*mesh)
+    except NameError as exc:    # a function the numpy printer left by name
+        raise SamplingError(f"numpy has no counterpart of {exc.name}") from exc
+
+
+def partials() -> Partials:
+    """A fresh memoized table of partial derivatives for one build:
+    ``d(expr, *axes, t=0)`` is dx_{axes[-1]} ... dx_{axes[0]} dt^t expr, the
+    time derivatives first and then the space derivatives in the order
+    given, one step at a time, so that each (expression, variable)
+    derivative is taken once per table."""
+    steps: dict[tuple[sp.Expr, sp.Symbol], sp.Expr] = {}
+
+    def d(expr: sp.Expr, *axes: int, t: int = 0) -> sp.Expr:
+        for var in (T_SYMBOL,) * t + tuple(X_SYMBOLS[i] for i in axes):
+            if (expr, var) not in steps:
+                steps[expr, var] = sp.diff(expr, var)
+            expr = steps[expr, var]
+        return expr
+    return d
 
 
 def coeff_is_zero(expr: sp.Expr) -> bool:
@@ -218,42 +244,14 @@ def coeff_is_zero(expr: sp.Expr) -> bool:
     return expr == 0 or sp.cancel(expr) == 0
 
 
-@dataclass(frozen=True)
-class Expression:
-    """Immutable symbolic expression over t, x1..xn.
-
-    Evaluation is deterministic and total on the declared domain; symbolic
-    differentiation is exact.
-    """
-
-    sym: sp.Expr
-
-    def diff(self, var: str, order: int = 1) -> "Expression":
-        return Expression(sp.diff(self.sym, sp.Symbol(var, real=True), order))
-
-    def __call__(self, **values: float | np.ndarray):
-        """Evaluate at a point or on numpy arrays, e.g. ``e(t=0.0, x1=xs)``."""
-        syms = tuple(sorted(self.sym.free_symbols, key=lambda s: s.name))
-        missing = [s.name for s in syms if s.name not in values]
-        if missing:
-            raise ValueError(f"missing values for {missing}")
-        return sample(self.sym, [values[s.name] for s in syms], syms)
-
-    def is_constant(self) -> bool:
-        return not self.sym.free_symbols
-
-    def __str__(self) -> str:
-        return sp.sstr(self.sym)
-
-
-def parse_expression(text: str) -> Expression:
-    """Parse ``text`` in the coefficient grammar.
+def parse_expression(text: str) -> sp.Expr:
+    """Parse ``text`` in the coefficient grammar into a sympy expression.
 
     Raises :class:`ExpressionError` with a position on syntax errors or
     unknown identifiers.
     """
-    return Expression(_Parser(text).parse())
+    return _Parser(text).parse()
 
 
-def const(value) -> Expression:
-    return Expression(sp.sympify(value))
+def const(value) -> sp.Expr:
+    return sp.sympify(value)

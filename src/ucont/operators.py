@@ -20,19 +20,18 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 import sympy as sp
 
-from .coefficients import CoefficientField, SamplingBox
-from .expressions import Expression, T_SYMBOL, X_SYMBOLS, coeff_is_zero, \
-    sample
+from .coefficients import CoefficientField, SamplingBox, derivative_sq_sums
+from .expressions import T_SYMBOL, X_SYMBOLS, Partials, SamplingError, \
+    coeff_is_zero, partials, sample
 from .grids import Grid, SpaceTimeGrid, spectral_derivative
 
 Key = tuple[int, tuple[int, ...]]
 Pairs = Iterable[tuple[Key, sp.Expr]]
-Partials = Callable[..., sp.Expr]
 
 
 class OrderOverflowError(RuntimeError):
@@ -57,23 +56,6 @@ def probe_max_abs(expr: sp.Expr, dim: int) -> float:
 def _key(n: int, *axes: int, t: int = 0) -> Key:
     """The key of dt^t dx_{axes[0]} dx_{axes[1]} ... in n space dimensions."""
     return (t, tuple(axes.count(i) for i in range(n)))
-
-
-def _partials() -> Partials:
-    """A fresh memoized table of partial derivatives for one build:
-    ``d(expr, *axes, t=0)`` is dx_{axes[-1]} ... dx_{axes[0]} dt^t expr, the
-    time derivatives first and then the space derivatives in the order
-    given, one step at a time, so that each (expression, variable)
-    derivative is taken once per table."""
-    steps: dict[tuple[sp.Expr, sp.Symbol], sp.Expr] = {}
-
-    def d(expr: sp.Expr, *axes: int, t: int = 0) -> sp.Expr:
-        for var in (T_SYMBOL,) * t + tuple(X_SYMBOLS[i] for i in axes):
-            if (expr, var) not in steps:
-                steps[expr, var] = sp.diff(expr, var)
-            expr = steps[expr, var]
-        return expr
-    return d
 
 
 def _accumulate(dim: int, pairs: Pairs) -> "DiffOperator":
@@ -148,11 +130,10 @@ class DiffOperator:
         kept = {k: v for k, v in self.terms.items() if not coeff_is_zero(v)}
         return DiffOperator(self.dim, dict(sorted(kept.items())))
 
-    def apply_symbolic(self, f: sp.Expr | Expression) -> sp.Expr:
-        fx = f.sym if isinstance(f, Expression) else sp.sympify(f)
+    def apply_symbolic(self, f: sp.Expr) -> sp.Expr:
         out = sp.Integer(0)
         for (a, al), coef in self.terms.items():
-            df = fx
+            df = f
             if a:
                 df = sp.diff(df, T_SYMBOL, a)
             for i, m in enumerate(al):
@@ -220,7 +201,7 @@ class WeightSpec:
     beta: float | sp.Expr
     alpha: float | sp.Expr = 1
     R: float | sp.Expr = 1
-    profile: Expression | None = None
+    profile: sp.Expr | None = None
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -233,11 +214,6 @@ class WeightSpec:
                 and not self.alpha > 1:
             raise ValueError("power variant requires alpha > 1")
 
-    def _profile_expr(self) -> sp.Expr:
-        if self.profile is None:
-            return sp.Function("vp")(T_SYMBOL)
-        return self.profile.sym
-
     def phi(self, dim: int) -> sp.Expr:
         xs = X_SYMBOLS[:dim]
         r2 = sum(x ** 2 for x in xs)
@@ -247,9 +223,10 @@ class WeightSpec:
         if self.variant == "power":
             return beta * r2 ** sp.sympify(self.alpha)
         R = sp.sympify(self.R)
+        vp = sp.Function("vp")(T_SYMBOL) if self.profile is None else self.profile
         if self.variant == "scaled-time":
-            return beta * (r2 / R ** 2 + self._profile_expr())
-        shifted = (xs[0] / R + self._profile_expr()) ** 2 \
+            return beta * (r2 / R ** 2 + vp)
+        shifted = (xs[0] / R + vp) ** 2 \
             + sum((x / R) ** 2 for x in xs[1:])
         return beta * shifted
 
@@ -263,7 +240,7 @@ def conjugate_decompose(fld: CoefficientField, w: WeightSpec
     """Split e^phi (i dt + L) e^{-phi} into symmetric and antisymmetric parts."""
     n = fld.dim
     phi = w.phi(n)
-    d = _partials()
+    d = partials()
     s_pairs = [(_key(n, t=1), sp.I)]
     a_pairs = [(_key(n), -sp.I * d(phi, t=1))]
     for k, j in itertools.product(range(n), repeat=2):
@@ -334,7 +311,7 @@ def t_decomposition_terms(fld: CoefficientField, w: WeightSpec
     order0_cubic  zero-order piece cubic in the weight gradient
     order0_rest   remaining zero-order piece (linear in the weight)
     """
-    return _graded_pieces(fld, w.phi(fld.dim), _partials())
+    return _graded_pieces(fld, w.phi(fld.dim), partials())
 
 
 def _graded_pieces(fld: CoefficientField, phi: sp.Expr, d: Partials
@@ -432,44 +409,42 @@ def verify_T_decomposition(fld: CoefficientField, w: WeightSpec
 
 def remainder_grouping_report(fld: CoefficientField, w: WeightSpec,
                               box: SamplingBox) -> dict[str, float]:
-    """Smallest constants C with |remainder coefficients| <= C * majorant on
-    the box and 9 times in [0, 1], for the first-order and zero-order
-    remainder groupings."""
+    """Smallest C with |first-order remainder| <= C * majorant on the box
+    and 9 times in [0, 1], and the sups of both sides.  A side that does not
+    sample to finite numbers raises :class:`SamplingError` naming where."""
     t_samples = 9
     n = fld.dim
     phi = w.phi(n)
-    d = _partials()
+    d = partials()
     coords = box.lattice()
     shape = (t_samples, coords[0].size)
     mesh = (np.linspace(0.0, 1.0, t_samples)[:, None], *(c[None] for c in coords))
 
-    def sq_sum(exprs) -> np.ndarray:
-        return sum(np.abs(sample(e, mesh, (T_SYMBOL, *X_SYMBOLS[:n]))) ** 2
-                   for e in exprs)
-
     def grad_norm(exprs) -> np.ndarray:
-        return np.broadcast_to(np.sqrt(sq_sum(exprs)), shape)
-
-    def entry_norm(order: int) -> np.ndarray:
-        """Pointwise sqrt of the sum over |alpha| = order of |d^alpha A|^2."""
-        return np.sqrt(sum(
-            sq_sum(d(e.sym, *alpha) for row in fld.entries for e in row)
-            for alpha in itertools.combinations_with_replacement(range(n), order)))
+        return np.broadcast_to(np.sqrt(sum(
+            np.abs(sample(e, mesh, (T_SYMBOL, *X_SYMBOLS[:n]))) ** 2
+            for e in exprs)), shape)
 
     g1 = grad_norm([d(phi, i) for i in range(n)])
     g2 = grad_norm([d(phi, i, j) for i, j in itertools.product(range(n), repeat=2)])
-    a1, a2 = entry_norm(1), entry_norm(2)
+    a1, a2 = (np.sqrt(sum(derivative_sq_sums(fld.entries, order, coords,
+                                             X_SYMBOLS[:n], d)))
+              for order in (1, 2))
 
     remainder = _graded_pieces(fld, phi, d)["order1"] \
         - _accumulate(n, _principal_order1(fld, phi, d))
     rem_norm = grad_norm([remainder.terms.get(_key(n, m), sp.Integer(0))
                           for m in range(n)])
     majorant = g2 * a1 + g1 * a1 ** 2 + g1 * a2
+    for name, values in (("majorant", majorant), ("remainder", rem_norm)):
+        if not np.isfinite(values).all():
+            it, ip = np.argwhere(~np.isfinite(values))[0]
+            raise SamplingError(f"the {name} is not finite at t = {mesh[0][it, 0]:g}, "
+                                f"x = {tuple(float(c[ip]) for c in coords)}")
     mask = majorant > 1e-14
     c1 = float(np.max(rem_norm[mask] / majorant[mask])) if mask.any() else 0.0
-    if np.any(~mask):
-        if float(np.max(rem_norm[~mask])) > 1e-12:
-            c1 = float("inf")
+    if np.any(~mask) and float(np.max(rem_norm[~mask])) > 1e-12:
+        c1 = float("inf")
     return {"order1_containment_C": c1,
             "majorant_sup": float(np.max(majorant)),
             "remainder_sup": float(np.max(rem_norm))}

@@ -159,7 +159,7 @@ def test_conjugated_evaluation_identity():
     # direct conjugation e^{phi}(i dt + L)(e^{-phi} f); verified with a fully
     # smooth profile and field so both routes are spectrally clean (piecewise
     # cutoff profiles cap the common accuracy of either route well above 1e-7)
-    from ucont.expressions import Expression, T_SYMBOL
+    from ucont.expressions import T_SYMBOL
     from ucont.grids import spectral_derivative
     import sympy as sp
     from ucont.operators import ConjugatedGridOps, WeightSpec
@@ -167,7 +167,7 @@ def test_conjugated_evaluation_identity():
     fld = CoefficientField.identity(1)
     beta = 0.05
     prof_sym = 3 * sp.exp(-((T_SYMBOL - sp.Rational(1, 2)) / sp.Float(0.12)) ** 2)
-    w = WeightSpec("scaled-time", beta, R=1.0, profile=Expression(prof_sym))
+    w = WeightSpec("scaled-time", beta, R=1.0, profile=prof_sym)
     ops = ConjugatedGridOps.build(fld, w, stg)
     x = stg.space.meshes[0][None]
     tt = stg.times.reshape((-1, 1))

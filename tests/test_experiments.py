@@ -190,7 +190,8 @@ variant = "translated"
     payload = json.loads((tmp_path / "o" / "report.json").read_text())
     assert payload["checks"]["t_decomposition"]["status"] == "pass"
     assert not report.failed
-    assert math.isfinite(payload["metrics"]["order1_containment_C"])
+    for key in ("order1_containment_C", "majorant_sup", "remainder_sup"):
+        assert math.isfinite(payload["metrics"][key])
 
 
 @pytest.mark.parametrize("value", ["two", "0"])
@@ -431,6 +432,31 @@ kind = hardy
 [params]
 s_values = [1.0, 0.0]
 """, ["params.s_values contains 0.0", "positive"]),
+    "lowerbound-fit-radius-beyond-grid": ("""
+[experiment]
+kind = lowerbound-fit
+[grid]
+extents = [4.0]
+points = [256]
+[params]
+radii = [2.0, 5.0]
+""", ["params.radii contains 5.0", "min(grid.extents) = 4.0"]),
+    # the frame times are i/16: the window [0.5, 0.5] holds only t = 0.5
+    "lowerbound-fit-window-one-frame": ("""
+[experiment]
+kind = lowerbound-fit
+[evolution]
+steps = 256
+frames = 17
+[params]
+t_window = [0.5, 0.5]
+""", ["params.t_window = [0.5, 0.5]", "1 of the 17 frame times"]),
+    "lowerbound-fit-window-three-entries": ("""
+[experiment]
+kind = lowerbound-fit
+[params]
+t_window = [0.125, 0.5, 0.875]
+""", ["params.t_window = [0.125, 0.5, 0.875]", "expected [start, end]"]),
 }
 
 
@@ -521,6 +547,78 @@ frontier_probes = 1
     guard = payload["checks"]["numeric_guard"]
     assert guard["status"] == "fail" and guard["error"] == "ResolutionError"
     assert "spectral tail fraction" in guard["message"]
+
+
+# one config per guard error of the field and diagnostics layers, with a
+# phrase of its message
+GUARDED = {
+    "AnnulusResolutionError": ("""
+[experiment]
+kind = lowerbound-fit
+[grid]
+extents = [12.0]
+points = [64]
+""", "annulus width 1 spans only 2.7 cells"),
+    "EllipticityError": ("""
+[experiment]
+kind = carleman-sweep
+[field]
+dimension = 1
+a11 = "-1"
+[grid]
+extents = [6.0]
+points = [256]
+[params]
+R_values = [1.0]
+n_samples = 1
+""", "non-positive-definite sample"),
+    "GaugeError": ("""
+[experiment]
+kind = gauge-reduce
+[field]
+dimension = 1
+transversal = true
+a11 = "-1 + 0.5*exp(-x1^2)"
+""", "a11 not bounded below"),
+}
+
+
+@pytest.mark.parametrize("error", GUARDED)
+def test_field_and_diagnostics_guards_are_failed_checks(error, tmp_path):
+    text, phrase = GUARDED[error]
+    path = tmp_path / "c.cfg"
+    path.write_text(text.replace(
+        "[experiment]\n", f"[experiment]\noutput = {tmp_path / 'o'}\n"))
+    assert cli_main(["run", str(path)]) == 1
+    payload = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert list(payload["checks"]) == ["numeric_guard"]
+    guard = payload["checks"]["numeric_guard"]
+    assert guard["status"] == "fail" and guard["error"] == error
+    assert phrase in guard["message"]
+
+
+# the power weight beta |x|^3 is not smooth at the origin: in 1-D its
+# remainder carries DiracDelta(x1), in 2-D D^2 phi samples as NaN at x = 0
+@pytest.mark.filterwarnings("ignore:divide by zero encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("field,cause", [
+    ('dimension = 1\na11 = "1 + 0.1*exp(-x1^2)"', "DiracDelta"),
+    ('dimension = 2\na11 = "1 + 0.1*exp(-x1^2)"\na12 = "0.05*x1*x2"\n'
+     'a22 = "1 + 0.1*exp(-x2^2)"', "not finite at t = 0, x = (0.0, 0.0)")],
+    ids=["1d", "2d"])
+def test_unsamplable_remainder_grouping_is_a_failed_check(field, cause,
+                                                          tmp_path):
+    text = ("[experiment]\nkind = symbolic-verify\noutput = {out}\n"
+            "[field]\n{field}\n"
+            "[weight]\nvariant = \"power\"\nalpha = 1.5\n")
+    path = tmp_path / "c.cfg"
+    path.write_text(text.format(out=tmp_path / "o", field=field))
+    assert cli_main(["run", str(path)]) == 1
+    payload = json.loads((tmp_path / "o" / "report.json").read_text())
+    grouping = payload["checks"]["remainder_grouping"]
+    assert grouping["status"] == "fail" and grouping["error"] == "SamplingError"
+    assert cause in grouping["message"]
+    assert "order1_containment_C" not in payload["metrics"]
 
 def test_convexity_d2_column_is_the_gated_value(tmp_path):
     # with t_end = 0.5 raw-time and rescaled-time second differences of

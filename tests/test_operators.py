@@ -86,7 +86,7 @@ def test_operators_equal_is_exact(digit, exponent, k):
     # [1e-15, 9e-4], is nonzero however small
     split, direct = _decimal_field_split()
     assert operators_equal(split, direct)
-    eps = pe(f"{digit}e{exponent}").sym
+    eps = pe(f"{digit}e{exponent}")
     bump = DiffOperator.build(1, {(0, (0,)): eps * X_SYMBOLS[0] ** k})
     assert not operators_equal(split + bump, direct)
 
@@ -279,6 +279,25 @@ def test_remainder_grouping_report_takes_off_the_principal_families(w):
     assert out["majorant_sup"] == pytest.approx(float(np.max(majorant)), rel=1e-9)
     assert out["order1_containment_C"] == pytest.approx(
         float(np.max(rem / majorant)), rel=1e-9)
+
+
+def test_order1_containment_constant_is_scale_free():
+    # every first-order remainder term and every majorant term is linear in
+    # phi, so C does not depend on beta, nor on R for the scaled-time weight
+    # (the translated weight moves its centre with R, so it is left out)
+    fld = CoefficientField(
+        2, ((pe("1 + 0.1*exp(-x1^2)"), pe("0.05*x1*x2")),
+            (pe("0.05*x1*x2"), pe("1 + 0.1*exp(-x2^2)"))))
+    box = SamplingBox.cube(2, 4.0, 9)
+
+    def c(w):
+        return remainder_grouping_report(fld, w, box)["order1_containment_C"]
+    for weights in ([WeightSpec("quadratic", b) for b in (1.0, 7.0)],
+                    [WeightSpec("scaled-time", b, R=r)
+                     for b in (1.0, 7.0) for r in (2.0, 3.0)]):
+        values = [c(w) for w in weights]
+        assert np.isfinite(values[0]) and values[0] > 0
+        assert values == pytest.approx([values[0]] * len(values), rel=1e-12)
 
 
 def test_symbolic_builders_take_each_partial_once(monkeypatch):
