@@ -126,15 +126,13 @@ def derivative_bound_check(traj: Trajectory, beta: float, M1: float = 0.0, *,
     # the endpoint norms first, so a strict boundary check fails fast
     H0 = weighted_norm(traj.state(0), beta, strict=strict)
     H1 = weighted_norm(traj.state(len(times) - 1), beta, strict=strict)
-    rad2 = grid.radius_sq
-    vals = np.empty_like(times)
-    for i in range(len(times)):
-        u = traj.frames[i]
-        g2 = sum(np.abs(_weighted(g, grid, beta)) ** 2
-                 for g in spectral_gradient(u, grid))
-        integ = beta * g2 \
-            + beta ** 3 * rad2 * np.abs(_weighted(u, grid, beta)) ** 2
-        vals[i] = float(integ.sum() * grid.cell_volume) * times[i] * (1 - times[i])
+    u = traj.frames
+    g2 = sum(np.abs(_weighted(g, grid, beta)) ** 2
+             for g in spectral_gradient(u, grid, time_offset=1))
+    integ = beta * g2 \
+        + beta ** 3 * grid.radius_sq * np.abs(_weighted(u, grid, beta)) ** 2
+    space = tuple(range(1, u.ndim))
+    vals = integ.sum(axis=space) * grid.cell_volume * times * (1 - times)
     lhs = float(np.trapezoid(vals, times))
     rhs = math.exp(M1 ** 2) * (H0 + H1)
     return lhs / rhs
@@ -278,12 +276,9 @@ def annulus_mass_profile(traj: Trajectory, radii, t_window=(0.125, 0.875), *,
     tsel = times[sel]
 
     rad = np.sqrt(grid.radius_sq)
-    dens = []
-    for i in np.nonzero(sel)[0]:
-        u = traj.frames[i]
-        g2 = sum(np.abs(g) ** 2 for g in spectral_gradient(u, grid))
-        dens.append(np.abs(u) ** 2 + g2)
-    dens = np.array(dens)
+    u = traj.frames[sel]
+    dens = np.abs(u) ** 2 + sum(np.abs(g) ** 2 for g in
+                                spectral_gradient(u, grid, time_offset=1))
 
     deltas = np.empty_like(radii)
     for j, R in enumerate(radii):

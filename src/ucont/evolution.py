@@ -1,11 +1,17 @@
 """Propagation of d_t u = (a+ib)(L u + V u) on periodic tensor grids.
 
 Strang splitting: the constant-coefficient part (box-average of A) is an
-exact Fourier multiplier; the variable-coefficient remainder plus the
-potential is integrated in physical space (exact pointwise exponential
-when the remainder is a pure potential, classical RK4 otherwise).  The
-scheme is second order overall.  Closed-form complex-Gaussian flows serve
-as oracles for the free, heat, and dissipative cases.
+exact Fourier multiplier and the variable-coefficient remainder plus the
+potential is the middle step.  The state stays in Fourier space between
+frames, so the kinetic half steps are plain multiplies.  The remainder is
+linear and time-independent, so classical RK4 for it is exactly its
+degree-4 Taylor polynomial, applied in Horner form; each application of
+the remainder is one batched inverse and one batched forward transform,
+and entries that are identically zero (a zero potential, zero rows and
+columns of the coefficient deviation) take no transform.  A pure potential
+gets its exact pointwise exponential.  The scheme is second order overall.
+Closed-form complex-Gaussian flows serve as oracles for the free, heat, and
+dissipative cases.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import numpy as np
 
 from .coefficients import CoefficientField
 from .expressions import sample
-from .grids import Grid, check_resolved, l2_norm_sq, spectral_derivative
+from .grids import Grid, _multiplier, check_resolved, l2_norm_sq
 
 
 class BlowUpError(RuntimeError):
@@ -25,6 +31,10 @@ class BlowUpError(RuntimeError):
 
 class StabilityError(RuntimeError):
     """Requested step count violates the explicit-stage stability budget."""
+
+
+class NonFiniteFieldError(RuntimeError):
+    """A coefficient entry or the potential is not finite on the grid."""
 
 
 @dataclass(frozen=True)
@@ -155,6 +165,94 @@ def _kinetic_symbol(abar: np.ndarray, grid: Grid) -> np.ndarray:
     return sym
 
 
+def _require_finite(name: str, values, grid: Grid) -> None:
+    bad = ~np.isfinite(np.broadcast_to(values, grid.points))
+    if bad.any():
+        at = tuple(float(grid.axis(i)[n])
+                   for i, n in enumerate(np.argwhere(bad)[0]))
+        raise NonFiniteFieldError(
+            f"{name} is not finite on the grid, first at x = {at}")
+
+
+def _remainder_step(grid: Grid, delta, v, c: complex):
+    """The in-place step e^{cR} on Fourier coefficients, or None when R = 0.
+
+    R w = V w + sum_k D_k sum_j delta_kj D_j w with entries of ``delta`` set
+    to None where they vanish.  Without delta it is the pointwise exponential
+    of c V; otherwise it is the degree-4 Taylor polynomial of e^{cR}, which is
+    what classical RK4 gives for a linear, time-independent R, in Horner form
+    w + cR(w + c/2 R(w + c/3 R(w + c/4 R w))).  Each application of R inverts
+    the stack [w, D_j w] in one batched transform and forward-transforms the
+    stack [V w, flux_k] in another, leaving out every entry that is zero.
+    """
+    dim = grid.dim
+    cols = [j for j in range(dim) if any(delta[k][j] is not None
+                                         for k in range(dim))]
+    rows = [k for k in range(dim) if any(delta[k][j] is not None
+                                         for j in range(dim))]
+    has_v = bool(np.any(v != 0))
+    if not rows:
+        if not has_v:
+            return None
+        pot_step = np.exp(c * v)
+
+        def potential_step(what: np.ndarray) -> None:
+            np.fft.ifftn(what, out=what)
+            what *= pot_step
+            np.fft.fftn(what, out=what)
+        return potential_step
+
+    def mult(axis: int) -> np.ndarray:
+        shape = [1] * dim
+        shape[axis] = grid.points[axis]
+        return _multiplier(grid.points[axis], grid.spacings[axis],
+                           1).reshape(shape)
+    ik = [mult(i) for i in range(dim)]
+    cv = c * v
+    off = int(has_v)
+    col_of = {j: off + n for n, j in enumerate(cols)}
+    # flux_k = sum_j c delta_kj D_j w as (c delta_kj, row of D_j w) pairs
+    fluxes = [[(c * delta[k][j], col_of[j]) for j in cols
+               if delta[k][j] is not None] for k in rows]
+    inv = np.empty((off + len(cols), *grid.points), dtype=complex)
+    fwd = np.empty((off + len(rows), *grid.points), dtype=complex)
+    arg = np.empty(grid.points, dtype=complex)
+    out = np.empty(grid.points, dtype=complex)
+
+    def apply(what: np.ndarray) -> np.ndarray:
+        """c R what, into ``out``."""
+        if has_v:
+            inv[0] = what
+        for j in cols:
+            np.multiply(what, ik[j], out=inv[col_of[j]])
+        # one batched one-axis transform per spatial axis of the whole stack
+        for axis in range(1, dim + 1):
+            np.fft.ifft(inv, axis=axis, out=inv)
+        if has_v:
+            np.multiply(cv, inv[0], out=fwd[0])
+        for flux, terms in zip(fwd[off:], fluxes):
+            (e, col), *rest = terms
+            np.multiply(e, inv[col], out=flux)
+            for e, col in rest:
+                flux += np.multiply(e, inv[col], out=out)
+        for axis in range(1, dim + 1):
+            np.fft.fft(fwd, axis=axis, out=fwd)
+        np.multiply(fwd[off], ik[rows[0]], out=out)
+        for flux, k in zip(fwd[off + 1:], rows[1:]):
+            np.add(out, np.multiply(flux, ik[k], out=flux), out=out)
+        if has_v:
+            np.add(out, fwd[0], out=out)
+        return out
+
+    def taylor_step(what: np.ndarray) -> None:
+        src = what
+        for frac in (0.25, 1.0 / 3.0, 0.5):
+            np.multiply(apply(src), frac, out=arg)
+            src = np.add(arg, what, out=arg)
+        what += apply(arg)
+    return taylor_step
+
+
 def propagate(u0: WaveState, fld: CoefficientField, d: DissipationParams,
               t_span: tuple[float, float] = (0.0, 1.0), steps: int = 256,
               n_frames: int = 2, *, blowup_factor: float = 1e3) -> Trajectory:
@@ -171,13 +269,20 @@ def propagate(u0: WaveState, fld: CoefficientField, d: DissipationParams,
     entries = [[sample(fld.entry(k, j), grid.open_mesh)
                 for j in range(grid.dim)] for k in range(grid.dim)]
     v = sample(fld.potential, grid.open_mesh)
+    for k in range(grid.dim):
+        for j in range(grid.dim):
+            _require_finite(f"coefficient a{k + 1}{j + 1}", entries[k][j],
+                            grid)
+    _require_finite("potential", v, grid)
     abar = np.array([[np.mean(entries[k][j]) for j in range(grid.dim)]
                      for k in range(grid.dim)])
     delta = [[entries[k][j] - abar[k, j] for j in range(grid.dim)]
              for k in range(grid.dim)]
-    delta_max = max(float(np.max(np.abs(delta[k][j])))
-                    for k in range(grid.dim) for j in range(grid.dim))
-    pure_potential = delta_max < 1e-14
+    size = [[float(np.max(np.abs(e))) for e in row] for row in delta]
+    delta_max = max(map(max, size))
+    # entries below roundoff of the box average are left out of the remainder
+    delta = [[e if s >= 1e-14 else None for e, s in zip(row, srow)]
+             for row, srow in zip(delta, size)]
 
     t0, t1 = t_span
     dt = (t1 - t0) / steps
@@ -185,7 +290,7 @@ def propagate(u0: WaveState, fld: CoefficientField, d: DissipationParams,
     sym = _kinetic_symbol(abar, grid)
     half_kin = np.exp(zeta * sym * (dt / 2.0))
 
-    if not pure_potential:
+    if delta_max >= 1e-14:
         k2 = -sym / max(abar.diagonal().mean(), 1e-30)
         radius = abs(dt * zeta) * (delta_max * grid.dim * float(np.max(np.abs(k2)))
                                    + float(np.max(np.abs(v))))
@@ -193,68 +298,30 @@ def propagate(u0: WaveState, fld: CoefficientField, d: DissipationParams,
             raise StabilityError(
                 f"explicit remainder stage unstable: |dt * spectrum| ~ {radius:.2f} "
                 f"> 2.7; increase steps to >= {int(steps * radius / 2.5) + 1}")
-
-    def remainder_rhs(w: np.ndarray) -> np.ndarray:
-        out = v * w
-        grads = [spectral_derivative(w, grid, j, 1) for j in range(grid.dim)]
-        for k in range(grid.dim):
-            flux = sum(delta[k][j] * grads[j] for j in range(grid.dim))
-            out += spectral_derivative(flux, grid, k, 1)
-        return zeta * out
-
-    if pure_potential:
-        pot_step = np.exp(zeta * v * dt)
-
-        def remainder_step(w: np.ndarray) -> np.ndarray:
-            return w * pot_step
-    else:
-        def remainder_step(w: np.ndarray) -> np.ndarray:
-            k1 = remainder_rhs(w)
-            k2_ = remainder_rhs(w + 0.5 * dt * k1)
-            k3 = remainder_rhs(w + 0.5 * dt * k2_)
-            k4 = remainder_rhs(w + dt * k3)
-            return w + (dt / 6.0) * (k1 + 2 * k2_ + 2 * k3 + k4)
+    remainder_step = _remainder_step(grid, delta, v, dt * zeta)
 
     frames = np.empty((n_frames, *grid.points), dtype=complex)
     times = np.linspace(t0, t1, n_frames)
-    frames[0] = u0.values.astype(complex)
+    frames[0] = u0.values
     m0 = l2_norm_sq(frames[0], grid)
     stride = steps // (n_frames - 1)
 
-    u = frames[0]
-    uhat = None
+    # the state stays in Fourier space; frames are inverse transforms of it
+    uhat = np.fft.fftn(frames[0])
     for step in range(steps):
-        # merge adjacent half kinetic steps except around stored frames; each
-        # half step multiplies into the transform and inverts it in place
-        if uhat is None:
-            uhat = np.fft.fftn(u)
         uhat *= half_kin
-        u = remainder_step(np.fft.ifftn(uhat, out=uhat))
-        uhat = np.fft.fftn(u)
+        if remainder_step is not None:
+            remainder_step(uhat)
         uhat *= half_kin
         if (step + 1) % stride == 0:
-            u = np.fft.ifftn(uhat, out=uhat)
-            uhat = None
             idx = (step + 1) // stride
-            frames[idx] = u
-            if m0 > 0 and l2_norm_sq(u, grid) > blowup_factor * m0:
+            np.fft.ifftn(uhat, out=frames[idx])
+            # a NaN norm fails the comparison, so it counts as blow-up
+            norm = l2_norm_sq(frames[idx], grid)
+            if m0 > 0 and not norm <= blowup_factor * m0:
                 raise BlowUpError(
                     f"norm exceeded {blowup_factor:.0e} x initial at t={times[idx]:.4f}")
     return Trajectory(grid, times, frames, {"steps": steps})
-
-
-def regularized_flow(traj: Trajectory, fld: CoefficientField, eps: float
-                     ) -> Trajectory:
-    """Trajectory of e^{t (eps + i)(L+V)} from the same initial state, on the
-    same sample times as ``traj``."""
-    if not eps > 0:
-        raise ValueError("regularization strength eps must be > 0")
-    steps = traj.meta.get("steps", 256)
-    n_frames = len(traj.times)
-    steps = steps - steps % (n_frames - 1) if steps % (n_frames - 1) else steps
-    return propagate(traj.initial, fld, DissipationParams(eps, 1.0),
-                     (float(traj.times[0]), float(traj.times[-1])),
-                     steps, n_frames)
 
 
 # ---------------------------------------------------------------------------

@@ -42,8 +42,8 @@ from .diagnostics import AnnulusResolutionError, BoundaryMassError, \
     annulus_mass_profile, derivative_bound_check, logconvexity_check, \
     weighted_norm
 from .evolution import BlowUpError, DissipationParams, GaussianPacket, \
-    StabilityError, WaveState, free_flow_closed_form, mass, propagate, \
-    write_checkpoint
+    NonFiniteFieldError, StabilityError, WaveState, free_flow_closed_form, \
+    mass, propagate, write_checkpoint
 from .expressions import ExpressionError, SamplingError, parse_expression
 from .grids import Grid, ResolutionError, band_limited_noise
 from .operators import VARIANTS, WeightSpec, remainder_grouping_report, \
@@ -655,8 +655,8 @@ def _run_gauge(cfg: ExperimentConfig, out: Path):
 
 # numeric guards that end a run: recorded as one failed check, not raised
 _GUARD_ERRORS = (FrontierError, ResolutionError, SupportError, StabilityError,
-                 BlowUpError, BoundaryMassError, AnnulusResolutionError,
-                 EllipticityError, GaugeError)
+                 BlowUpError, NonFiniteFieldError, BoundaryMassError,
+                 AnnulusResolutionError, EllipticityError, GaugeError)
 
 _RUNNERS = {
     "simulate": _run_simulate,

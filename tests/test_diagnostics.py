@@ -13,7 +13,7 @@ from ucont.diagnostics import (AnnulusResolutionError, BoundaryMassError,
 from ucont.evolution import (HEAT, SCHRODINGER, Trajectory, WaveState,
                              mass, propagate)
 from ucont.expressions import parse_expression
-from ucont.grids import Grid
+from ucont.grids import Grid, band_limited_noise, spectral_gradient
 
 pe = parse_expression
 KAPPA0_PIN = 7.5424723326565069   # high-precision evaluation, alpha=1.5, b0=1
@@ -251,3 +251,35 @@ def test_annulus_resolution_guard(unit_packet):
     traj = Trajectory(g, np.linspace(0, 1, 5), np.stack([u0] * 5), {})
     with pytest.raises(AnnulusResolutionError):
         annulus_mass_profile(traj, [3.0])
+
+
+def test_frame_stack_gradients_match_per_frame_loop():
+    # derivative_bound_check and annulus_mass_profile take one gradient of
+    # the frame stack; the per-frame loop is the reference
+    g = Grid((8.0, 8.0), (128, 128))
+    rng = np.random.default_rng(4)
+    envelope = np.exp(-g.radius_sq / 8)
+    frames = np.stack([envelope * band_limited_noise(g, rng, 2.0)
+                       for _ in range(9)])
+    times = np.linspace(0.0, 1.0, 9)
+    traj = Trajectory(g, times, frames)
+    beta = 0.02
+    vals = []
+    for t, u in zip(times, frames):
+        weight = np.exp(beta * g.radius_sq)
+        g2 = sum(np.abs(weight * d) ** 2 for d in spectral_gradient(u, g))
+        integ = beta * g2 + beta ** 3 * g.radius_sq * np.abs(weight * u) ** 2
+        vals.append(float(integ.sum() * g.cell_volume) * t * (1 - t))
+    rhs = sum(weighted_norm(traj.state(i), beta, strict=False) for i in (0, 8))
+    assert derivative_bound_check(traj, beta, strict=False) == pytest.approx(
+        float(np.trapezoid(vals, times)) / rhs, rel=1e-12)
+    rad = np.sqrt(g.radius_sq)
+    dens = [np.abs(u) ** 2
+            + sum(np.abs(d) ** 2 for d in spectral_gradient(u, g))
+            for u in frames[1:8]]
+    radii = [2.0, 3.0, 4.5]
+    shells = [(rad > R - 1) & (rad <= R) for R in radii]
+    expected = [np.trapezoid([dn[s].sum() * g.cell_volume for dn in dens],
+                             times[1:8]) for s in shells]
+    prof = annulus_mass_profile(traj, radii)
+    np.testing.assert_allclose(prof.deltas, expected, rtol=1e-12)

@@ -5,13 +5,13 @@ import pytest
 
 from ucont.coefficients import CoefficientField
 from ucont.evolution import (HEAT, SCHRODINGER, BlowUpError, CheckpointError,
-                             DissipationParams, GaussianPacket, StabilityError,
-                             WaveState, free_flow_closed_form,
+                             DissipationParams, GaussianPacket,
+                             NonFiniteFieldError, StabilityError, WaveState,
+                             _remainder_step, free_flow_closed_form,
                              linear_potential_closed_form, mass, propagate,
-                             read_checkpoint, regularized_flow,
-                             write_checkpoint)
-from ucont.expressions import parse_expression
-from ucont.grids import Grid
+                             read_checkpoint, write_checkpoint)
+from ucont.expressions import parse_expression, sample
+from ucont.grids import Grid, band_limited_noise, spectral_derivative
 
 pe = parse_expression
 
@@ -145,6 +145,33 @@ def test_stability_guard(mild_field_1d, chirped_packet):
         propagate(u0, mild_field_1d, SCHRODINGER, steps=128, n_frames=2)
 
 
+def test_blowup_guard_catches_a_nan_norm(line_grid, unit_packet):
+    # e^{1000 t} overflows after about 45 of 64 steps and the transforms
+    # turn inf into NaN, whose norm compares False against any bound
+    fld = CoefficientField.identity(1, pe("1000"))
+    u0 = WaveState(0.0, unit_packet.sample(line_grid), line_grid)
+    with pytest.raises(BlowUpError), np.errstate(all="ignore"):
+        propagate(u0, fld, HEAT, steps=64, n_frames=2)
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("a11, potential, name", [
+    ("1", "1/x1", "potential"),
+    ("1 + 0.06*exp(-x1^2/4)", "1/x1", "potential"),
+    ("1 + 0.06*sin(x1)/x1", "0", "coefficient a11"),
+], ids=["potential", "potential-variable-a11", "entry"])
+def test_non_finite_field_rejected(line_grid, unit_packet, a11, potential,
+                                   name):
+    # x1 = 0 is a node of the 1024-point grid
+    fld = CoefficientField(1, ((pe(a11),),), pe(potential))
+    u0 = WaveState(0.0, unit_packet.sample(line_grid), line_grid)
+    with pytest.raises(NonFiniteFieldError,
+                       match=f"{name} is not finite on the grid, first at "
+                             r"x = \(0\.0,\)"):
+        propagate(u0, fld, SCHRODINGER, steps=1024, n_frames=2)
+
+
 def test_blowup_guard(line_grid, unit_packet):
     # backwards heat (a > 0 with negative potential sign trick is not
     # available; instead force blow-up with a large positive potential under
@@ -157,20 +184,14 @@ def test_blowup_guard(line_grid, unit_packet):
                   blowup_factor=1e3)
 
 
-def test_regularized_flow_rejects_zero_eps(line_grid, identity_field_1d,
-                                           unit_packet):
-    u0 = WaveState(0.0, unit_packet.sample(line_grid), line_grid)
-    traj = propagate(u0, identity_field_1d, SCHRODINGER, steps=32, n_frames=3)
-    with pytest.raises(ValueError, match="> 0"):
-        regularized_flow(traj, identity_field_1d, 0.0)
-
-
 def test_regularized_flow_converges(line_grid, identity_field_1d, unit_packet):
+    # e^{t (eps + i)(L+V)} tends to the Schrodinger flow as eps -> 0
     u0 = WaveState(0.0, unit_packet.sample(line_grid), line_grid)
     schr = propagate(u0, identity_field_1d, SCHRODINGER, steps=64, n_frames=3)
     dists = []
     for eps in (1e-1, 1e-2, 1e-3):
-        reg = regularized_flow(schr, identity_field_1d, eps)
+        reg = propagate(u0, identity_field_1d, DissipationParams(eps, 1.0),
+                        steps=64, n_frames=3)
         dists.append(l2_dist(reg.frames[-1], schr.frames[-1], line_grid))
     assert dists[0] < 0.05 * 10  # eps = 0.1 is coarse but bounded
     assert dists[1] < 0.05
@@ -233,3 +254,95 @@ def test_checkpoint_corruption_raises(tmp_path, line_grid, identity_field_1d,
     path.write_bytes(corrupt(path.read_bytes()))
     with pytest.raises(CheckpointError):
         read_checkpoint(path)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the physical-space Strang step with explicit RK4 stages
+# ---------------------------------------------------------------------------
+
+def _reference_remainder(grid, fld):
+    """(abar, R) with R w = V w + sum_k D_k sum_j delta_kj D_j w applied in
+    physical space, one spectral derivative at a time."""
+    n = grid.dim
+    a = [[sample(fld.entry(k, j), grid.open_mesh) for j in range(n)]
+         for k in range(n)]
+    v = sample(fld.potential, grid.open_mesh)
+    abar = np.array([[np.mean(a[k][j]) for j in range(n)] for k in range(n)])
+
+    def R(w):
+        out = v * w
+        grads = [spectral_derivative(w, grid, j) for j in range(n)]
+        for k in range(n):
+            flux = sum((a[k][j] - abar[k, j]) * grads[j] for j in range(n))
+            out = out + spectral_derivative(flux, grid, k)
+        return out
+    return abar, R
+
+
+def _reference_propagate(u0, fld, zeta, t_end, steps):
+    grid = u0.grid
+    abar, R = _reference_remainder(grid, fld)
+    kmesh = np.meshgrid(*(grid.wavenumbers(i) for i in range(grid.dim)),
+                        indexing="ij")
+    sym = -sum(abar[k, j] * kmesh[k] * kmesh[j]
+               for k in range(grid.dim) for j in range(grid.dim))
+    dt = t_end / steps
+    half = np.exp(zeta * sym * dt / 2)
+    u = u0.values
+    for _ in range(steps):
+        u = np.fft.ifftn(half * np.fft.fftn(u))
+        k1 = zeta * R(u)
+        k2 = zeta * R(u + dt / 2 * k1)
+        k3 = zeta * R(u + dt / 2 * k2)
+        k4 = zeta * R(u + dt * k3)
+        u = u + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        u = np.fft.ifftn(half * np.fft.fftn(u))
+    return u
+
+
+ORACLE_FIELDS = {
+    "1d": (Grid((15.0,), (512,)), CoefficientField(
+        1, ((pe("1 + 0.06*exp(-x1^2/4)"),),)), 1.0, 128),
+    # off-diagonal delta and a nonzero potential
+    "2d": (Grid((6.0, 6.0), (32, 32)), CoefficientField(
+        2, ((pe("1 + 0.05*exp(-x1^2/4)"), pe("0.03*exp(-(x1^2 + x2^2)/4)")),
+            (pe("0.03*exp(-(x1^2 + x2^2)/4)"), pe("1"))),
+        pe("0.1*x1*x2/(1 + x1^2)")), 0.5, 64),
+    "3d": (Grid((6.0, 6.0, 6.0), (16, 16, 16)), CoefficientField(
+        3, ((pe("1 + 0.05*exp(-x1^2/4)"), pe("0"), pe("0")),
+            (pe("0"), pe("1"), pe("0")),
+            (pe("0"), pe("0"), pe("1 + 0.04*exp(-x3^2/4)")))), 0.5, 32),
+}
+
+
+@pytest.mark.parametrize("d", [SCHRODINGER, DissipationParams(0.3, 1.0)],
+                         ids=["zeta=i", "dissipative"])
+@pytest.mark.parametrize("case", ORACLE_FIELDS)
+def test_propagate_matches_physical_space_rk4(case, d):
+    grid, fld, t_end, steps = ORACLE_FIELDS[case]
+    values = band_limited_noise(grid, np.random.default_rng(5), 1.5)
+    u0 = WaveState(0.0, values, grid)
+    ref = _reference_propagate(u0, fld, d.zeta, t_end, steps)
+    got = propagate(u0, fld, d, (0.0, t_end), steps, 3).frames[-1]
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_horner_step_is_the_degree_four_taylor_polynomial():
+    # |c R| is of order one here, so each power of c R shows in the sum
+    grid = Grid((8.0,), (64,))
+    fld = CoefficientField(1, ((pe("1 + 0.3*exp(-x1^2/4)"),),),
+                           pe("cos(x1)"))
+    abar, R = _reference_remainder(grid, fld)
+    delta = [[sample(fld.entry(0, 0), grid.open_mesh) - abar[0, 0]]]
+    c = 0.15 * (0.5 + 1j)
+    w = band_limited_noise(grid, np.random.default_rng(2), 6.0)
+    term, expected = w, w.copy()
+    for m in range(1, 5):
+        term = c * R(term) / m
+        expected += term
+    assert np.linalg.norm(term) > 1e-2 * np.linalg.norm(w)
+    what = np.fft.fft(w)
+    _remainder_step(grid, delta, sample(fld.potential, grid.open_mesh),
+                    c)(what)
+    got = np.fft.ifft(what)
+    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)

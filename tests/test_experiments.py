@@ -597,6 +597,27 @@ def test_field_and_diagnostics_guards_are_failed_checks(error, tmp_path):
     assert phrase in guard["message"]
 
 
+# x1 = 0 is a node of the 1024-point grid: 1/x1 is inf there
+@pytest.mark.filterwarnings("ignore:divide by zero encountered")
+@pytest.mark.parametrize("field", ['potential = "1/x1"',
+                                   'potential = "1/x1"\n'
+                                   'a11 = "1 + 0.06*exp(-x1^2/4)"'],
+                         ids=["potential", "potential-variable-a11"])
+def test_non_finite_field_is_a_failed_check(field, tmp_path):
+    path = tmp_path / "c.cfg"
+    path.write_text("[experiment]\nkind = simulate\n"
+                    f"output = {tmp_path / 'o'}\n"
+                    f"[field]\ndimension = 1\n{field}\n"
+                    "[grid]\nextents = [15.0]\npoints = [1024]\n")
+    assert cli_main(["run", str(path)]) == 1
+    payload = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert list(payload["checks"]) == ["numeric_guard"]
+    guard = payload["checks"]["numeric_guard"]
+    assert guard["status"] == "fail"
+    assert guard["error"] == "NonFiniteFieldError"
+    assert "potential is not finite on the grid" in guard["message"]
+
+
 # the power weight beta |x|^3 is not smooth at the origin: in 1-D its
 # remainder carries DiracDelta(x1), in 2-D D^2 phi samples as NaN at x = 0
 @pytest.mark.filterwarnings("ignore:divide by zero encountered")
