@@ -10,11 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid, spectral_gradient
+from .grids import Grid, NumericGuardError, spectral_gradient
 
 
-class QuadratureError(RuntimeError):
-    pass
+class QuadratureError(NumericGuardError):
+    """The subordination integral at some r has no converged finite value."""
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ def _log_subordination_integral(r: float, q: float, kappa: float,
             break
         upper *= 1.5
     else:
-        raise QuadratureError("could not truncate the integrand tail")
+        raise QuadratureError(f"r = {r:g}: could not truncate the integrand tail")
 
     def integrand(lam: float) -> float:
         return math.exp(exponent(lam) - M) * lam ** ((q - 2.0) / 2.0)
@@ -95,22 +95,26 @@ def _log_subordination_integral(r: float, q: float, kappa: float,
                     epsabs=1e-13, epsrel=1e-11)
     if not np.isfinite(val) or val <= 0 or err > 1e-6 * val:
         raise QuadratureError(
-            f"quadrature did not converge (value {val:.3e}, err {err:.3e})")
+            f"r = {r:g}: quadrature did not converge (value {val:.3e}, "
+            f"err {err:.3e})")
     return M + math.log(val)
 
 
 def subordination_ratio(case: SubordinationCase) -> SubordinationResult:
-    """Per-r ratios integral / e^{kappa^p r^p / p}, in log space so that no
-    intermediate value overflows."""
+    """Per-r ratios integral / e^{kappa^p r^p / p}, in log space; an r whose
+    integrand leaves the float range raises :class:`QuadratureError`."""
     if not case.admissible:
         raise ValueError(
             "inadmissible kappa: need kappa > 2 lambda0 (2/(q-2))^{1/q}")
-    q = case.q
-    logs = np.array([_log_subordination_integral(r, q, case.kappa, case.lambda0)
-                     for r in case.r_values])
+    logs = []
+    for r in case.r_values:
+        try:
+            logs.append(_log_subordination_integral(r, case.q, case.kappa, case.lambda0))
+        except OverflowError as exc:      # kappa^q or lambda^q past the floats
+            raise QuadratureError(f"r = {r:g}: the integrand overflows") from exc
     targets = np.array([case.kappa ** case.p * r ** case.p / case.p
                         for r in case.r_values])
-    return SubordinationResult(case, logs, targets)
+    return SubordinationResult(case, np.array(logs), targets)
 
 
 # ---------------------------------------------------------------------------

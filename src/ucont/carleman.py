@@ -30,8 +30,8 @@ import sympy as sp
 from .coefficients import CoefficientField, SamplingBox, TransversalField, \
     ellipticity_bounds
 from .expressions import T_SYMBOL, const
-from .grids import Grid, SpaceTimeGrid, band_limited_noise, check_resolved, \
-    spectral_gradient
+from .grids import Grid, NumericGuardError, SpaceTimeGrid, \
+    band_limited_noise, check_resolved, spectral_gradient
 from .operators import ConjugatedGridOps, WeightSpec
 
 SMOOTHSTEP_D1_MAX = 15.0 / 8.0
@@ -49,7 +49,7 @@ def smoothstep5_sym(u: sp.Expr) -> sp.Expr:
                         (10 * u ** 3 - 15 * u ** 4 + 6 * u ** 5, True))
 
 
-class SupportError(ValueError):
+class SupportError(NumericGuardError, ValueError):
     """Requested support constraint unsatisfiable or violated on the grid."""
 
 
@@ -232,7 +232,7 @@ def beta_threshold_translated(c0: float, R: float) -> float:
     return c0 * R ** 2
 
 
-class FrontierError(RuntimeError):
+class FrontierError(NumericGuardError):
     """The probe ensemble fixes no admissibility frontier at this R."""
 
 

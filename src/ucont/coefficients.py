@@ -18,14 +18,14 @@ import sympy as sp
 
 from .expressions import X_SYMBOLS, Partials, coeff_is_zero, const, \
     partials, sample
-from .grids import Grid, spectral_derivative
+from .grids import Grid, NumericGuardError, spectral_derivative
 
 
-class EllipticityError(ValueError):
+class EllipticityError(NumericGuardError, ValueError):
     """A sampled coefficient matrix failed positive definiteness."""
 
 
-class GaugeError(ValueError):
+class GaugeError(NumericGuardError, ValueError):
     """Gauge reduction preconditions violated (a11 not bounded below, etc.)."""
 
 

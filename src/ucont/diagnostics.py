@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import DissipationParams, Trajectory, WaveState
-from .grids import Grid, spectral_gradient
+from .grids import Grid, NumericGuardError, spectral_gradient
 
 
-class BoundaryMassError(RuntimeError):
+class BoundaryMassError(NumericGuardError):
     """The weighted integrand is not negligible at the box boundary."""
 
 
@@ -237,7 +237,7 @@ def square_completion_band(kappa: float, beta0: float,
 # annulus mass profile delta(R)
 # ---------------------------------------------------------------------------
 
-class AnnulusResolutionError(RuntimeError):
+class AnnulusResolutionError(NumericGuardError):
     """Fewer than 8 grid cells across an annulus."""
 
 

@@ -17,23 +17,23 @@ dissipative cases.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import CoefficientField
 from .expressions import sample
-from .grids import Grid, _multiplier, check_resolved, l2_norm_sq
+from .grids import Grid, NumericGuardError, _multiplier, check_resolved, l2_norm_sq
 
 
-class BlowUpError(RuntimeError):
+class BlowUpError(NumericGuardError):
     """Trajectory norm grew beyond the configured guard factor."""
 
 
-class StabilityError(RuntimeError):
+class StabilityError(NumericGuardError):
     """Requested step count violates the explicit-stage stability budget."""
 
 
-class NonFiniteFieldError(RuntimeError):
+class NonFiniteFieldError(NumericGuardError):
     """A coefficient entry or the potential is not finite on the grid."""
 
 
@@ -81,7 +81,6 @@ class Trajectory:
     grid: Grid
     times: np.ndarray
     frames: np.ndarray            # (T, *space), complex
-    meta: dict = dc_field(default_factory=dict)
 
     def state(self, i: int) -> WaveState:
         return WaveState(float(self.times[i]), self.frames[i], self.grid)
@@ -321,7 +320,7 @@ def propagate(u0: WaveState, fld: CoefficientField, d: DissipationParams,
             if m0 > 0 and not norm <= blowup_factor * m0:
                 raise BlowUpError(
                     f"norm exceeded {blowup_factor:.0e} x initial at t={times[idx]:.4f}")
-    return Trajectory(grid, times, frames, {"steps": steps})
+    return Trajectory(grid, times, frames)
 
 
 # ---------------------------------------------------------------------------

@@ -34,31 +34,32 @@ import sympy as sp
 from . import __version__
 from .analysis import SubordinationCase, poincare_weighted_check, \
     subordination_ratio
-from .carleman import FrontierError, SupportError, SweepConfig, \
-    carleman_sweep
-from .coefficients import CoefficientField, EllipticityError, GaugeError, \
-    SamplingBox, TransversalField, gauge_reduce, verify_gauge_transport
-from .diagnostics import AnnulusResolutionError, BoundaryMassError, \
-    annulus_mass_profile, derivative_bound_check, logconvexity_check, \
-    weighted_norm
-from .evolution import BlowUpError, DissipationParams, GaussianPacket, \
-    NonFiniteFieldError, StabilityError, WaveState, free_flow_closed_form, \
-    mass, propagate, write_checkpoint
+from .carleman import SweepConfig, carleman_sweep
+from .coefficients import CoefficientField, SamplingBox, TransversalField, \
+    gauge_reduce, verify_gauge_transport
+from .diagnostics import annulus_mass_profile, derivative_bound_check, \
+    logconvexity_check, weighted_norm
+from .evolution import DissipationParams, GaussianPacket, WaveState, \
+    free_flow_closed_form, mass, propagate, write_checkpoint
 from .expressions import ExpressionError, SamplingError, parse_expression
-from .grids import Grid, ResolutionError, band_limited_noise
+from .grids import Grid, NumericGuardError, _is_pow2, band_limited_noise
 from .operators import VARIANTS, WeightSpec, remainder_grouping_report, \
     verify_T_decomposition
 
 # ---------------------------------------------------------------------------
-# the config table: kind -> section -> key -> (accepted, default)
+# the config table: kind -> section -> key -> (accepted, default[, rule])
 # ---------------------------------------------------------------------------
 # ``accepted`` is a type, a tuple of types, or a tuple of valid choices; a
 # ``list`` takes a JSON list of numbers.  A callable default is derived from
-# the rest of the config.  A carleman-sweep without [field] runs on the field
-# its mode implies (see ``carleman_sweep``).
+# the rest of the config.  A range rule ``(predicate, reason)`` holds for a
+# given value, or for each entry of a given list.  A carleman-sweep without
+# [field] runs on the field its mode implies (see ``carleman_sweep``).
 
 _NUM = (int, float)
 _EXPR = (str, int, float)       # parsed by parse_expression
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_POW2 = (lambda n: isinstance(n, int) and _is_pow2(n), "must be a power of two")
+_SCALE = (lambda R: R >= 1, "the weighted-inequality scale requires R >= 1")
 
 
 def _matrix(prefix: str, m: int) -> dict:
@@ -67,15 +68,21 @@ def _matrix(prefix: str, m: int) -> dict:
 
 
 _EXPERIMENT = {"seed": (int, 0), "output": (str, lambda cfg: f"out/{cfg.kind}")}
-_FIELD = {"dimension": (int, 1), "transversal": (bool, False),
+_FIELD = {"dimension": (int, 1, (lambda d: 1 <= d <= 3,
+                                  "fields have 1 to 3 dimensions")),
+          "transversal": (bool, False),
           "potential": (_EXPR, "0"), **_matrix("a", 3), **_matrix("atilde", 2)}
-_GRID = {"extents": (list, [12.0]), "points": (list, [1024])}
+_GRID = {"extents": (list, [12.0], _POSITIVE), "points": (list, [1024], _POW2)}
 _FLOW = {
     "experiment": _EXPERIMENT, "field": _FIELD, "grid": _GRID,
-    "initial": {"s_re": (_NUM, 1.0), "s_im": (_NUM, 0.0), "amplitude": (_NUM, 1.0),
+    "initial": {"s_re": (_NUM, 1.0, _POSITIVE), "s_im": (_NUM, 0.0),
+                "amplitude": (_NUM, 1.0),
                 "center": (list, lambda cfg: [0.0] * cfg.get("field", "dimension"))},
-    "evolution": {"a": (_NUM, 0.0), "b": (_NUM, 1.0), "steps": (int, 1024),
-                  "frames": (int, 65), "t_end": (_NUM, 1.0)}}
+    "evolution": {"a": (_NUM, 0.0, (lambda a: a >= 0, "dissipation requires a >= 0")),
+                  "b": (_NUM, 1.0), "steps": (int, 1024),
+                  "frames": (int, 65, (lambda n: n >= 2, "a trajectory stores "
+                                       "at least 2 frames")),
+                  "t_end": (_NUM, 1.0)}}
 
 _TABLE = {
     "simulate": {**_FLOW, "weight": {"beta": (_NUM, 0.0)}},
@@ -87,30 +94,36 @@ _TABLE = {
                        "interp_C": (_NUM, 1.0 + 1e-6), "d2_floor": (_NUM, -1e-3)}},
     "carleman-sweep": {
         "experiment": _EXPERIMENT, "field": _FIELD,
-        "grid": {**_GRID, "nt": (int, 64)},
+        "grid": {**_GRID, "nt": (int, 64, _POW2)},
         "params": {"mode": (("annulus", "translated"), "annulus"),
-                   "R_values": (list, [1.0, 1.5, 2.0]), "n_samples": (int, 20),
-                   "r0": (_NUM, 1.0), "c0": (_NUM, 4.0),
+                   "R_values": (list, [1.0, 1.5, 2.0], _SCALE),
+                   "n_samples": (int, 20), "r0": (_NUM, 1.0), "c0": (_NUM, 4.0),
                    "space_width": (_NUM, 0.5),
-                   "frontier_R_values": (list, []), "frontier_probes": (int, 8)},
+                   "frontier_R_values": (list, [], _SCALE),
+                   "frontier_probes": (int, 8)},
         "tolerances": {"slack_tol": (_NUM, 1e-6)}},
     "symbolic-verify": {
         "experiment": _EXPERIMENT, "field": _FIELD,
         "weight": {"variant": (VARIANTS, "quadratic"), "alpha": (_NUM, 2),
-                   "beta": (_NUM, None), "R": (_NUM, None)}},  # None: symbolic
+                   "beta": (_NUM, None, (lambda b: b >= 0,
+                                         "the weight requires beta >= 0")),
+                   "R": (_NUM, None, _SCALE)}},  # None: symbolic
     "subordination": {
         "experiment": _EXPERIMENT,
-        "params": {"p": (_NUM, 1.5), "kappa": (_NUM, 10.0), "lambda0": (_NUM, 1.0),
-                   "r_values": (list, [float(r) for r in np.logspace(-1, 1, 20)])},
+        "params": {"p": (_NUM, 1.5, (lambda p: 1 < p < 2, "must lie in (1, 2)")),
+                   "kappa": (_NUM, 10.0, _POSITIVE),
+                   "lambda0": (_NUM, 1.0, _POSITIVE),
+                   "r_values": (list, [float(r) for r in np.logspace(-1, 1, 20)],
+                                _POSITIVE)},
         "tolerances": {"slack_tol": (_NUM, 1.25)}},
     "poincare": {
         "experiment": _EXPERIMENT, "grid": _GRID,
-        "params": {"radii": (list, [0.5, 1.0, 2.0]), "n_fields": (int, 200),
-                   "k_cut": (_NUM, 6.0)},
+        "params": {"radii": (list, [0.5, 1.0, 2.0], _POSITIVE),
+                   "n_fields": (int, 200), "k_cut": (_NUM, 6.0)},
         "tolerances": {"interp_C": (_NUM, 2.0)}},
     "hardy": {
         "experiment": _EXPERIMENT,
-        "params": {"s_values": (list, [1.0, 0.5, 0.1, 0.01])},
+        "params": {"s_values": (list, [1.0, 0.5, 0.1, 0.01], _POSITIVE)},
         "tolerances": {"slack_tol": (_NUM, 1e-8)}},
     "lowerbound-fit": {
         **_FLOW,
@@ -151,6 +164,26 @@ def _expected(accepted) -> str:
     return {int: "an integer", _NUM: "a finite number",
             _EXPR: "a string or a finite number", bool: "true or false",
             str: "a string", list: "a list of finite numbers"}[accepted]
+
+
+def _entry_errors(name: str, entry: tuple, value) -> list[str]:
+    """What the table entry ``(accepted, default[, rule])`` finds wrong with
+    the given ``value`` of key ``name``: its type, its expression or its
+    range rule, checked on each entry of a list."""
+    accepted, _, *rule = entry
+    if not _accepts(accepted, value):
+        return [f"{name} = {value!r}: expected {_expected(accepted)}"]
+    if accepted is _EXPR and isinstance(value, str):
+        try:
+            parse_expression(value)
+        except ExpressionError as exc:
+            return [f"{name}: {exc}"]
+    if not rule:
+        return []
+    holds, reason = rule[0]
+    if isinstance(value, list):
+        return [f"{name} contains {v}: {reason}" for v in value if not holds(v)]
+    return [] if holds(value) else [f"{name} = {value}: {reason}"]
 
 
 class ConfigError(ValueError):
@@ -231,6 +264,7 @@ def validate(text: str) -> ExperimentConfig:
                            f"{', '.join(KINDS)}"])
     table = _TABLE[kind]
     errors: list[str] = []
+    rejected = {}       # (section, key) -> the errors of its given value
     for sec, values in sections.items():
         if sec not in table:
             errors.append(f"section [{sec}] is not read by kind {kind!r}")
@@ -241,100 +275,73 @@ def validate(text: str) -> ExperimentConfig:
             if key not in table[sec]:
                 errors.append(f"key {key!r} in section [{sec}] is not read by "
                               f"kind {kind!r}")
-            elif not _accepts(table[sec][key][0], value):
-                errors.append(f"{sec}.{key} = {value!r}: expected "
-                              f"{_expected(table[sec][key][0])}")
-            elif table[sec][key][0] is _EXPR and isinstance(value, str):
-                try:
-                    parse_expression(value)
-                except ExpressionError as exc:
-                    errors.append(f"{sec}.{key}: {exc}")
+            else:
+                rejected[sec, key] = _entry_errors(f"{sec}.{key}",
+                                                   table[sec][key], value)
+                errors += rejected[sec, key]
 
+    def good(sec: str, *keys: str) -> bool:
+        """The kind reads these keys and their values pass their entries;
+        a cross-key rule is checked only on such values."""
+        return all(key in table.get(sec, {}) and not rejected.get((sec, key))
+                   for key in keys)
     cfg = ExperimentConfig(kind, sections)
     fs = sections.get("field", {})
     dim, transversal = cfg.get("field", "dimension"), cfg.get("field", "transversal")
-    if _accepts(int, dim) and not 1 <= dim <= 3:
-        errors.append(f"field.dimension = {dim}: fields have 1 to 3 dimensions")
-    elif _accepts(int, dim) and _accepts(bool, transversal):
+    if good("field", "dimension", "transversal"):
         shape = f"{'transversal ' if transversal else ''}{dim}-D field"
         errors += [f"key {key!r} in section [field] is not read by a {shape}"
                    for key in sorted((fs.keys() & _FIELD.keys())
                                      - _field_keys(dim, transversal))]
-
-    def numbers(section: str, key: str) -> list:
-        """The numbers in effect for ``key`` (given, else the table default):
-        its value or its list's entries."""
-        val = cfg.get(section, key)
-        return [v for v in (val if isinstance(val, list) else [val])
-                if _accepts(_NUM, v)]
-    scale = "the weighted-inequality scale requires R >= 1"
-    errors += [f"weight.R = {v}: {scale}" for v in numbers("weight", "R") if v < 1]
-    errors += [f"params.{key} contains {v}: {scale}"
-               for key in ("R_values", "frontier_R_values")
-               for v in numbers("params", key) if v < 1]
-    if cfg.get("weight", "variant") == "power":
-        errors += [f"weight.alpha = {v}: the power weight requires alpha > 1"
-                   for v in numbers("weight", "alpha") if v <= 1]
-    if kind == "symbolic-verify":
-        errors += [f"weight.beta = {v}: the weight requires beta >= 0"
-                   for v in numbers("weight", "beta") if v < 0]
-    if "evolution" in table:
-        steps, frames = (cfg.get("evolution", key) for key in ("steps", "frames"))
-        if _accepts(int, frames) and frames < 2:
-            errors.append(f"evolution.frames = {frames}: a trajectory stores "
-                          f"at least 2 frames")
-        elif _accepts(int, steps) and _accepts(int, frames) \
-                and (steps <= 0 or steps % (frames - 1)):
-            errors.append(f"evolution.steps = {steps}: not a positive multiple "
-                          f"of evolution.frames - 1 = {frames - 1}")
+    alpha = cfg.get("weight", "alpha")
+    if good("weight", "variant", "alpha") and alpha <= 1 \
+            and cfg.get("weight", "variant") == "power":
+        errors.append(f"weight.alpha = {alpha}: the power weight requires "
+                      f"alpha > 1")
+    steps, frames = (cfg.get("evolution", key) for key in ("steps", "frames"))
+    if good("evolution", "steps", "frames") and (steps <= 0 or steps % (frames - 1)):
+        errors.append(f"evolution.steps = {steps}: not a positive multiple "
+                      f"of evolution.frames - 1 = {frames - 1}")
     window, t_end = cfg.get("params", "t_window"), cfg.get("evolution", "t_end")
-    if kind == "lowerbound-fit" and _accepts(list, window) and len(window) != 2:
+    if good("params", "t_window") and len(window) != 2:
         errors.append(f"params.t_window = {window}: expected [start, end]")
-    elif kind == "lowerbound-fit" and _accepts(list, window) \
-            and _accepts(_NUM, t_end) and _accepts(int, frames) and frames >= 2:
+    elif good("params", "t_window") and good("evolution", "t_end", "frames"):
         # the frame times, and the slack annulus_mass_profile selects with
         times = np.linspace(0.0, float(t_end), frames)
         inside = np.sum((times >= window[0] - 1e-12) & (times <= window[1] + 1e-12))
         if inside < 2:
             errors.append(f"params.t_window = {window} holds {inside} of the "
                           f"{frames} frame times; the fit needs 2")
-    positive_list = {"poincare": "radii", "hardy": "s_values",
-                     "subordination": "r_values"}.get(kind)
-    if positive_list:
-        errors += [f"params.{positive_list} contains {v}: entries must be positive"
-                   for v in numbers("params", positive_list) if v <= 0]
-    if kind == "subordination":
-        errors += [f"params.{key} = {v}: {key} must be positive"
-                   for key in ("kappa", "lambda0")
-                   for v in numbers("params", key) if v <= 0]
-        errors += [f"params.p = {v}: p must lie in (1, 2)"
-                   for v in numbers("params", "p") if not 1 < v < 2]
+    p, kappa, lambda0 = (cfg.get("params", key) for key in ("p", "kappa", "lambda0"))
+    if good("params", "p", "kappa", "lambda0") \
+            and not SubordinationCase(p, kappa, lambda0, ()).admissible:
+        errors.append(f"params.kappa = {kappa}: inadmissible for p = {p} and "
+                      f"lambda0 = {lambda0}; the subordination needs "
+                      f"kappa > 2 lambda0 (2/(q-2))^(1/q)")
     if sections.get("weight", {}).get("beta_values") == []:
         errors.append("weight.beta_values is empty")
     if kind == "gauge-reduce" and dim != 1 and transversal is not True:
         errors.append(f"field.dimension = {dim}: gauge-reduce takes a 1-D or "
                       f"a transversal field")
     extents, points = cfg.get("grid", "extents"), cfg.get("grid", "points")
-    if _accepts(list, extents) and _accepts(list, points):
-        if len(extents) != len(points):
-            errors.append(f"len(grid.extents) = {len(extents)} differs from "
-                          f"len(grid.points) = {len(points)}")
-        # a carleman-sweep without [field] builds its field from the grid
-        elif _accepts(int, dim) and dim != len(extents) \
-                and (kind != "carleman-sweep" or "field" in sections):
-            errors.append(f"field.dimension = {dim} differs from "
-                          f"len(grid.extents) = {len(extents)}")
-        if kind == "poincare" and extents:
+    if good("grid", "extents", "points") and len(extents) != len(points):
+        errors.append(f"len(grid.extents) = {len(extents)} differs from "
+                      f"len(grid.points) = {len(points)}")
+    # a carleman-sweep without [field] builds its field from the grid
+    elif good("grid", "extents", "points") and good("field", "dimension") \
+            and dim != len(extents) \
+            and (kind != "carleman-sweep" or "field" in sections):
+        errors.append(f"field.dimension = {dim} differs from "
+                      f"len(grid.extents) = {len(extents)}")
+    if good("grid", "extents") and good("params", "radii") and extents:
+        radii, edge = cfg.get("params", "radii"), min(extents)
+        if kind == "poincare":
             errors += [f"params.radii contains {v}: the ball B_2r exceeds "
-                       f"min(grid.extents) / 2 = {min(extents) / 2}"
-                       for v in numbers("params", "radii") if 2 * v > min(extents)]
-        if kind == "lowerbound-fit" and extents:
+                       f"min(grid.extents) / 2 = {edge / 2}"
+                       for v in radii if 2 * v > edge]
+        else:
             errors += [f"params.radii contains {v}: the annulus exceeds "
-                       f"min(grid.extents) = {min(extents)}"
-                       for v in numbers("params", "radii") if v > min(extents)]
-    errors += [f"grid.points entry {n} is not a power of two"
-               for n in numbers("grid", "points")
-               if not (_accepts(int, n) and n >= 2 and (n & (n - 1)) == 0)]
+                       f"min(grid.extents) = {edge}" for v in radii if v > edge]
     if errors:
         raise ConfigError(errors)
     return cfg
@@ -367,6 +374,17 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 # ---------------------------------------------------------------------------
 # runners and their shared builders
 # ---------------------------------------------------------------------------
+
+def _check(ok: bool, tolerance, **values) -> dict:
+    """One asserted check of a report: its status, its tolerance and the
+    values it compared."""
+    return {"status": "pass" if ok else "fail", "tolerance": tolerance, **values}
+
+
+def _guard_failure(exc: Exception) -> dict:
+    """The failed check a guard error leaves: its class and message."""
+    return {"status": "fail", "error": type(exc).__name__, "message": str(exc)}
+
 
 def _build_field(cfg: ExperimentConfig):
     dim = cfg.get("field", "dimension")
@@ -421,17 +439,13 @@ def _run_simulate(cfg: ExperimentConfig, out: Path):
     write_checkpoint(ckpt, traj)
     drift = abs(rows[-1][1] - rows[0][1]) / rows[0][1]
     n_inf = sum(not math.isfinite(H) for *_, H in rows)
-    checks = {"H_finite": {"status": "pass" if n_inf == 0 else "fail",
-                           "non_finite": n_inf, "tolerance": 0}}
+    checks = {"H_finite": _check(n_inf == 0, 0, non_finite=n_inf)}
     if float(cfg.get("evolution", "a")) == 0.0:
-        checks["mass_conservation"] = {
-            "status": "pass" if drift < 1e-7 else "fail",
-            "value": drift, "tolerance": 1e-7}
+        checks["mass_conservation"] = _check(drift < 1e-7, 1e-7, value=drift)
     else:
         mono = all(rows[i + 1][1] <= rows[i][1] * (1 + 1e-12)
                    for i in range(len(rows) - 1))
-        checks["dissipation_monotone"] = {
-            "status": "pass" if mono else "fail", "tolerance": 1e-12}
+        checks["dissipation_monotone"] = _check(mono, 1e-12)
     return checks, {"mass_drift": drift}, [csv_path, ckpt]
 
 
@@ -454,13 +468,11 @@ def _run_convexity(cfg: ExperimentConfig, out: Path):
         write_csv(path, ["t", "H", "logH", "d2logH"], rows)
         artifacts.append(path)
         tag = f"beta={beta}"
-        checks[f"interp_bound[{tag}]"] = {
-            "status": "fail" if tr.violation else "pass",
-            "max_ratio_C1": tr.max_interp_ratio_c1, "C": interp_C,
-            "tolerance": interp_C}
-        checks[f"d2_logH_floor[{tag}]"] = {
-            "status": "pass" if tr.min_d2_logH >= d2_floor else "fail",
-            "min_d2": tr.min_d2_logH, "tolerance": d2_floor}
+        checks[f"interp_bound[{tag}]"] = _check(
+            not tr.violation, interp_C, max_ratio_C1=tr.max_interp_ratio_c1,
+            C=interp_C)
+        checks[f"d2_logH_floor[{tag}]"] = _check(
+            tr.min_d2_logH >= d2_floor, d2_floor, min_d2=tr.min_d2_logH)
         metrics[f"max_interp_ratio_C1[{tag}]"] = tr.max_interp_ratio_c1
         metrics[f"min_d2_logH[{tag}]"] = tr.min_d2_logH
     metrics["M1"] = M1
@@ -484,9 +496,9 @@ def _run_carleman(cfg: ExperimentConfig, out: Path):
               sweep.rows)
     artifacts = [path]
     slack_tol = float(cfg.get("tolerances", "slack_tol"))
-    checks = {"inequality_at_threshold": {
-        "status": "pass" if sweep.min_slack >= 1 - slack_tol else "fail",
-        "min_slack": sweep.min_slack, "tolerance": 1 - slack_tol}}
+    checks = {"inequality_at_threshold": _check(
+        sweep.min_slack >= 1 - slack_tol, 1 - slack_tol,
+        min_slack=sweep.min_slack)}
     metrics = {"min_slack": sweep.min_slack, "n_failures": len(sweep.failures)}
     if sweep.frontier_R is not None:
         rows = list(zip(sweep.frontier_R, sweep.frontier_beta))
@@ -516,20 +528,18 @@ def _run_symbolic(cfg: ExperimentConfig, out: Path):
             for label in sorted(rep.residual_max)]
     path = out / "residuals.csv"
     write_csv(path, ["grade", "residual_max", "residual_expr"], rows)
-    checks = {"t_decomposition": {
-        "status": "pass" if rep.identically_zero else "fail",
-        "residuals": rep.residual_max, "tolerance": 0.0}}
-    checks["order_collapse"] = {
-        "status": "pass" if rep.commutator_spatial_order <= 2 else "fail",
-        "order": rep.commutator_spatial_order, "tolerance": 2}
+    checks = {
+        "t_decomposition": _check(rep.identically_zero, 0.0,
+                                  residuals=rep.residual_max),
+        "order_collapse": _check(rep.commutator_spatial_order <= 2, 2,
+                                 order=rep.commutator_spatial_order)}
     metrics = {"residual_max": rep.residual_max}
     try:
         metrics.update(remainder_grouping_report(
             base, WeightSpec(variant, 1.0, alpha=alpha, R=2.0),
             SamplingBox.cube(base.dim, 4.0, 9)))
     except SamplingError as exc:
-        checks["remainder_grouping"] = {"status": "fail", "error": "SamplingError",
-                                        "message": str(exc)}
+        checks["remainder_grouping"] = _guard_failure(exc)
     return checks, metrics, [path]
 
 
@@ -547,12 +557,9 @@ def _run_subordination(cfg: ExperimentConfig, out: Path):
                      "log_target", "ratio"], rows)
     band_limit = float(cfg.get("tolerances", "slack_tol"))
     mono = bool(np.all(np.diff(res.log_integrals) > 0))
-    checks = {
-        "ratio_band": {"status": "pass" if res.band < band_limit else "fail",
-                       "band": res.band, "tolerance": band_limit},
-        "integral_monotone": {"status": "pass" if mono else "fail",
-                              "tolerance": 0.0},
-    }
+    checks = {"ratio_band": _check(res.band < band_limit, band_limit,
+                                   band=res.band),
+              "integral_monotone": _check(mono, 0.0)}
     return checks, {"band": res.band, "ratio_min": float(res.ratios.min()),
                     "ratio_max": float(res.ratios.max())}, [path]
 
@@ -572,8 +579,7 @@ def _run_poincare(cfg: ExperimentConfig, out: Path):
     path = out / "poincare.csv"
     write_csv(path, ["r", "lhs", "rhs_grad", "rhs_moment", "ratio"], rows)
     cn = float(cfg.get("tolerances", "interp_C"))
-    checks = {"ratio_below_C": {"status": "pass" if worst < cn else "fail",
-                                "worst": worst, "tolerance": cn}}
+    checks = {"ratio_below_C": _check(worst < cn, cn, worst=worst)}
     return checks, {"worst_ratio": worst}, [path]
 
 
@@ -595,14 +601,9 @@ def _run_hardy(cfg: ExperimentConfig, out: Path):
     below = all(ab <= 1.0 / 16.0 + 1e-15 for ab, _ in prods)
     mono = all(prods[i][0] < prods[i + 1][0] for i in range(len(prods) - 1)
                if s_values[i] > s_values[i + 1])
-    checks = {
-        "product_matches_oracle": {"status": "pass" if agree else "fail",
-                                   "tolerance": tol},
-        "below_threshold": {"status": "pass" if below else "fail",
-                            "tolerance": 1.0 / 16.0},
-        "monotone_approach": {"status": "pass" if mono else "fail",
-                              "tolerance": 0.0},
-    }
+    checks = {"product_matches_oracle": _check(agree, tol),
+              "below_threshold": _check(below, 1.0 / 16.0),
+              "monotone_approach": _check(mono, 0.0)}
     return checks, {"products": [p for p, _ in prods]}, [path]
 
 
@@ -618,11 +619,9 @@ def _run_lowerbound(cfg: ExperimentConfig, out: Path):
     write_csv(path, ["R", "delta", "logdelta"], rows)
     res_tol = float(cfg.get("tolerances", "slack_tol"))
     ok = prof.preferred_p == 2 and prof.fits[2]["rel_residual"] < res_tol
-    checks = {"quadratic_fit_preferred": {
-        "status": "pass" if ok else "fail",
-        "preferred_p": prof.preferred_p,
-        "rel_residual": prof.fits.get(2, {}).get("rel_residual"),
-        "tolerance": res_tol}}
+    checks = {"quadratic_fit_preferred": _check(
+        ok, res_tol, preferred_p=prof.preferred_p,
+        rel_residual=prof.fits.get(2, {}).get("rel_residual"))}
     if not prof.hypothesis_met:
         checks["core_mass_hypothesis"] = {"status": "exploratory",
                                           "label": prof.label, "tolerance": 0.0}
@@ -645,18 +644,10 @@ def _run_gauge(cfg: ExperimentConfig, out: Path):
                                  seed=cfg.seed)
     tol = float(cfg.get("tolerances", "slack_tol"))
     mono = bool(np.all(np.diff(gr.y1_grid) > 0))
-    checks = {
-        "transport_identity": {"status": "pass" if err < tol else "fail",
-                               "max_rel_err": err, "tolerance": tol},
-        "map_monotone": {"status": "pass" if mono else "fail", "tolerance": 0.0},
-    }
+    checks = {"transport_identity": _check(err < tol, tol, max_rel_err=err),
+              "map_monotone": _check(mono, 0.0)}
     return checks, {"transport_max_rel_err": err}, [path]
 
-
-# numeric guards that end a run: recorded as one failed check, not raised
-_GUARD_ERRORS = (FrontierError, ResolutionError, SupportError, StabilityError,
-                 BlowUpError, NonFiniteFieldError, BoundaryMassError,
-                 AnnulusResolutionError, EllipticityError, GaugeError)
 
 _RUNNERS = {
     "simulate": _run_simulate,
@@ -680,11 +671,8 @@ def run(cfg: ExperimentConfig) -> ExperimentReport:
     t0 = time.perf_counter()
     try:
         checks, metrics, artifacts = _RUNNERS[cfg.kind](cfg, out)
-    except _GUARD_ERRORS as exc:
-        checks = {"numeric_guard": {"status": "fail",
-                                    "error": type(exc).__name__,
-                                    "message": str(exc)}}
-        metrics, artifacts = {}, []
+    except NumericGuardError as exc:
+        checks, metrics, artifacts = {"numeric_guard": _guard_failure(exc)}, {}, []
     wall = time.perf_counter() - t0
     report = ExperimentReport(
         config={"kind": cfg.kind, "seed": cfg.seed, "output": str(cfg.output),

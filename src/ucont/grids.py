@@ -16,7 +16,12 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 
-class ResolutionError(RuntimeError):
+class NumericGuardError(RuntimeError):
+    """A numeric guard stopped a computation whose result would be unsound;
+    ``experiments.run`` records it as one failed ``numeric_guard`` check."""
+
+
+class ResolutionError(NumericGuardError):
     """Spectral tail of a field exceeds the resolution budget."""
 
 

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ucont.analysis import (SubordinationCase, poincare_weighted_check,
-                            subordination_ratio)
+from ucont.analysis import (QuadratureError, SubordinationCase,
+                            poincare_weighted_check, subordination_ratio)
 from ucont.grids import Grid, band_limited_noise
 
 # high-precision pins (50-digit quadrature, computed before the build)
@@ -31,6 +31,15 @@ def test_inadmissible_kappa_rejected():
     assert not case.admissible
     with pytest.raises(ValueError, match="inadmissible"):
         subordination_ratio(case)
+
+
+def test_integrand_overflow_is_a_quadrature_error_naming_r():
+    # q = 101: kappa^q is 1e303 and lambda^q leaves the float range
+    rs = tuple(10.0 ** k for k in range(-3, 4))
+    with pytest.raises(QuadratureError, match="r = 0.001: the integrand "
+                                              "overflows") as err:
+        subordination_ratio(SubordinationCase(1.01, 1000.0, 1.0, rs))
+    assert isinstance(err.value.__cause__, OverflowError)
 
 
 def test_parameter_validation():

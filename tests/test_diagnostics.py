@@ -94,7 +94,7 @@ def test_logconvexity_free_flow_matches_closed_form(identity_field_1d,
 def test_logconvexity_stationary_trace(line_grid, unit_packet):
     vals = unit_packet.sample(line_grid)
     frames = np.stack([vals] * 9)
-    traj = Trajectory(line_grid, np.linspace(0, 1, 9), frames, {"a": 0, "b": 1})
+    traj = Trajectory(line_grid, np.linspace(0, 1, 9), frames)
     tr = logconvexity_check(traj, 0.05, 0.0)
     assert np.allclose(np.diff(np.log(tr.H)), 0.0, atol=1e-13)
     assert abs(tr.min_d2_logH) < 1e-9
@@ -104,7 +104,7 @@ def test_logconvexity_stationary_trace(line_grid, unit_packet):
 def test_logconvexity_vacuous_zero_endpoint(line_grid, unit_packet):
     vals = unit_packet.sample(line_grid)
     frames = np.stack([np.zeros_like(vals), vals, vals])
-    traj = Trajectory(line_grid, np.linspace(0, 1, 3), frames, {})
+    traj = Trajectory(line_grid, np.linspace(0, 1, 3), frames)
     tr = logconvexity_check(traj, 0.05, 0.0)
     assert tr.vacuous and not tr.violation
 
@@ -217,7 +217,7 @@ def test_annulus_profile_compact_support_zero(line_grid):
                         np.exp(1.0 - 1.0 / np.maximum(1.0 - x ** 2, 1e-300)),
                         0.0)
     frames = np.stack([vals.astype(complex)] * 5)
-    traj = Trajectory(line_grid, np.linspace(0, 1, 5), frames, {})
+    traj = Trajectory(line_grid, np.linspace(0, 1, 5), frames)
     prof = annulus_mass_profile(traj, [3.0, 5.0, 7.0])
     assert np.all(prof.deltas < 1e-9)
 
@@ -248,7 +248,7 @@ def test_annulus_e2_gate(identity_field_1d, unit_packet):
 def test_annulus_resolution_guard(unit_packet):
     g = Grid((18.0,), (64,))
     u0 = unit_packet.sample(g)
-    traj = Trajectory(g, np.linspace(0, 1, 5), np.stack([u0] * 5), {})
+    traj = Trajectory(g, np.linspace(0, 1, 5), np.stack([u0] * 5))
     with pytest.raises(AnnulusResolutionError):
         annulus_mass_profile(traj, [3.0])
 

@@ -1,14 +1,18 @@
 import csv
+import importlib
 import json
 import math
+import pkgutil
 from pathlib import Path
 
 import pytest
 
+import ucont
 from ucont import experiments
 from ucont.cli import main as cli_main
 from ucont.experiments import KINDS, ConfigError, ExperimentConfig, \
     load_config, run, validate
+from ucont.grids import NumericGuardError
 
 CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.cfg"))
 
@@ -441,6 +445,38 @@ points = [256]
 [params]
 radii = [2.0, 5.0]
 """, ["params.radii contains 5.0", "min(grid.extents) = 4.0"]),
+    "poincare-extent-negative": ("""
+[experiment]
+kind = poincare
+[grid]
+extents = [-4.0, 4.0]
+points = [64, 64]
+""", ["grid.extents contains -4.0", "positive"]),
+    "simulate-s_re-zero": ("""
+[experiment]
+kind = simulate
+[initial]
+s_re = 0.0
+""", ["initial.s_re = 0.0", "positive"]),
+    "simulate-a-negative": ("""
+[experiment]
+kind = simulate
+[evolution]
+a = -1.0
+""", ["evolution.a = -1.0", "a >= 0"]),
+    "carleman-nt-not-pow2": ("""
+[experiment]
+kind = carleman-sweep
+[grid]
+nt = 48
+""", ["grid.nt = 48", "power of two"]),
+    # q = 3: kappa must exceed 2 lambda0 2^(1/3) = 2.52
+    "subordination-kappa-inadmissible": ("""
+[experiment]
+kind = subordination
+[params]
+kappa = 1.0
+""", ["params.kappa = 1.0", "inadmissible"]),
     # the frame times are i/16: the window [0.5, 0.5] holds only t = 0.5
     "lowerbound-fit-window-one-frame": ("""
 [experiment]
@@ -594,6 +630,49 @@ def test_field_and_diagnostics_guards_are_failed_checks(error, tmp_path):
     assert list(payload["checks"]) == ["numeric_guard"]
     guard = payload["checks"]["numeric_guard"]
     assert guard["status"] == "fail" and guard["error"] == error
+    assert phrase in guard["message"]
+
+
+# ucont's exception classes that are not numeric guards: a run raises them
+NON_GUARD_ERRORS = {"ConfigError", "ExpressionError", "SamplingError",
+                    "CheckpointError", "ThreadCountError", "OrderOverflowError"}
+
+
+def test_every_error_class_is_a_guard_or_listed():
+    """A numeric guard ends a run as a failed check through its base class,
+    so each new exception class must subclass it or be listed above."""
+    defined = {}
+    for info in pkgutil.iter_modules(ucont.__path__):
+        module = importlib.import_module(f"ucont.{info.name}")
+        defined.update({name: cls for name, cls in vars(module).items()
+                        if isinstance(cls, type) and issubclass(cls, Exception)
+                        and cls.__module__ == module.__name__})
+    guards = {name for name, cls in defined.items()
+              if issubclass(cls, NumericGuardError)}
+    assert set(defined) - guards == NON_GUARD_ERRORS
+    assert {"QuadratureError", "ResolutionError", "NonFiniteFieldError"} <= guards
+    assert all(issubclass(defined[name], ValueError)
+               for name in ("SupportError", "EllipticityError", "GaugeError"))
+
+
+# r_values = 1e-3 ... 1e3; at q = 11 the quadrature does not converge, at
+# q = 101 the integrand overflows
+@pytest.mark.parametrize("params,phrase", [
+    ("p = 1.1\nkappa = 0.01\nlambda0 = 0.001",
+     "r = 0.001: quadrature did not converge"),
+    ("p = 1.01\nkappa = 1000\nlambda0 = 1.0",
+     "r = 0.001: the integrand overflows")], ids=["converge", "overflow"])
+def test_subordination_quadrature_error_is_a_failed_check(params, phrase,
+                                                          tmp_path):
+    path = tmp_path / "c.cfg"
+    path.write_text("[experiment]\nkind = subordination\n"
+                    f"output = {tmp_path / 'o'}\n[params]\n{params}\n"
+                    "r_values = [1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1000.0]\n")
+    assert cli_main(["run", str(path)]) == 1
+    payload = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert list(payload["checks"]) == ["numeric_guard"]
+    guard = payload["checks"]["numeric_guard"]
+    assert guard["status"] == "fail" and guard["error"] == "QuadratureError"
     assert phrase in guard["message"]
 
 
