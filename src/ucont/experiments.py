@@ -52,14 +52,17 @@ from .operators import VARIANTS, WeightSpec, remainder_grouping_report, \
 # ``accepted`` is a type, a tuple of types, or a tuple of valid choices; a
 # ``list`` takes a JSON list of numbers.  A callable default is derived from
 # the rest of the config.  A range rule ``(predicate, reason)`` holds for a
-# given value, or for each entry of a given list.  A carleman-sweep without
-# [field] runs on the field its mode implies (see ``carleman_sweep``).
+# given value, or for each entry of a given list; a list rule
+# ``(predicate, reason, list)`` holds for a given list as a whole.  A
+# carleman-sweep without [field] runs on the field its mode implies (see
+# ``carleman_sweep``).
 
 _NUM = (int, float)
 _EXPR = (str, int, float)       # parsed by parse_expression
 _POSITIVE = (lambda v: v > 0, "must be positive")
 _POW2 = (lambda n: isinstance(n, int) and _is_pow2(n), "must be a power of two")
 _SCALE = (lambda R: R >= 1, "the weighted-inequality scale requires R >= 1")
+_NONEMPTY = (bool, "must not be empty", list)
 
 
 def _matrix(prefix: str, m: int) -> dict:
@@ -72,7 +75,9 @@ _FIELD = {"dimension": (int, 1, (lambda d: 1 <= d <= 3,
                                   "fields have 1 to 3 dimensions")),
           "transversal": (bool, False),
           "potential": (_EXPR, "0"), **_matrix("a", 3), **_matrix("atilde", 2)}
-_GRID = {"extents": (list, [12.0], _POSITIVE), "points": (list, [1024], _POW2)}
+_AXES = (lambda v: 1 <= len(v) <= 3, "a grid has 1 to 3 axes", list)
+_GRID = {"extents": (list, [12.0], _POSITIVE, _AXES),
+         "points": (list, [1024], _POW2, _AXES)}
 _FLOW = {
     "experiment": _EXPERIMENT, "field": _FIELD, "grid": _GRID,
     "initial": {"s_re": (_NUM, 1.0, _POSITIVE), "s_im": (_NUM, 0.0),
@@ -89,15 +94,17 @@ _TABLE = {
     "convexity": {
         **_FLOW,
         "weight": {"beta": (_NUM, 0.1),
-                   "beta_values": (list, lambda cfg: [cfg.get("weight", "beta")])},
+                   "beta_values": (list, lambda cfg: [cfg.get("weight", "beta")],
+                                   _NONEMPTY)},
         "tolerances": {"boundary_budget": (_NUM, 1e-12),
                        "interp_C": (_NUM, 1.0 + 1e-6), "d2_floor": (_NUM, -1e-3)}},
     "carleman-sweep": {
         "experiment": _EXPERIMENT, "field": _FIELD,
         "grid": {**_GRID, "nt": (int, 64, _POW2)},
         "params": {"mode": (("annulus", "translated"), "annulus"),
-                   "R_values": (list, [1.0, 1.5, 2.0], _SCALE),
-                   "n_samples": (int, 20), "r0": (_NUM, 1.0), "c0": (_NUM, 4.0),
+                   "R_values": (list, [1.0, 1.5, 2.0], _SCALE, _NONEMPTY),
+                   "n_samples": (int, 20, _POSITIVE), "r0": (_NUM, 1.0),
+                   "c0": (_NUM, 4.0),
                    "space_width": (_NUM, 0.5),
                    "frontier_R_values": (list, [], _SCALE),
                    "frontier_probes": (int, 8)},
@@ -114,16 +121,17 @@ _TABLE = {
                    "kappa": (_NUM, 10.0, _POSITIVE),
                    "lambda0": (_NUM, 1.0, _POSITIVE),
                    "r_values": (list, [float(r) for r in np.logspace(-1, 1, 20)],
-                                _POSITIVE)},
+                                _POSITIVE, _NONEMPTY)},
         "tolerances": {"slack_tol": (_NUM, 1.25)}},
     "poincare": {
         "experiment": _EXPERIMENT, "grid": _GRID,
-        "params": {"radii": (list, [0.5, 1.0, 2.0], _POSITIVE),
-                   "n_fields": (int, 200), "k_cut": (_NUM, 6.0)},
+        "params": {"radii": (list, [0.5, 1.0, 2.0], _POSITIVE, _NONEMPTY),
+                   "n_fields": (int, 200, _POSITIVE), "k_cut": (_NUM, 6.0)},
         "tolerances": {"interp_C": (_NUM, 2.0)}},
     "hardy": {
         "experiment": _EXPERIMENT,
-        "params": {"s_values": (list, [1.0, 0.5, 0.1, 0.01], _POSITIVE)},
+        "params": {"s_values": (list, [1.0, 0.5, 0.1, 0.01], _POSITIVE,
+                                _NONEMPTY)},
         "tolerances": {"slack_tol": (_NUM, 1e-8)}},
     "lowerbound-fit": {
         **_FLOW,
@@ -133,7 +141,11 @@ _TABLE = {
         "tolerances": {"slack_tol": (_NUM, 0.05)}},
     "gauge-reduce": {
         "experiment": _EXPERIMENT, "field": _FIELD,
-        "params": {"x1_range": (list, [-10.0, 10.0]), "npts": (int, 4001),
+        "params": {"x1_range": (list, [-10.0, 10.0], (
+                       lambda v: len(v) == 2 and v[0] < v[1],
+                       "expected [start, end] with start < end", list)),
+                   "npts": (int, 4001, (lambda n: n >= 2,
+                                        "the map needs at least 2 points")),
                    "n_tests": (int, 10)},
         "tolerances": {"slack_tol": (_NUM, 1e-6)}},
 }
@@ -167,10 +179,10 @@ def _expected(accepted) -> str:
 
 
 def _entry_errors(name: str, entry: tuple, value) -> list[str]:
-    """What the table entry ``(accepted, default[, rule])`` finds wrong with
+    """What the table entry ``(accepted, default, *rules)`` finds wrong with
     the given ``value`` of key ``name``: its type, its expression or its
-    range rule, checked on each entry of a list."""
-    accepted, _, *rule = entry
+    rules, a range rule checked on each entry of a list."""
+    accepted, _, *rules = entry
     if not _accepts(accepted, value):
         return [f"{name} = {value!r}: expected {_expected(accepted)}"]
     if accepted is _EXPR and isinstance(value, str):
@@ -178,12 +190,13 @@ def _entry_errors(name: str, entry: tuple, value) -> list[str]:
             parse_expression(value)
         except ExpressionError as exc:
             return [f"{name}: {exc}"]
-    if not rule:
-        return []
-    holds, reason = rule[0]
-    if isinstance(value, list):
-        return [f"{name} contains {v}: {reason}" for v in value if not holds(v)]
-    return [] if holds(value) else [f"{name} = {value}: {reason}"]
+    errors = []
+    for holds, reason, *whole in rules:
+        if isinstance(value, list) and not whole:
+            errors += [f"{name} contains {v}: {reason}" for v in value if not holds(v)]
+        elif not holds(value):
+            errors.append(f"{name} = {value}: {reason}")
+    return errors
 
 
 class ConfigError(ValueError):
@@ -318,8 +331,14 @@ def validate(text: str) -> ExperimentConfig:
         errors.append(f"params.kappa = {kappa}: inadmissible for p = {p} and "
                       f"lambda0 = {lambda0}; the subordination needs "
                       f"kappa > 2 lambda0 (2/(q-2))^(1/q)")
-    if sections.get("weight", {}).get("beta_values") == []:
-        errors.append("weight.beta_values is empty")
+    a, b = cfg.get("evolution", "a"), cfg.get("evolution", "b")
+    if good("evolution", "a", "b") and a == b == 0:
+        errors.append("evolution.a = evolution.b = 0: the flow needs "
+                      "a^2 + b^2 > 0")
+    if good("initial", "center") and good("field", "dimension") \
+            and len(cfg.get("initial", "center")) != dim:
+        errors.append(f"initial.center = {cfg.get('initial', 'center')}: "
+                      f"needs one entry per field dimension ({dim})")
     if kind == "gauge-reduce" and dim != 1 and transversal is not True:
         errors.append(f"field.dimension = {dim}: gauge-reduce takes a 1-D or "
                       f"a transversal field")

@@ -493,6 +493,113 @@ kind = lowerbound-fit
 [params]
 t_window = [0.125, 0.5, 0.875]
 """, ["params.t_window = [0.125, 0.5, 0.875]", "expected [start, end]"]),
+    # checks that would pass on no data
+    "carleman-R-values-empty": ("""
+[experiment]
+kind = carleman-sweep
+[grid]
+extents = [8.0]
+points = [256]
+nt = 32
+[params]
+R_values = []
+""", ["params.R_values = []", "must not be empty"]),
+    "carleman-n_samples-zero": ("""
+[experiment]
+kind = carleman-sweep
+[grid]
+extents = [8.0]
+points = [256]
+nt = 32
+[params]
+R_values = [1.0]
+n_samples = 0
+""", ["params.n_samples = 0", "positive"]),
+    "hardy-s-values-empty": ("""
+[experiment]
+kind = hardy
+[params]
+s_values = []
+""", ["params.s_values = []", "must not be empty"]),
+    "poincare-n_fields-zero": ("""
+[experiment]
+kind = poincare
+[grid]
+extents = [4.0, 4.0]
+points = [32, 32]
+[params]
+n_fields = 0
+""", ["params.n_fields = 0", "positive"]),
+    "poincare-radii-empty": ("""
+[experiment]
+kind = poincare
+[grid]
+extents = [4.0, 4.0]
+points = [32, 32]
+[params]
+radii = []
+n_fields = 2
+""", ["params.radii = []", "must not be empty"]),
+    "subordination-r-values-empty": ("""
+[experiment]
+kind = subordination
+[params]
+r_values = []
+""", ["params.r_values = []", "must not be empty"]),
+    # values the runners cannot use
+    "gauge-x1-range-one-entry": ("""
+[experiment]
+kind = gauge-reduce
+[field]
+dimension = 1
+transversal = true
+a11 = 1 + 0.5*exp(-x1^2)
+[params]
+x1_range = [10.0]
+npts = 401
+""", ["params.x1_range = [10.0]", "[start, end]"]),
+    "gauge-npts-one": ("""
+[experiment]
+kind = gauge-reduce
+[field]
+dimension = 1
+transversal = true
+a11 = 1 + 0.5*exp(-x1^2)
+[params]
+npts = 1
+""", ["params.npts = 1", "at least 2"]),
+    "poincare-grid-without-axes": ("""
+[experiment]
+kind = poincare
+[grid]
+extents = []
+points = []
+""", ["grid.extents = []", "grid.points = []", "1 to 3 axes"]),
+    "simulate-a-b-zero": ("""
+[experiment]
+kind = simulate
+[grid]
+extents = [12.0]
+points = [256]
+[evolution]
+a = 0.0
+b = 0.0
+steps = 32
+frames = 5
+""", ["evolution.a = evolution.b = 0", "a^2 + b^2"]),
+    # a 1-D packet has no centre (0, 1)
+    "simulate-center-longer-than-field": ("""
+[experiment]
+kind = simulate
+[grid]
+extents = [12.0]
+points = [256]
+[initial]
+center = [0.0, 1.0]
+[evolution]
+steps = 32
+frames = 5
+""", ["initial.center = [0.0, 1.0]", "one entry per field dimension (1)"]),
 }
 
 

@@ -8,15 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from ucont.carleman import CutoffSpec
 from ucont.coefficients import CoefficientField, SamplingBox, TransversalField
-from ucont.expressions import T_SYMBOL, X_SYMBOLS, const, parse_expression, \
-    sample
+from ucont.expressions import T_SYMBOL, X_SYMBOLS, coeff_is_zero, const, \
+    parse_expression, sample
 from ucont.grids import Grid, SpaceTimeGrid, band_limited_noise, l2_inner, \
     l2_norm_sq
-from ucont.operators import (ConjugatedGridOps, DiffOperator, WeightSpec,
-                             commutator, conjugate_decompose,
-                             conjugated_operator, operators_equal,
-                             remainder_grouping_report, t_decomposition_terms,
-                             verify_T_decomposition)
+from ucont.operators import (ConjugatedGridOps, DiffOperator,
+                             OrderOverflowError, WeightSpec, commutator,
+                             conjugate_decompose, conjugated_operator,
+                             operators_equal, remainder_grouping_report,
+                             t_decomposition_terms, verify_T_decomposition)
 
 pe = parse_expression
 BETA = sp.Symbol("beta", positive=True)
@@ -154,13 +154,56 @@ def test_commutator_antisymmetry_and_bilinearity():
     assert operators_equal(both, lhs.scale(2))
 
 
+def assert_commutator_is_product_difference(p, q, comm):
+    """``comm`` has the key set of p q - q p expanded from the full
+    products, with equal coefficients; returns that difference."""
+    full = p.compose(q) - q.compose(p)
+    assert comm.terms.keys() == full.terms.keys()
+    assert all(coeff_is_zero(comm.terms[k] - full.terms[k]) for k in full.terms)
+    return full
+
+
 def test_order_collapse_for_conjugate_pairs():
     for fld, w in [(full_sym_field(), WeightSpec("quadratic", BETA)),
                    (CoefficientField.identity(3),
                     WeightSpec("translated", BETA, R=RSYM))]:
         s_op, a_op = conjugate_decompose(fld, w)
         comm = commutator(s_op, a_op, max_spatial_order=2)
-        assert comm.spatial_order() <= 2
+        full = assert_commutator_is_product_difference(s_op, a_op, comm)
+        # the order-3 and order-4 products of S A and A S cancel
+        assert full.prune_zeros().spatial_order() <= 2
+
+
+@st.composite
+def small_operators(draw, dim):
+    """Up to three terms of time order <= 1 and spatial order <= 2 whose
+    coefficients are polynomials and exponentials in t and x."""
+    x1, x2, t = X_SYMBOLS[0], X_SYMBOLS[dim - 1], T_SYMBOL
+    coefficients = st.sampled_from([
+        sp.Integer(1), sp.Integer(-3), x1, x2 ** 2, x1 * x2, t * x1, t ** 2,
+        sp.exp(-x1 ** 2), sp.exp(t) * x2, sp.Rational(1, 2) + sp.exp(-x1 * x2)])
+    keys = st.tuples(st.integers(0, 1), st.tuples(
+        *[st.integers(0, 2)] * dim).filter(lambda al: sum(al) <= 2))
+    return DiffOperator.build(dim, draw(st.dictionaries(keys, coefficients,
+                                                        max_size=3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 2).flatmap(
+    lambda dim: st.tuples(small_operators(dim), small_operators(dim))))
+def test_commutator_matches_full_products(pq):
+    p, q = pq
+    assert_commutator_is_product_difference(p, q, commutator(p, q))
+
+
+def test_order_overflow_raises_only_when_bounded():
+    # [x1 dx1^2, dx1^2] = -2 dx1^3
+    x1 = X_SYMBOLS[0]
+    p = DiffOperator.build(1, {(0, (2,)): x1})
+    q = DiffOperator.build(1, {(0, (2,)): sp.Integer(1)})
+    with pytest.raises(OrderOverflowError, match="spatial order > 2"):
+        commutator(p, q, max_spatial_order=2)
+    assert commutator(p, q).terms == {(0, (3,)): -2}
 
 
 # ---------------------------------------------------------------------------
