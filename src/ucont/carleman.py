@@ -25,11 +25,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import sympy as sp
 
 from .coefficients import CoefficientField, SamplingBox, TransversalField, \
     ellipticity_bounds
-from .expressions import T_SYMBOL, const
+from .expressions import const
 from .grids import Grid, NumericGuardError, SpaceTimeGrid, \
     band_limited_noise, check_resolved, spectral_gradient
 from .operators import ConjugatedGridOps, WeightSpec
@@ -44,9 +43,10 @@ def smoothstep5(u: np.ndarray) -> np.ndarray:
     return u * u * u * (10.0 + u * (-15.0 + 6.0 * u))
 
 
-def smoothstep5_sym(u: sp.Expr) -> sp.Expr:
-    return sp.Piecewise((0, u <= 0), (1, u >= 1),
-                        (10 * u ** 3 - 15 * u ** 4 + 6 * u ** 5, True))
+def smoothstep5_slope(u: np.ndarray) -> np.ndarray:
+    """Derivative of :func:`smoothstep5`: 30 u^2 (1 - u)^2 on [0, 1]."""
+    u = np.clip(u, 0.0, 1.0)
+    return 30.0 * u * u * (1.0 - u) ** 2
 
 
 class SupportError(NumericGuardError, ValueError):
@@ -85,15 +85,16 @@ class CutoffSpec:
     def profile_d2_max(self) -> float:
         return PROFILE_HEIGHT * SMOOTHSTEP_D2_MAX / _EDGE_WIDTH ** 2
 
-    def profile_expression(self) -> sp.Expr:
-        t = T_SYMBOL
-        k = PROFILE_KNOTS
-        rise = smoothstep5_sym((t - k[0]) / (k[1] - k[0]))
-        fall = smoothstep5_sym((k[3] - t) / (k[3] - k[2]))
-        return PROFILE_HEIGHT * rise * fall
-
     def profile_values(self, t: np.ndarray) -> np.ndarray:
         return PROFILE_HEIGHT * self.time_window(t)
+
+    def profile_slope(self, t: np.ndarray) -> np.ndarray:
+        """d/dt of :meth:`profile_values`."""
+        k = PROFILE_KNOTS
+        w1, w2 = k[1] - k[0], k[3] - k[2]
+        u1, u2 = (t - k[0]) / w1, (k[3] - t) / w2
+        return PROFILE_HEIGHT * (smoothstep5_slope(u1) / w1 * smoothstep5(u2)
+                                 - smoothstep5(u1) * smoothstep5_slope(u2) / w2)
 
     def time_window(self, t: np.ndarray) -> np.ndarray:
         """[0,1]-valued window supported exactly on the outer knots."""
@@ -262,8 +263,9 @@ def _unit_ops(fld: CoefficientField, cutoff: CutoffSpec, mode: str,
     """The mode's conjugated split at unit weight scale (phi = psi)."""
     variant = "translated" if mode == "translated" else "scaled-time"
     return ConjugatedGridOps.build(
-        fld, WeightSpec(variant, 1, R=float(cutoff.R),
-                        profile=cutoff.profile_expression()), st)
+        fld, WeightSpec(variant, 1, R=float(cutoff.R)), st,
+        profile=(cutoff.profile_values(st.times),
+                 cutoff.profile_slope(st.times)))
 
 
 def _beta_forms(f: TestField, ops: ConjugatedGridOps,

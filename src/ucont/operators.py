@@ -190,6 +190,7 @@ def commutator(s: DiffOperator, a: DiffOperator,
 
 VARIANTS = ("quadratic", "power", "scaled-time", "translated")
 _NUMBER = (int, float, sp.Number)
+PROFILE = sp.Function("vp")(T_SYMBOL)
 
 
 @dataclass(frozen=True)
@@ -201,16 +202,15 @@ class WeightSpec:
     variant 'scaled-time': phi = beta (|x/R|^2 + profile(t))
     variant 'translated':  phi = beta |x/R + profile(t) e1|^2
 
-    ``profile=None`` on the time-dependent variants stands for a generic
-    smooth profile symbol, used by the symbolic identity checks; numeric
-    work requires a concrete compactly supported profile.
+    profile(t) is always the abstract ``vp(t)`` (:data:`PROFILE`): the
+    symbolic identity checks keep it generic, and
+    :meth:`ConjugatedGridOps.build` takes the samples of a concrete profile.
     """
 
     variant: str
     beta: float | sp.Expr
     alpha: float | sp.Expr = 1
     R: float | sp.Expr = 1
-    profile: sp.Expr | None = None
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -232,10 +232,9 @@ class WeightSpec:
         if self.variant == "power":
             return beta * r2 ** sp.sympify(self.alpha)
         R = sp.sympify(self.R)
-        vp = sp.Function("vp")(T_SYMBOL) if self.profile is None else self.profile
         if self.variant == "scaled-time":
-            return beta * (r2 / R ** 2 + vp)
-        shifted = (xs[0] / R + vp) ** 2 \
+            return beta * (r2 / R ** 2 + PROFILE)
+        shifted = (xs[0] / R + PROFILE) ** 2 \
             + sum((x / R) ** 2 for x in xs[1:])
         return beta * shifted
 
@@ -465,9 +464,9 @@ def remainder_grouping_report(fld: CoefficientField, w: WeightSpec,
 
 @dataclass
 class ConjugatedGridOps:
-    """Structured space-time grid realizations of the symmetric part,
-    antisymmetric part and their sum of e^phi (i dt + L) e^{-phi} for one
-    (field, weight) pair.
+    """Structured space-time grid realizations of the symmetric and
+    antisymmetric parts of e^phi (i dt + L) e^{-phi} for one (field,
+    weight) pair.
 
     The symmetric part is applied in divergence form and the antisymmetric
     part in antisymmetrized form, so the discrete adjoint identities (and
@@ -481,18 +480,29 @@ class ConjugatedGridOps:
     dt_phi: np.ndarray
 
     @classmethod
-    def build(cls, fld: CoefficientField, w: WeightSpec,
-              grid: SpaceTimeGrid) -> "ConjugatedGridOps":
+    def build(cls, fld: CoefficientField, w: WeightSpec, grid: SpaceTimeGrid,
+              profile: tuple[np.ndarray, np.ndarray] | None = None
+              ) -> "ConjugatedGridOps":
+        """``profile`` holds the values and slope of the time profile on
+        ``grid.times``, which a time-dependent weight needs: they stand in
+        for vp(t) and its derivative, so no profile expression is compiled."""
         n = fld.dim
         phi = w.phi(n)
-        syms = (T_SYMBOL, *X_SYMBOLS[:n])
+        syms, mesh, bind = (T_SYMBOL, *X_SYMBOLS[:n]), grid.open_mesh, {}
+        if phi.has(PROFILE):
+            if profile is None:
+                raise SamplingError(f"{w.variant} weight without profile samples")
+            bind = dict(zip((PROFILE, sp.Derivative(PROFILE, T_SYMBOL)),
+                            sp.symbols("vp dvp", real=True)))
+            syms += tuple(bind.values())
+            mesh += tuple(np.reshape(v, mesh[0].shape) for v in profile)
 
         def on_grid(e: sp.Expr):
-            return sample(e, grid.open_mesh, syms)
+            return sample(e.xreplace(bind), mesh, syms)
         return cls(grid,
                    [[on_grid(fld.entry(k, j)) for j in range(n)]
                     for k in range(n)],
-                   [on_grid(sp.diff(phi, x)) for x in syms[1:]],
+                   [on_grid(sp.diff(phi, x)) for x in X_SYMBOLS[:n]],
                    on_grid(sp.diff(phi, T_SYMBOL)))
 
     @property
@@ -542,6 +552,3 @@ class ConjugatedGridOps:
             out -= term
         out += -1j * self.dt_phi * f
         return out
-
-    def apply_sum(self, f: np.ndarray) -> np.ndarray:
-        return self.apply_S(f) + self.apply_A(f)

@@ -53,6 +53,35 @@ def test_cutoff_profile_shape_and_norms():
     assert np.max(np.abs(d1)) <= cut.profile_d1_max * 1.001
 
 
+def _quintic(u: sp.Expr) -> sp.Expr:
+    return sp.Piecewise((0, u <= 0), (1, u >= 1),
+                        (10 * u ** 3 - 15 * u ** 4 + 6 * u ** 5, True))
+
+
+def test_profile_matches_quintic_piecewise():
+    # the numeric profile and slope against the profile's definition:
+    # height 3, quintic rise on [1/8, 1/4], quintic fall on [3/4, 7/8].
+    # The reference is evaluated at 30 digits: in float64 its expanded
+    # derivative polynomial itself loses about 2e-13 to cancellation
+    import mpmath
+    t = sp.Symbol("t", real=True)
+    prof = 3 * _quintic(8 * t - 1) * _quintic(7 - 8 * t)
+    value = sp.lambdify(t, prof, modules="mpmath")
+    slope = sp.lambdify(t, sp.diff(prof, t), modules="mpmath")
+
+    def exact(fn, times):
+        with mpmath.workdps(30):
+            return np.array([float(fn(mpmath.mpf(x))) for x in times])
+    cut = CutoffSpec(R=2.0)
+    rng = np.random.default_rng(16)
+    for times in [SpaceTimeGrid(nt, Grid((8.0,), (16,))).times
+                  for nt in (16, 64, 128, 256)] + [rng.uniform(0, 1, 200)]:
+        np.testing.assert_allclose(cut.profile_values(times),
+                                   exact(value, times), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(cut.profile_slope(times),
+                                   exact(slope, times), rtol=0, atol=1e-13)
+
+
 def test_make_test_function_deterministic(st_grid):
     cut = CutoffSpec(r0=1.0, R=1.0)
     f1 = make_test_function("annulus", st_grid, cut, 42)
@@ -159,16 +188,13 @@ def test_conjugated_evaluation_identity():
     # direct conjugation e^{phi}(i dt + L)(e^{-phi} f); verified with a fully
     # smooth profile and field so both routes are spectrally clean (piecewise
     # cutoff profiles cap the common accuracy of either route well above 1e-7)
-    from ucont.expressions import T_SYMBOL
-    from ucont.grids import spectral_derivative
-    import sympy as sp
-    from ucont.operators import ConjugatedGridOps, WeightSpec
     stg = SpaceTimeGrid(64, Grid((8.0,), (256,)))
     fld = CoefficientField.identity(1)
     beta = 0.05
-    prof_sym = 3 * sp.exp(-((T_SYMBOL - sp.Rational(1, 2)) / sp.Float(0.12)) ** 2)
-    w = WeightSpec("scaled-time", beta, R=1.0, profile=prof_sym)
-    ops = ConjugatedGridOps.build(fld, w, stg)
+    prof = 3 * np.exp(-((stg.times - 0.5) / 0.12) ** 2)
+    slope = -2 * (stg.times - 0.5) / 0.12 ** 2 * prof
+    w = WeightSpec("scaled-time", beta, R=1.0)
+    ops = ConjugatedGridOps.build(fld, w, stg, profile=(prof, slope))
     x = stg.space.meshes[0][None]
     tt = stg.times.reshape((-1, 1))
     rng = np.random.default_rng(13)
@@ -176,7 +202,7 @@ def test_conjugated_evaluation_identity():
     noise = band_limited_noise(stg.space, rng, 5.0)
     f = (np.exp(-((tt - 0.5) / 0.1) ** 2) * noise[None]
          * np.exp(-x ** 2 / 2)).astype(complex)
-    ours = ops.apply_sum(f)
+    ours = ops.apply_S(f) + ops.apply_A(f)
     phi = beta * (x ** 2 + 3 * np.exp(-((tt - 0.5) / 0.12) ** 2))
     inner = np.exp(-phi) * f
     lap = spectral_derivative(inner, stg.space, 0, 2, time_offset=1)
@@ -250,8 +276,9 @@ def test_sides_match_direct_realization_at_beta(beta, seed):
     f = make_test_function("annulus", ST_1D, cut, seed)
     rep = carleman_sides_cubic(f, fld, beta, cut, lam=1.0)
     ops = ConjugatedGridOps.build(
-        fld, WeightSpec("scaled-time", beta, R=1.0,
-                        profile=cut.profile_expression()), ST_1D)
+        fld, WeightSpec("scaled-time", beta, R=1.0), ST_1D,
+        profile=(cut.profile_values(ST_1D.times),
+                 cut.profile_slope(ST_1D.times)))
     g, dt = ST_1D.space, ST_1D.dt
     sf, af = ops.apply_S(f.values), ops.apply_A(f.values)
     raw = l2_norm_sq(sf + af, g, dt)
@@ -321,15 +348,21 @@ def test_frontier_root_closed_form_and_errors():
         frontier_root([_forms(4, 5.0, 7.0), _forms(5, 4.0, 6.0)], 2.0, 3.0)
 
 
-def test_sides_at_new_beta_compile_nothing(monkeypatch):
-    compiled = []
+@pytest.fixture
+def compiled(monkeypatch):
+    """Every expression that reaches sympy's lambdify, from a cold cache."""
+    exprs = []
     lambdify = sp.lambdify
 
-    def counting(syms, expr, *args, **kwargs):
-        compiled.append(expr)
+    def recording(syms, expr, *args, **kwargs):
+        exprs.append(expr)
         return lambdify(syms, expr, *args, **kwargs)
-    monkeypatch.setattr(sp, "lambdify", counting)
+    monkeypatch.setattr(sp, "lambdify", recording)
     expressions._lambdify.cache_clear()
+    return exprs
+
+
+def test_sides_at_new_beta_compile_nothing(compiled):
     cut = CutoffSpec(r0=1.0, R=1.3)
     fld = CoefficientField.identity(1)
     f = make_test_function("annulus", ST_1D, cut, 8)
@@ -338,6 +371,20 @@ def test_sides_at_new_beta_compile_nothing(monkeypatch):
     compiled.clear()
     carleman_sides_cubic(f, fld, 40.0, cut)
     assert compiled == []
+
+
+@pytest.mark.parametrize("cfg", [
+    SweepConfig(mode="annulus", R_values=(1.3,), n_samples=1,
+                frontier_R_values=(2.0,), frontier_probes=1),
+    SweepConfig(mode="translated", nt=256, extents=(6.0,), points=(256,),
+                R_values=(), n_samples=0, seed0=3, frontier_R_values=(1.1,),
+                frontier_probes=1)], ids=["annulus", "translated"])
+def test_sweep_compiles_no_piecewise(compiled, cfg):
+    # the split binds the time profile from its samples: no Piecewise
+    # profile expression reaches the compiler
+    carleman_sweep(cfg)
+    assert compiled
+    assert not any(e.has(sp.Piecewise) for e in compiled)
 
 
 def test_one_task_sweep_starts_one_worker(monkeypatch):
@@ -359,9 +406,9 @@ def test_sweep_builds_one_split_per_R(monkeypatch):
     builds = []
     build = ConjugatedGridOps.build.__func__
 
-    def counting(cls, fld, w, grid):
+    def counting(cls, fld, w, grid, **kwargs):
         builds.append(w.R)
-        return build(cls, fld, w, grid)
+        return build(cls, fld, w, grid, **kwargs)
     monkeypatch.setattr(ConjugatedGridOps, "build", classmethod(counting))
     rep = carleman_sweep(SweepConfig(mode="annulus", R_values=(1.0, 1.5),
                                      n_samples=3, frontier_R_values=(2.0,),

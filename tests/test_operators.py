@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from ucont.carleman import CutoffSpec
 from ucont.coefficients import CoefficientField, SamplingBox, TransversalField
-from ucont.expressions import T_SYMBOL, X_SYMBOLS, coeff_is_zero, const, \
-    parse_expression, sample
+from ucont.expressions import T_SYMBOL, X_SYMBOLS, SamplingError, \
+    coeff_is_zero, const, parse_expression, sample
 from ucont.grids import Grid, SpaceTimeGrid, band_limited_noise, l2_inner, \
     l2_norm_sq
 from ucont.operators import (ConjugatedGridOps, DiffOperator,
@@ -434,10 +434,12 @@ def test_discrete_adjoint_identities_2d_3d(dim, seed, beta, translated):
     # diagonal field, for the quadratic and the x1-translated weight
     stg = SpaceTimeGrid(16, Grid((4.0,) * dim, (32 if dim == 2 else 16,) * dim))
     fld = CoefficientField.diagonal(tuple(pe(e) for e in _DIAGONALS[:dim]))
-    w = WeightSpec("translated", beta, R=2,
-                   profile=CutoffSpec(R=2).profile_expression()) \
-        if translated else WeightSpec("quadratic", beta)
-    ops = ConjugatedGridOps.build(fld, w, stg)
+    cut = CutoffSpec(R=2)
+    w = WeightSpec("translated", beta, R=2) if translated \
+        else WeightSpec("quadratic", beta)
+    ops = ConjugatedGridOps.build(
+        fld, w, stg, profile=(cut.profile_values(stg.times),
+                              cut.profile_slope(stg.times)))
     f, g = _random_field(stg, seed), _random_field(stg, seed + 1)
 
     def inner(u, v):
@@ -449,6 +451,16 @@ def test_discrete_adjoint_identities_2d_3d(dim, seed, beta, translated):
         pf, pg = apply(f), apply(g)
         scale = norm(pf) * norm(g) + norm(f) * norm(pg)
         assert abs(inner(pf, g) + sign * inner(f, pg)) < 1e-9 * scale
+
+
+def test_time_dependent_split_needs_profile_samples():
+    # no stand-in profile reaches the grid: a scaled-time or translated
+    # weight built without the profile's samples is an error
+    stg = SpaceTimeGrid(16, Grid((8.0,), (64,)))
+    fld = CoefficientField.identity(1)
+    for variant in ("scaled-time", "translated"):
+        with pytest.raises(SamplingError, match="profile samples"):
+            ConjugatedGridOps.build(fld, WeightSpec(variant, 1, R=2.0), stg)
 
 
 def test_reconstruction_against_direct_conjugation():
@@ -471,7 +483,7 @@ def test_reconstruction_against_direct_conjugation():
                                  time_offset=1)
         lf = lf + 1j * st.time_derivative(inner)
         direct = np.exp(phi)[None] * lf
-        ours = ops.apply_sum(f)
+        ours = ops.apply_S(f) + ops.apply_A(f)
         num = np.sqrt(l2_norm_sq(ours - direct, st.space))
         den = np.sqrt(l2_norm_sq(direct, st.space))
         assert num < 1e-8 * den
