@@ -15,7 +15,7 @@ from .evolution import (DissipationParams, GaussianPacket, Trajectory,
 from .diagnostics import (ConvexityTrace, DecaySchedule, LowerBoundProfile,
                           annulus_mass_profile, derivative_bound_check,
                           gaussian_decay_schedule, logconvexity_check,
-                          persistence_threshold, weighted_norm)
+                          weighted_norm)
 from .carleman import (CarlemanReport, CutoffSpec, SweepConfig, carleman_sweep,
                        carleman_sides_cubic, carleman_sides_translated,
                        make_test_function)

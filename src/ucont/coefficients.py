@@ -196,17 +196,6 @@ def decay_smallness(fld: CoefficientField | TransversalField, box: SamplingBox) 
     return float(np.max(rad * np.sqrt(grad_sq)))
 
 
-def grad_order_norm(fld: CoefficientField, box: SamplingBox, order: int) -> float:
-    """sup_x max_{|alpha|=order} |grad^alpha A|(x)."""
-    return max(float(np.max(np.sqrt(total))) for total in derivative_sq_sums(
-        fld.entries, order, box.lattice(), X_SYMBOLS[:fld.dim]))
-
-
-def c3_norm(fld: CoefficientField, box: SamplingBox) -> float:
-    """Numeric estimate of ||A||_{C^3} = sum_{i=1..3} sup_{x,|alpha|=i} |grad^alpha A|."""
-    return sum(grad_order_norm(fld, box, i) for i in (1, 2, 3))
-
-
 # ---------------------------------------------------------------------------
 # gauge reduction (Liouville-type change of variables in x1)
 # ---------------------------------------------------------------------------
@@ -229,6 +218,11 @@ class GaugeReduction:
     reduced_potential: Callable[[np.ndarray], np.ndarray]   # of y1 (x'-part unchanged)
 
 
+# the largest |e^psi u| on the edge of the periodic y-box, relative to its
+# peak: a larger wrap-around jump pollutes the spectral second derivative
+_EDGE_FRACTION = 1e-6
+
+
 def verify_gauge_transport(gr: GaugeReduction, n_tests: int = 10,
                            seed: int = 0) -> float:
     """Max relative error of the transport identity over random smooth test
@@ -237,7 +231,8 @@ def verify_gauge_transport(gr: GaugeReduction, n_tests: int = 10,
         [d^2/dy1^2 + V_red(y1)] (e^psi u)(x(y1))  ==  e^psi [(a11 u')' + V u](x(y1))
 
     The original side is evaluated from exact symbolic derivatives; the
-    reduced side differentiates the transported samples spectrally.
+    reduced side differentiates the transported samples spectrally.  A test
+    function that the y-box cuts raises :class:`GaugeError`.
     """
     x1 = X_SYMBOLS[0]
     n_grid = 2048
@@ -257,6 +252,11 @@ def verify_gauge_transport(gr: GaugeReduction, n_tests: int = 10,
         u = (c0 + c1 * x1 + c2 * x1 ** 2) * sp.exp(-(x1 - ctr) ** 2 / (2 * width ** 2))
         orig = sp.diff(a11 * sp.diff(u, x1), x1) + vpot * u
         w = np.exp(gr.psi(ys)) * sample(u, (xv,))
+        edge = max(abs(w[0]), abs(w[-1])) / np.max(np.abs(w))
+        if edge > _EDGE_FRACTION:
+            raise GaugeError(f"the y-box |y1| <= {ymax:.3g} cuts a test function "
+                             f"(edge value {edge:.1e} of its peak, over "
+                             f"{_EDGE_FRACTION:.0e}); widen x1_range")
         wyy = spectral_derivative(w, grid, 0, 2).real
         lhs = wyy + gr.reduced_potential(ys) * w
         rhs = np.exp(gr.psi(ys)) * sample(orig, (xv,))

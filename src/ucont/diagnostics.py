@@ -1,8 +1,7 @@
 """Weighted quantities along trajectories: the exponential-weight energies
 H(t), their log-convexity and derivative bounds, Gaussian decay schedules of
-the dissipative flows, super-Gaussian persistence thresholds, and the
-annulus mass profiles whose decay exponent separates the quadratic from the
-cubic lower-bound regime.
+the dissipative flows, and the annulus mass profiles whose decay exponent
+separates the quadratic from the cubic lower-bound regime.
 """
 
 from __future__ import annotations
@@ -189,48 +188,6 @@ def decay_schedule_companion(traj: Trajectory, schedule: DecaySchedule
         lhs = math.sqrt(weighted_norm(traj.state(i), al, strict=False))
         margins[i] = rhs0 / max(lhs, 1e-300)
     return margins
-
-
-# ---------------------------------------------------------------------------
-# persistence of super-Gaussian decay
-# ---------------------------------------------------------------------------
-
-def persistence_threshold(beta0: float, alpha: float) -> float:
-    """kappa_0 = (1/alpha) (4 beta0 (2/(q-2))^{1/q})^alpha with q the
-    conjugate exponent of alpha; valid for alpha in (1, 2)."""
-    if not 1.0 < alpha < 2.0:
-        raise ValueError(
-            "persistence threshold formula requires alpha in (1, 2); dyadic "
-            "powers go through the square-completion route instead")
-    if beta0 < 0:
-        raise ValueError("beta0 must be nonnegative")
-    if beta0 == 0.0:
-        return 0.0
-    q = alpha / (alpha - 1.0)
-    return (1.0 / alpha) * (4.0 * beta0 * (2.0 / (q - 2.0)) ** (1.0 / q)) ** alpha
-
-
-def square_completion_band(kappa: float, beta0: float,
-                           radii: np.ndarray) -> dict:
-    """Gaussian-in-beta integration of the quartic-weight route: checks that
-
-        I(x) = int_{beta0}^inf e^{-(beta/kappa - kappa x^2)^2} d beta
-
-    lies in the band (kappa/10, kappa sqrt(pi)] for kappa >= beta0, and
-    returns the computed values with the band verdicts."""
-    if kappa < beta0:
-        raise ValueError("the band argument requires kappa >= beta0")
-    vals = []
-    for r in np.asarray(radii, dtype=float):
-        # kappa int_lo^inf e^{-g^2} dg, in closed form
-        lo = beta0 / kappa - kappa * r ** 2
-        vals.append(kappa * (math.sqrt(math.pi) / 2) * math.erfc(lo))
-    vals_arr = np.array(vals)
-    upper = kappa * math.sqrt(math.pi)
-    lower = kappa / 10.0
-    return {"radii": np.asarray(radii, dtype=float), "values": vals_arr,
-            "upper": upper, "lower": lower,
-            "within_band": bool(np.all((vals_arr > lower) & (vals_arr <= upper + 1e-12)))}
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .grids import Grid, NumericGuardError, _multiplier, check_resolved, l2_norm
 
 
 class BlowUpError(NumericGuardError):
-    """Trajectory norm grew beyond the configured guard factor."""
+    """Squared trajectory norm above BLOWUP_FACTOR times its initial value."""
 
 
 class StabilityError(NumericGuardError):
@@ -57,6 +57,7 @@ class DissipationParams:
 
 SCHRODINGER = DissipationParams(0.0, 1.0)
 HEAT = DissipationParams(1.0, 0.0)
+BLOWUP_FACTOR = 1e3     # the largest ||u(t)||^2 / ||u(0)||^2 along a trajectory
 
 
 @dataclass(frozen=True)
@@ -254,7 +255,7 @@ def _remainder_step(grid: Grid, delta, v, c: complex):
 
 def propagate(u0: WaveState, fld: CoefficientField, d: DissipationParams,
               t_span: tuple[float, float] = (0.0, 1.0), steps: int = 256,
-              n_frames: int = 2, *, blowup_factor: float = 1e3) -> Trajectory:
+              n_frames: int = 2) -> Trajectory:
     """Second-order Strang trajectory of d_t u = (a+ib)(L+V)u.
 
     Frames are stored at n_frames uniformly spaced times (endpoints
@@ -317,9 +318,9 @@ def propagate(u0: WaveState, fld: CoefficientField, d: DissipationParams,
             np.fft.ifftn(uhat, out=frames[idx])
             # a NaN norm fails the comparison, so it counts as blow-up
             norm = l2_norm_sq(frames[idx], grid)
-            if m0 > 0 and not norm <= blowup_factor * m0:
+            if m0 > 0 and not norm <= BLOWUP_FACTOR * m0:
                 raise BlowUpError(
-                    f"norm exceeded {blowup_factor:.0e} x initial at t={times[idx]:.4f}")
+                    f"norm exceeded {BLOWUP_FACTOR:.0e} x initial at t={times[idx]:.4f}")
     return Trajectory(grid, times, frames)
 
 

@@ -103,11 +103,11 @@ _TABLE = {
         "grid": {**_GRID, "nt": (int, 64, _POW2)},
         "params": {"mode": (("annulus", "translated"), "annulus"),
                    "R_values": (list, [1.0, 1.5, 2.0], _SCALE, _NONEMPTY),
-                   "n_samples": (int, 20, _POSITIVE), "r0": (_NUM, 1.0),
-                   "c0": (_NUM, 4.0),
+                   "n_samples": (int, 20, _POSITIVE),
+                   "r0": (_NUM, 1.0, _POSITIVE), "c0": (_NUM, 4.0, _POSITIVE),
                    "space_width": (_NUM, 0.5),
                    "frontier_R_values": (list, [], _SCALE),
-                   "frontier_probes": (int, 8)},
+                   "frontier_probes": (int, 8, _POSITIVE)},
         "tolerances": {"slack_tol": (_NUM, 1e-6)}},
     "symbolic-verify": {
         "experiment": _EXPERIMENT, "field": _FIELD,
@@ -126,7 +126,8 @@ _TABLE = {
     "poincare": {
         "experiment": _EXPERIMENT, "grid": _GRID,
         "params": {"radii": (list, [0.5, 1.0, 2.0], _POSITIVE, _NONEMPTY),
-                   "n_fields": (int, 200, _POSITIVE), "k_cut": (_NUM, 6.0)},
+                   "n_fields": (int, 200, _POSITIVE),
+                   "k_cut": (_NUM, 6.0, _POSITIVE)},
         "tolerances": {"interp_C": (_NUM, 2.0)}},
     "hardy": {
         "experiment": _EXPERIMENT,
@@ -146,7 +147,7 @@ _TABLE = {
                        "expected [start, end] with start < end", list)),
                    "npts": (int, 4001, (lambda n: n >= 2,
                                         "the map needs at least 2 points")),
-                   "n_tests": (int, 10)},
+                   "n_tests": (int, 10, _POSITIVE)},
         "tolerances": {"slack_tol": (_NUM, 1e-6)}},
 }
 KINDS = tuple(_TABLE)

@@ -141,11 +141,6 @@ def check_resolved(values: np.ndarray, budget: float = 1e-10) -> None:
             f"spectral tail fraction {frac:.3e} exceeds budget {budget:.1e}")
 
 
-def integrate(values: np.ndarray, grid: Grid) -> complex:
-    """Periodic trapezoid rule (= uniform sum) over the box."""
-    return complex(values.sum() * grid.cell_volume)
-
-
 def l2_inner(f: np.ndarray, g: np.ndarray, grid: Grid, dt: float | None = None
              ) -> complex:
     """<f, g> = int f conj(g); space-time when ``dt`` is given (axis 0 = t)."""

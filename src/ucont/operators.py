@@ -78,23 +78,12 @@ class DiffOperator:
         expanded = {key: sp.expand(coef) for key, coef in sorted(raw.items())}
         return cls(dim, {key: c for key, c in expanded.items() if c != 0})
 
-    @classmethod
-    def zero(cls, dim: int) -> "DiffOperator":
-        return cls(dim, {})
-
-    @classmethod
-    def identity(cls, dim: int) -> "DiffOperator":
-        return cls.build(dim, {_key(dim): sp.Integer(1)})
-
     def __add__(self, other: "DiffOperator") -> "DiffOperator":
         return _accumulate(self.dim, [*self.terms.items(), *other.terms.items()])
 
     def __sub__(self, other: "DiffOperator") -> "DiffOperator":
         return _accumulate(self.dim, [*self.terms.items(),
                                       *((k, -c) for k, c in other.terms.items())])
-
-    def scale(self, c) -> "DiffOperator":
-        return DiffOperator.build(self.dim, {k: c * v for k, v in self.terms.items()})
 
     def spatial_order(self) -> int:
         return max((sum(a) for (_, a) in self.terms), default=0)
@@ -107,11 +96,6 @@ class DiffOperator:
         return DiffOperator.build(
             self.dim, {k: v for k, v in self.terms.items() if sum(k[1]) == spatial_order})
 
-    def prune_zeros(self) -> "DiffOperator":
-        """Drop terms whose coefficients are exactly zero."""
-        kept = {k: v for k, v in self.terms.items() if not coeff_is_zero(v)}
-        return DiffOperator(self.dim, dict(sorted(kept.items())))
-
     def apply_symbolic(self, f: sp.Expr) -> sp.Expr:
         out = sp.Integer(0)
         for (a, al), coef in self.terms.items():
@@ -123,17 +107,6 @@ class DiffOperator:
                     df = sp.diff(df, X_SYMBOLS[i], m)
             out += coef * df
         return sp.expand(out)
-
-    def to_text(self) -> str:
-        lines = []
-        for (a, al), coef in sorted(self.terms.items()):
-            alpha = ",".join(str(m) for m in al)
-            lines.append(f"({sp.sstr(sp.expand(coef))}) ⊗ dt^{a} dx^({alpha})")
-        return "\n".join(lines)
-
-
-def operators_equal(p: DiffOperator, q: DiffOperator) -> bool:
-    return all(coeff_is_zero(c) for c in (p - q).terms.values())
 
 
 def _leibniz(p: DiffOperator, q: DiffOperator, cross: bool = False) -> Pairs:

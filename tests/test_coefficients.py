@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from ucont.coefficients import (CoefficientField, EllipticityError, GaugeError,
-                                SamplingBox, TransversalField, c3_norm,
-                                decay_smallness, ellipticity_bounds,
-                                gauge_reduce, verify_gauge_transport)
+                                SamplingBox, TransversalField, decay_smallness,
+                                ellipticity_bounds, gauge_reduce,
+                                verify_gauge_transport)
 from ucont.expressions import const, parse_expression
 
 pe = parse_expression
@@ -88,18 +88,6 @@ def test_smallness_permutation_invariance():
     box = SamplingBox.cube(2, 4.0, 41)
     assert decay_smallness(f12, box) == pytest.approx(
         decay_smallness(f21, box), rel=1e-12)
-
-
-def test_c3_norm_matches_dense_scan():
-    fld = CoefficientField(1, ((pe("1 + exp(-x1^2)"),),))
-    val = c3_norm(fld, SamplingBox((-5.0,), (5.0,), (2001,)))
-    xs = np.linspace(-5, 5, 20001)
-    g = np.exp(-xs ** 2)
-    d1 = -2 * xs * g
-    d2 = (4 * xs ** 2 - 2) * g
-    d3 = (-8 * xs ** 3 + 12 * xs) * g
-    oracle = sum(np.max(np.abs(d)) for d in (d1, d2, d3))
-    assert val == pytest.approx(oracle, rel=1e-4)
 
 
 def test_symmetry_enforced():

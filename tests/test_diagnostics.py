@@ -2,21 +2,18 @@ import math
 
 import numpy as np
 import pytest
-import scipy.special as ss
 from hypothesis import given, settings, strategies as st
 
 from ucont.diagnostics import (AnnulusResolutionError, BoundaryMassError,
                                annulus_mass_profile, decay_schedule_companion,
                                derivative_bound_check, gaussian_decay_schedule,
-                               logconvexity_check, persistence_threshold,
-                               square_completion_band, weighted_norm)
+                               logconvexity_check, weighted_norm)
 from ucont.evolution import (HEAT, SCHRODINGER, Trajectory, WaveState,
                              mass, propagate)
 from ucont.expressions import parse_expression
 from ucont.grids import Grid, band_limited_noise, spectral_gradient
 
 pe = parse_expression
-KAPPA0_PIN = 7.5424723326565069   # high-precision evaluation, alpha=1.5, b0=1
 
 
 def H_closed(beta, sigma, tau, t, n=1):
@@ -171,19 +168,6 @@ def test_heat_flow_decay_companion(identity_field_1d, unit_packet):
     assert margins.min() >= 1.0 - 1e-9
 
 
-def test_persistence_threshold_pinned_value():
-    assert persistence_threshold(1.0, 1.5) == pytest.approx(KAPPA0_PIN,
-                                                            rel=1e-12)
-
-
-def test_persistence_threshold_zero_and_domain():
-    assert persistence_threshold(0.0, 1.5) == 0.0
-    with pytest.raises(ValueError, match="square-completion"):
-        persistence_threshold(1.0, 2.0)
-    with pytest.raises(ValueError):
-        persistence_threshold(1.0, 1.0)
-
-
 def test_persistence_companion_free_flow(identity_field_1d, unit_packet):
     # with the flat-coefficient threshold at zero, a small super-Gaussian
     # weight persists along the free flow with the interpolation bound
@@ -196,16 +180,6 @@ def test_persistence_companion_free_flow(identity_field_1d, unit_packet):
     tt = np.linspace(0, 1, 17)
     bound = H[0] ** (1 - tt) * H[-1] ** tt
     assert np.max(H / bound) <= 1.0 + 1e-6
-
-
-def test_square_completion_band_vs_erfc_oracle():
-    radii = np.linspace(0.0, 3.0, 13)
-    out = square_completion_band(2.0, 1.0, radii)
-    oracle = 2.0 * math.sqrt(math.pi) / 2 * ss.erfc(1.0 / 2.0 - 2.0 * radii ** 2)
-    assert np.max(np.abs(out["values"] - oracle)) < 1e-10
-    assert out["within_band"]
-    with pytest.raises(ValueError, match="kappa >= beta0"):
-        square_completion_band(0.5, 1.0, radii)
 
 
 def test_annulus_profile_compact_support_zero(line_grid):

@@ -600,6 +600,45 @@ center = [0.0, 1.0]
 steps = 32
 frames = 5
 """, ["initial.center = [0.0, 1.0]", "one entry per field dimension (1)"]),
+    # at most 0, these keys would pass on no data (n_tests, k_cut), pass
+    # with beta < 0 (c0), divide by zero (r0) or end in a FrontierError
+    # that names the wrong cause (frontier_probes)
+    "gauge-n_tests-zero": ("""
+[experiment]
+kind = gauge-reduce
+[field]
+dimension = 1
+transversal = true
+a11 = 1 + 0.5*exp(-x1^2)
+[params]
+n_tests = 0
+""", ["params.n_tests = 0", "positive"]),
+    "poincare-k_cut-negative": ("""
+[experiment]
+kind = poincare
+[params]
+k_cut = -1.0
+""", ["params.k_cut = -1.0", "positive"]),
+    "translated-c0-negative": ("""
+[experiment]
+kind = carleman-sweep
+[params]
+mode = "translated"
+c0 = -1.0
+""", ["params.c0 = -1.0", "positive"]),
+    "annulus-r0-zero": ("""
+[experiment]
+kind = carleman-sweep
+[params]
+r0 = 0
+""", ["params.r0 = 0", "positive"]),
+    "frontier-probes-zero": ("""
+[experiment]
+kind = carleman-sweep
+[params]
+frontier_R_values = [1.0, 2.0]
+frontier_probes = 0
+""", ["params.frontier_probes = 0", "positive"]),
 }
 
 
@@ -693,7 +732,7 @@ frontier_probes = 1
 
 
 # one config per guard error of the field and diagnostics layers, with a
-# phrase of its message
+# phrase of its message; a key may name a second case after a colon
 GUARDED = {
     "AnnulusResolutionError": ("""
 [experiment]
@@ -723,12 +762,24 @@ dimension = 1
 transversal = true
 a11 = "-1 + 0.5*exp(-x1^2)"
 """, "a11 not bounded below"),
+    # a11 is near 2 - pi/2 for x1 << 0, so the y-box cuts the transported
+    # test functions there (edge value 1.3e-2 of the peak) and the transport
+    # error would read 679; on x1_range [-20, 20] it reads 3.7e-7
+    "GaugeError:y-box": ("""
+[experiment]
+kind = gauge-reduce
+[field]
+dimension = 1
+transversal = true
+a11 = "2 + atan(x1)"
+""", "widen x1_range"),
 }
 
 
-@pytest.mark.parametrize("error", GUARDED)
-def test_field_and_diagnostics_guards_are_failed_checks(error, tmp_path):
-    text, phrase = GUARDED[error]
+@pytest.mark.parametrize("case", GUARDED)
+def test_field_and_diagnostics_guards_are_failed_checks(case, tmp_path):
+    text, phrase = GUARDED[case]
+    error = case.partition(":")[0]
     path = tmp_path / "c.cfg"
     path.write_text(text.replace(
         "[experiment]\n", f"[experiment]\noutput = {tmp_path / 'o'}\n"))

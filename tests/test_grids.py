@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ucont import grids
 from ucont.grids import (Grid, ResolutionError, SpaceTimeGrid,
-                         band_limited_noise, check_resolved, integrate,
+                         band_limited_noise, check_resolved,
                          spectral_derivative)
 
 
@@ -39,12 +39,6 @@ def test_spectral_derivative_antisymmetric():
     lhs = np.sum(df * np.conj(h))
     rhs = -np.sum(f * np.conj(dh))
     assert abs(lhs - rhs) < 1e-10 * (abs(lhs) + 1)
-
-
-def test_integrate_gaussian():
-    g = Grid((12.0,), (512,))
-    val = integrate(np.exp(-g.meshes[0] ** 2), g)
-    assert val.real == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
 
 def test_resolution_check_fires():
