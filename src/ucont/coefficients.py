@@ -125,7 +125,7 @@ class TransversalField:
 
     def is_assumption_61(self) -> bool:
         """Constant a11 > 0 (the translated-weight Carleman hypothesis)."""
-        return not self.a11.free_symbols and float(self.a11) > 0
+        return not self.a11.free_symbols and self.a11.is_positive is True
 
     def to_field(self) -> CoefficientField:
         zero = const(0)
@@ -219,8 +219,10 @@ class GaugeReduction:
 
 
 # the largest |e^psi u| on the edge of the periodic y-box, relative to its
-# peak: a larger wrap-around jump pollutes the spectral second derivative
-_EDGE_FRACTION = 1e-6
+# peak and times k_max^2 (k_max = pi / h, the grid's largest wavenumber):
+# the spectral second derivative amplifies the wrap-around jump by about
+# k_max^2, so a larger value pollutes it
+_EDGE_BUDGET = 1e-6
 
 
 def verify_gauge_transport(gr: GaugeReduction, n_tests: int = 10,
@@ -232,7 +234,8 @@ def verify_gauge_transport(gr: GaugeReduction, n_tests: int = 10,
 
     The original side is evaluated from exact symbolic derivatives; the
     reduced side differentiates the transported samples spectrally.  A test
-    function that the y-box cuts raises :class:`GaugeError`.
+    function that the y-box cuts (edge fraction times k_max^2 above 1e-6)
+    raises :class:`GaugeError`.
     """
     x1 = X_SYMBOLS[0]
     n_grid = 2048
@@ -240,6 +243,7 @@ def verify_gauge_transport(gr: GaugeReduction, n_tests: int = 10,
     ymax = 0.88 * min(-gr.y1_grid[0], gr.y1_grid[-1])
     grid = Grid((ymax,), (n_grid,))
     ys = grid.axis(0)
+    kmax2 = (np.pi / grid.spacings[0]) ** 2
     xv = np.asarray(gr.x_of_y(ys), dtype=float)
     a11 = gr.original.a11
     vpot = gr.original.potential.subs(
@@ -253,10 +257,11 @@ def verify_gauge_transport(gr: GaugeReduction, n_tests: int = 10,
         orig = sp.diff(a11 * sp.diff(u, x1), x1) + vpot * u
         w = np.exp(gr.psi(ys)) * sample(u, (xv,))
         edge = max(abs(w[0]), abs(w[-1])) / np.max(np.abs(w))
-        if edge > _EDGE_FRACTION:
+        if edge * kmax2 > _EDGE_BUDGET:
             raise GaugeError(f"the y-box |y1| <= {ymax:.3g} cuts a test function "
-                             f"(edge value {edge:.1e} of its peak, over "
-                             f"{_EDGE_FRACTION:.0e}); widen x1_range")
+                             f"(edge value {edge:.1e} of its peak, times k_max^2 "
+                             f"= {kmax2:.3g} over {_EDGE_BUDGET:.0e}); widen "
+                             f"x1_range")
         wyy = spectral_derivative(w, grid, 0, 2).real
         lhs = wyy + gr.reduced_potential(ys) * w
         rhs = np.exp(gr.psi(ys)) * sample(orig, (xv,))

@@ -340,6 +340,20 @@ def validate(text: str) -> ExperimentConfig:
             and len(cfg.get("initial", "center")) != dim:
         errors.append(f"initial.center = {cfg.get('initial', 'center')}: "
                       f"needs one entry per field dimension ({dim})")
+    # the field itself: entries on its own variables and, for a translated
+    # sweep, the block assumption of the translated Carleman inequality
+    if "field" in sections and good("field", "dimension", "transversal", *fs):
+        try:
+            fld = _build_field(cfg)
+        except ValueError as exc:
+            errors.append(f"[field]: {exc}")
+        else:
+            if kind == "carleman-sweep" and good("params", "mode") \
+                    and cfg.get("params", "mode") == "translated" \
+                    and not (isinstance(fld, TransversalField)
+                             and fld.is_assumption_61()):
+                errors.append("[field]: a translated carleman-sweep needs a "
+                              "transversal field with constant a11 > 0")
     if kind == "gauge-reduce" and dim != 1 and transversal is not True:
         errors.append(f"field.dimension = {dim}: gauge-reduce takes a 1-D or "
                       f"a transversal field")
@@ -503,6 +517,8 @@ def _run_convexity(cfg: ExperimentConfig, out: Path):
 
 def _run_carleman(cfg: ExperimentConfig, out: Path):
     fld = _build_field(cfg) if "field" in cfg.sections else None
+    if isinstance(fld, TransversalField) and cfg.get("params", "mode") == "annulus":
+        fld = fld.to_field()
     grid = _build_grid(cfg)
     # the params keys are SweepConfig's field names
     params = {key: cfg.get("params", key) for key in _TABLE[cfg.kind]["params"]}

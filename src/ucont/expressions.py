@@ -20,11 +20,11 @@ Grammar (whitespace insignificant)::
 
 from __future__ import annotations
 
+import ast
+import operator
 import re
-import zlib
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 import sympy as sp
@@ -50,159 +50,16 @@ class SamplingError(ValueError):
     """An expression that does not sample to the finite numbers required."""
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str   # 'num' | 'name' | 'op' | 'end'
-    text: str
-    pos: int
-
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
-    r"|\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
-)
-
-
-def _tokenize(text: str) -> Iterator[_Token]:
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad_pos = len(text) - len(stripped)
-            raise ExpressionError(f"unexpected character {stripped[0]!r}", bad_pos)
-        if m.lastgroup == "num":
-            yield _Token("num", m.group("num"), m.start("num"))
-        elif m.lastgroup == "name":
-            yield _Token("name", m.group("name"), m.start("name"))
-        else:
-            yield _Token("op", m.group("op"), m.start("op"))
-        pos = m.end()
-    yield _Token("end", "", len(text))
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = list(_tokenize(text))
-        self.i = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str) -> None:
-        tok = self.advance()
-        if tok.kind != "op" or tok.text != op:
-            raise ExpressionError(f"expected {op!r}", tok.pos)
-
-    def parse(self) -> sp.Expr:
-        e = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ExpressionError(f"unexpected trailing input {tok.text!r}", tok.pos)
-        return e
-
-    def expr(self) -> sp.Expr:
-        sign = 1
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in "+-":
-            self.advance()
-            sign = -1 if tok.text == "-" else 1
-        e = sign * self.term()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self.advance()
-                rhs = self.term()
-                e = e + rhs if tok.text == "+" else e - rhs
-            else:
-                return e
-
-    def term(self) -> sp.Expr:
-        e = self.factor()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "*/":
-                self.advance()
-                rhs = self.factor()
-                e = e * rhs if tok.text == "*" else e / rhs
-            else:
-                return e
-
-    def factor(self) -> sp.Expr:
-        e = self.base()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
-            self.advance()
-            e = e ** self.integer()
-        return e
-
-    def integer(self) -> int:
-        sign = 1
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in "+-":
-            self.advance()
-            sign = -1 if tok.text == "-" else 1
-        tok = self.advance()
-        if tok.kind != "num" or not re.fullmatch(r"\d+", tok.text):
-            raise ExpressionError("exponent must be an integer", tok.pos)
-        return sign * int(tok.text)
-
-    def base(self) -> sp.Expr:
-        tok = self.advance()
-        if tok.kind == "num":
-            return sp.Rational(tok.text)
-        if tok.kind == "op" and tok.text == "(":
-            e = self.expr()
-            self.expect_op(")")
-            return e
-        if tok.kind == "name":
-            name = tok.text
-            if name == "t":
-                return T_SYMBOL
-            if re.fullmatch(r"x[1-9]", name):
-                return X_SYMBOLS[int(name[1]) - 1]
-            if name in _FUNCTIONS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return _FUNCTIONS[name](arg)
-            raise ExpressionError(f"unknown identifier {name!r}", tok.pos)
-        raise ExpressionError(f"unexpected token {tok.text!r}", tok.pos)
-
-
-def with_stand_ins(expr: sp.Expr) -> sp.Expr:
-    """Replace abstract applied functions (the generic weight profile) by
-    fixed smooth stand-ins, then evaluate the derivatives they carried.
-
-    The stand-in depends on the function name only, through a checksum that
-    is the same in every process."""
-    subs = {}
-    for f in expr.atoms(sp.core.function.AppliedUndef):
-        h = zlib.crc32(f.func.__name__.encode()) % 7 + 2
-        subs[f] = sp.sin(sp.Rational(h, 3) * f.args[0] + sp.Rational(1, 7)) + h
-    return expr.xreplace(subs).doit() if subs else expr
-
-
 @lru_cache(maxsize=512)
 def _lambdify(expr: sp.Expr, syms: tuple[sp.Symbol, ...]):
-    ready = with_stand_ins(expr)
-    unbound = ready.free_symbols - set(syms)
+    unbound = [*(expr.free_symbols - set(syms)),
+               *expr.atoms(sp.core.function.AppliedUndef)]
     if unbound:
-        raise SamplingError(f"expression has unbound symbols "
-                            f"{sorted(s.name for s in unbound)}")
+        raise SamplingError(f"expression has unbound symbols or abstract "
+                            f"functions {sorted(map(str, unbound))}")
     # the module object, not "numpy": the string makes sympy run
     # `from numpy import *`, which imports numpy.f2py, .testing and .ma
-    return sp.lambdify(syms, ready, modules=np)
+    return sp.lambdify(syms, expr, modules=np)
 
 
 def sample(expr: sp.Expr, mesh, syms=None):
@@ -212,7 +69,8 @@ def sample(expr: sp.Expr, mesh, syms=None):
     The value keeps its natural shape: a scalar for a constant, and only the
     axes of the variables it depends on otherwise (on an open mesh).  Each
     (expression, symbols) pair is compiled once per process; symbols left
-    unbound, or a function numpy lacks, raise :class:`SamplingError`.
+    unbound, an abstract function such as the weight profile vp(t) (no value
+    is made up for it), or a function numpy lacks raise :class:`SamplingError`.
     """
     syms = X_SYMBOLS[:len(mesh)] if syms is None else tuple(syms)
     try:
@@ -244,13 +102,93 @@ def coeff_is_zero(expr: sp.Expr) -> bool:
     return expr == 0 or sp.cancel(expr) == 0
 
 
+_SYMBOLS = {"t": T_SYMBOL, **{s.name: s for s in X_SYMBOLS}}
+_SUMS = {ast.Add: operator.add, ast.Sub: operator.sub}
+_PRODUCTS = {ast.Mult: operator.mul, ast.Div: operator.truediv}
+_SIGNS = {ast.UAdd: 1, ast.USub: -1}
+_OPERATORS = {*_SUMS, *_PRODUCTS, ast.Pow, *_SIGNS}
+# what the grammar excludes but Python reads: a character outside the
+# grammar's alphabet (ASCII letters, digits, "_", whitespace, ".", "+", "-",
+# "*", "/", "^" and parentheses), "**" and a sign after an operator
+_EXCLUDED = re.compile(r"[^\x00-\x7f]|[^\w\s.+*/^()-]|\*\*|[-+*/]\s*[-+]")
+# the zeros that open a decimal integer such as "07", which Python rejects
+_LEADING_ZEROS = re.compile(r"(?<![\w.])(?<![eE][+-])0+(?=\d)")
+
+
 def parse_expression(text: str) -> sp.Expr:
     """Parse ``text`` in the coefficient grammar into a sympy expression.
 
-    Raises :class:`ExpressionError` with a position on syntax errors or
-    unknown identifiers.
+    Python's parser reads the text, with ``^`` for ``**``, and the sympy
+    tree is built from the grammar's nodes alone, in the grammar's order (a
+    leading sign signs its whole term).  Python syntax outside the grammar,
+    syntax errors and unknown identifiers raise :class:`ExpressionError`
+    with the position in ``text``.
     """
-    return _Parser(text).parse()
+    bad = _EXCLUDED.search(text)
+    if bad:
+        raise ExpressionError(f"unexpected {bad.group()[-1]!r}", bad.end() - 1)
+    # Python's text is ``text`` with one space for each whitespace character
+    # and leading zero and "**" for "^": its position p is back[p] in ``text``
+    python = _LEADING_ZEROS.sub(lambda m: " " * len(m.group()),
+                                re.sub(r"\s", " ", text)).replace("^", "**")
+    back = [i for i, c in enumerate(text) for _ in range(1 + (c == "^"))] + [len(text)]
+    body = python.lstrip()
+    lead = len(python) - len(body)
+
+    def fail(message: str, node: ast.expr):
+        raise ExpressionError(message, back[lead + node.col_offset])
+
+    def source(node: ast.expr) -> str:
+        return body[node.col_offset:node.end_col_offset]
+
+    def chain(node: ast.expr, level: dict) -> sp.Expr:
+        """An expr (``level`` the sums) or a term (the products): the
+        left-associative chain of the level's operators from ``node``.  An
+        operand in parentheses starts after the chain and ends it."""
+        start, rest, sign = node.col_offset, [], 1
+        while isinstance(node, ast.BinOp) and type(node.op) in level \
+                and node.col_offset == start:
+            rest.append((level[type(node.op)], node.right))
+            node = node.left
+        if level is _PRODUCTS and isinstance(node, ast.UnaryOp) \
+                and type(node.op) in _SIGNS and node.col_offset == start:
+            sign, node = _SIGNS[type(node.op)], node.operand
+        operand = factor if level is _PRODUCTS else lambda n: chain(n, _PRODUCTS)
+        e = operand(node)
+        for op, right in reversed(rest):
+            e = op(e, operand(right))
+        return sign * e
+
+    def factor(node: ast.expr) -> sp.Expr:
+        """A base, or a base "^" a signed integer in no parentheses."""
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            left, digits = factor(node.left), source(node.right).replace(" ", "")
+            if not re.fullmatch(r"[+-]?\d+", digits) \
+                    or not body[:node.right.col_offset].rstrip().endswith("*"):
+                fail("exponent must be an integer", node.right)
+            return left ** int(digits)
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float) \
+                and set(source(node)) <= set("0123456789.eE+-"):
+            return sp.Rational(source(node))
+        if isinstance(node, ast.Name) and node.id in _SYMBOLS:
+            return _SYMBOLS[node.id]
+        if isinstance(node, ast.Call) and getattr(node.func, "id", "") in _FUNCTIONS \
+                and len(node.args) == 1 and node.func.col_offset == node.col_offset:
+            return _FUNCTIONS[node.func.id](chain(node.args[0], _SUMS))
+        if isinstance(node, (ast.BinOp, ast.UnaryOp)) and type(node.op) in _OPERATORS:
+            return chain(node, _SUMS)       # in parentheses
+        name = getattr(node, "func", node)
+        if isinstance(name, ast.Name) and name.id not in _SYMBOLS | _FUNCTIONS:
+            fail(f"unknown identifier {name.id!r}", name)
+        fail(f"{source(node)!r} is not in the grammar", node)
+
+    try:
+        return chain(ast.parse(body, mode="eval").body, _SUMS)
+    except SyntaxError as exc:
+        column = min(max((exc.offset or 1) - 1, 0), len(body))
+        raise ExpressionError(exc.msg, back[lead + column]) from None
+    except RecursionError:
+        raise ExpressionError("expression nested too deeply", 0) from None
 
 
 def const(value) -> sp.Expr:

@@ -639,6 +639,46 @@ kind = carleman-sweep
 frontier_R_values = [1.0, 2.0]
 frontier_probes = 0
 """, ["params.frontier_probes = 0", "positive"]),
+    # the translated inequality holds under the block assumption, a
+    # transversal field with constant a11 > 0; these ended in a raw
+    # AttributeError or ValueError
+    "translated-field-not-transversal": ("""
+[experiment]
+kind = carleman-sweep
+[field]
+dimension = 1
+[params]
+mode = "translated"
+""", ["translated", "transversal field with constant a11 > 0"]),
+    "translated-a11-varying": ("""
+[experiment]
+kind = carleman-sweep
+[field]
+dimension = 1
+transversal = true
+a11 = "1 + 0.1*exp(-x1^2)"
+[params]
+mode = "translated"
+""", ["translated", "constant a11 > 0"]),
+    "translated-a11-negative": ("""
+[experiment]
+kind = carleman-sweep
+[field]
+dimension = 1
+transversal = true
+a11 = "-1"
+[params]
+mode = "translated"
+""", ["translated", "constant a11 > 0"]),
+    # a field entry on a variable beyond the dimension ended in a raw
+    # ValueError
+    "field-entry-beyond-dimension": ("""
+[experiment]
+kind = simulate
+[field]
+dimension = 1
+a11 = "1 + x2^2"
+""", ["[field]", "outside x1..x1"]),
 }
 
 
@@ -653,6 +693,35 @@ def test_table_rejects_config(name, tmp_path, capsys):
     for word in named:
         assert word in err
     assert not (tmp_path / "o").exists()
+
+
+def test_annulus_sweep_reads_a_transversal_field_as_its_matrix(tmp_path):
+    # the block matrix diag(a11) of a transversal field gives the samples of
+    # the same matrix given entry by entry
+    text = """
+[experiment]
+kind = carleman-sweep
+output = {out}
+[field]
+dimension = 1
+{entry}
+[grid]
+extents = [6.0]
+points = [256]
+[params]
+R_values = [1.0]
+n_samples = 2
+"""
+    codes = []
+    for name, entry in (("block", 'transversal = true\na11 = "1 + 0.1*exp(-x1^2)"'),
+                        ("plain", 'a11 = "1 + 0.1*exp(-x1^2)"')):
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(text.format(out=tmp_path / name, entry=entry))
+        codes.append(cli_main(["run", str(path)]))
+    assert codes[0] == codes[1] == 0
+    csvs = [(tmp_path / name / "carleman_samples.csv").read_bytes()
+            for name in ("block", "plain")]
+    assert csvs[0] == csvs[1]
 
 
 def test_symbolic_power_without_alpha_runs(tmp_path):
@@ -773,6 +842,31 @@ dimension = 1
 transversal = true
 a11 = "2 + atan(x1)"
 """, "widen x1_range"),
+    # edge values 1.5e-7 and 9.9e-11 of the peak pass a bare 1e-6 budget,
+    # but times k_max^2 they read 3.2e-2 and 1.3e-5, and the transport
+    # errors were 3.5e-3 and 1.13e-6
+    "GaugeError:identity-on-(-8,8)": ("""
+[experiment]
+kind = gauge-reduce
+[field]
+dimension = 1
+transversal = true
+[params]
+x1_range = [-8.0, 8.0]
+npts = 1601
+""", "times k_max^2"),
+    "GaugeError:cos-on-(-10,10)": ("""
+[experiment]
+kind = gauge-reduce
+seed = 1
+[field]
+dimension = 1
+transversal = true
+a11 = "1 - 0.4*cos(x1)"
+[params]
+npts = 2001
+n_tests = 5
+""", "times k_max^2"),
 }
 
 
