@@ -49,7 +49,6 @@ class SubordinationCase:
 
 @dataclass
 class SubordinationResult:
-    case: SubordinationCase
     log_integrals: np.ndarray
     log_targets: np.ndarray
 
@@ -114,7 +113,7 @@ def subordination_ratio(case: SubordinationCase) -> SubordinationResult:
             raise QuadratureError(f"r = {r:g}: the integrand overflows") from exc
     targets = np.array([case.kappa ** case.p * r ** case.p / case.p
                         for r in case.r_values])
-    return SubordinationResult(case, np.array(logs), targets)
+    return SubordinationResult(np.array(logs), targets)
 
 
 # ---------------------------------------------------------------------------

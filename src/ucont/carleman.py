@@ -29,7 +29,7 @@ import numpy as np
 from .coefficients import CoefficientField, SamplingBox, TransversalField, \
     ellipticity_bounds
 from .expressions import const
-from .grids import Grid, NumericGuardError, SpaceTimeGrid, \
+from .grids import Grid, NumericGuardError, ResolutionError, SpaceTimeGrid, \
     band_limited_noise, check_resolved, spectral_gradient
 from .operators import ConjugatedGridOps, WeightSpec
 
@@ -356,10 +356,9 @@ def carleman_sides_cubic(f: TestField, fld: CoefficientField, beta: float,
                   beta_threshold_cubic(lam, cutoff, cutoff.R))
 
 
-def _block_field(tfld: TransversalField) -> CoefficientField:
-    if not tfld.is_assumption_61():
+def _require_block(fld: TransversalField) -> None:
+    if not fld.is_assumption_61():
         raise ValueError("field must have constant a11 > 0 (block assumption)")
-    return tfld.to_field()
 
 
 def carleman_sides_translated(f: TestField, tfld: TransversalField, beta: float,
@@ -369,9 +368,9 @@ def carleman_sides_translated(f: TestField, tfld: TransversalField, beta: float,
     (constant a11 > 0); the right-hand side is the raw conjugated energy."""
     if f.mode != "translated":
         raise SupportError("translated sides need a translated-mode field")
-    fld = _block_field(tfld)
-    lam = _lower_ellipticity(fld, f.st.space) if lam is None else lam
-    p = _beta_forms(f, _unit_ops(fld, cutoff, f.mode, f.st), cutoff)
+    _require_block(tfld)
+    lam = _lower_ellipticity(tfld, f.st.space) if lam is None else lam
+    p = _beta_forms(f, _unit_ops(tfld, cutoff, f.mode, f.st), cutoff)
     return _sides(p, f.mode, beta, cutoff.R, lam,
                   beta_threshold_translated(c0, cutoff.R))
 
@@ -486,23 +485,27 @@ def carleman_sweep(cfg: SweepConfig, fld=None) -> SweepReport:
             fld = TransversalField(dim, const(1), tuple(
                 tuple(const(int(i == j)) for j in range(dim - 1))
                 for i in range(dim - 1)))
-    base_field = _block_field(fld) if cfg.mode == "translated" else fld
-    lam = _lower_ellipticity(base_field, st.space)
+    if cfg.mode == "translated":
+        _require_block(fld)
+    lam = _lower_ellipticity(fld, st.space)
     fr = cfg.frontier_R_values or ()
     cutoffs = {R: CutoffSpec(r0=cfg.r0, R=R, space_width=cfg.space_width)
                for R in (*cfg.R_values, *fr)}
-    splits = {R: _unit_ops(base_field, cut, cfg.mode, st)
+    splits = {R: _unit_ops(fld, cut, cfg.mode, st)
               for R, cut in cutoffs.items()}
-    samples = [(R, {"seed": cfg.seed0 + i})
+    samples = [(R, "sample", {"seed": cfg.seed0 + i})
                for R in cfg.R_values for i in range(cfg.n_samples)]
-    probes = [(R, kw) for R in fr
+    probes = [(R, "probe", kw) for R in fr
               for kw in _frontier_variants(cfg.mode, cutoffs[R], R,
                                            cfg.frontier_probes,
                                            cfg.seed0 + 1000)]
 
     def forms(task):
-        R, kw = task
-        f = make_test_function(cfg.mode, st, cutoffs[R], **kw)
+        R, role, kw = task
+        try:
+            f = make_test_function(cfg.mode, st, cutoffs[R], **kw)
+        except (ResolutionError, SupportError) as exc:    # name the task
+            raise type(exc)(f"R = {R:g}, {role} seed {kw['seed']}: {exc}") from exc
         return _beta_forms(f, splits[R], cutoffs[R])
 
     tasks = samples + probes
@@ -511,7 +514,7 @@ def carleman_sweep(cfg: SweepConfig, fld=None) -> SweepReport:
         all_forms = list(pool.map(forms, tasks))
 
     reports = []
-    for (R, _), p in zip(samples, all_forms):
+    for (R, *_), p in zip(samples, all_forms):
         beta = beta_threshold_cubic(lam, cutoffs[R], R) \
             if cfg.mode == "annulus" else beta_threshold_translated(cfg.c0, R)
         reports.append(_sides(p, cfg.mode, beta, R, lam, beta))

@@ -64,10 +64,9 @@ class CoefficientField:
                 if not coeff_is_zero(self.entries[k][j] - self.entries[j][k]):
                     raise ValueError(f"entry table not symmetric at ({k},{j})")
         allowed = set(X_SYMBOLS[:self.dim])
-        for row in self.entries:
-            for e in row:
-                if not e.free_symbols <= allowed:
-                    raise ValueError(f"entry {e} uses variables outside x1..x{self.dim}")
+        for e in itertools.chain(*self.entries):
+            if not e.free_symbols <= allowed:
+                raise ValueError(f"entry {e} uses variables outside x1..x{self.dim}")
         if not self.potential.free_symbols <= allowed:
             raise ValueError("potential uses variables outside the field dimension")
 
@@ -89,8 +88,7 @@ class CoefficientField:
 
     def matrix_at(self, coords: Sequence[np.ndarray]) -> np.ndarray:
         """Stacked matrices, shape (npts, dim, dim)."""
-        npts = coords[0].size
-        out = np.empty((npts, self.dim, self.dim))
+        out = np.empty((coords[0].size, self.dim, self.dim))
         for k in range(self.dim):
             for j in range(self.dim):
                 out[:, k, j] = sample(self.entry(k, j), coords)
@@ -101,37 +99,40 @@ class CoefficientField:
         return float(np.max(np.abs(sample(self.potential, box.lattice()))))
 
 
-@dataclass(frozen=True)
-class TransversalField:
-    """Block structure A = diag(a11(x1), Atilde(x')) of the anisotropic case."""
+class TransversalField(CoefficientField):
+    """Block structure A = diag(a11(x1), Atilde(x')) of the anisotropic case:
+    its entries are the block matrix, and a11 and Atilde are views of them."""
 
-    dim: int
-    a11: sp.Expr
-    atilde: tuple[tuple[sp.Expr, ...], ...]
-    potential: sp.Expr = field(default_factory=lambda: const(0))
-
-    def __post_init__(self):
-        m = self.dim - 1
-        if not (self.dim >= 1 and len(self.atilde) == m
-                and all(len(r) == m for r in self.atilde)):
+    def __init__(self, dim: int, a11: sp.Expr, atilde: tuple[tuple[sp.Expr, ...], ...],
+                 potential: sp.Expr | None = None):
+        m = dim - 1
+        if not (len(atilde) == m and all(len(r) == m for r in atilde)):
             raise ValueError("atilde must be (dim-1) x (dim-1)")
-        if not self.a11.free_symbols <= {X_SYMBOLS[0]}:
+        if not a11.free_symbols <= {X_SYMBOLS[0]}:
             raise ValueError("a11 must depend on x1 only")
-        prim = set(X_SYMBOLS[1:self.dim])
-        for row in self.atilde:
-            for e in row:
-                if not e.free_symbols <= prim:
-                    raise ValueError("atilde entries must depend on x' only")
+        prim = set(X_SYMBOLS[1:dim])
+        if any(not e.free_symbols <= prim for e in itertools.chain(*atilde)):
+            raise ValueError("atilde entries must depend on x' only")
+        zero = const(0)
+        rows = ((a11, *(zero,) * m), *((zero, *row) for row in atilde))
+        super().__init__(dim, rows, const(0) if potential is None else potential)
+
+    @property
+    def a11(self) -> sp.Expr:
+        return self.entries[0][0]
+
+    @property
+    def atilde(self) -> tuple[tuple[sp.Expr, ...], ...]:
+        return tuple(row[1:] for row in self.entries[1:])
 
     def is_assumption_61(self) -> bool:
         """Constant a11 > 0 (the translated-weight Carleman hypothesis)."""
         return not self.a11.free_symbols and self.a11.is_positive is True
 
     def to_field(self) -> CoefficientField:
-        zero = const(0)
-        rows = [(self.a11, *(zero,) * (self.dim - 1))]
-        rows += [(zero, *row) for row in self.atilde]
-        return CoefficientField(self.dim, tuple(rows), self.potential)
+        """The same matrix as a plain field, whose full gradient
+        :func:`decay_smallness` reads."""
+        return CoefficientField(self.dim, self.entries, self.potential)
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +148,7 @@ def ellipticity_bounds(fld: CoefficientField, box: SamplingBox) -> tuple[float, 
     coords = box.lattice()
     mats = fld.matrix_at(coords)
     eigs = np.linalg.eigvalsh(mats)
-    lam = float(eigs[:, 0].min())
-    Lam = float(eigs[:, -1].max())
+    lam, Lam = float(eigs[:, 0].min()), float(eigs[:, -1].max())
     if lam <= 0:
         idx = int(np.argmin(eigs[:, 0]))
         loc = tuple(float(c[idx]) for c in coords)
@@ -170,16 +170,15 @@ def derivative_sq_sums(table: Sequence[Sequence[sp.Expr]], order: int,
     out = []
     for alpha in itertools.combinations_with_replacement(axes, order):
         total = np.zeros_like(coords[0], dtype=float)
-        for row in table:
-            for e in row:
-                de = d(e, *alpha)
-                if de != 0:
-                    total += sample(de, coords, syms) ** 2
+        for e in itertools.chain(*table):
+            de = d(e, *alpha)
+            if de != 0:
+                total += sample(de, coords, syms) ** 2
         out.append(total)
     return out
 
 
-def decay_smallness(fld: CoefficientField | TransversalField, box: SamplingBox) -> float:
+def decay_smallness(fld: CoefficientField, box: SamplingBox) -> float:
     """sup over the box of |x| |grad A| (|x'| |grad_{x'} Atilde| in the
     transversal case), with the Frobenius-style gradient norm."""
     if isinstance(fld, TransversalField):
@@ -202,7 +201,7 @@ def decay_smallness(fld: CoefficientField | TransversalField, box: SamplingBox) 
 
 @dataclass(frozen=True)
 class GaugeReduction:
-    """Tabulated reduction of a11(x1) d/dx1^2-type block to the flat one.
+    """Reduction of an a11(x1) d/dx1^2-type block to the flat one.
 
     y1(x1) is the arclength-type coordinate with dy1/dx1 = a11^{-1/2}; the
     gauge factor e^psi with psi = (1/4) log(a11/a11(0)) (in y-units) removes
@@ -210,7 +209,6 @@ class GaugeReduction:
     """
 
     original: TransversalField
-    reduced: TransversalField
     x1_grid: np.ndarray
     y1_grid: np.ndarray
     psi: Callable[[np.ndarray], np.ndarray]
@@ -237,93 +235,95 @@ def verify_gauge_transport(gr: GaugeReduction, n_tests: int = 10,
     function that the y-box cuts (edge fraction times k_max^2 above 1e-6)
     raises :class:`GaugeError`.
     """
-    x1 = X_SYMBOLS[0]
-    n_grid = 2048
+    x1, fld = X_SYMBOLS[0], gr.original
     rng = np.random.default_rng(seed)
     ymax = 0.88 * min(-gr.y1_grid[0], gr.y1_grid[-1])
-    grid = Grid((ymax,), (n_grid,))
+    grid = Grid((ymax,), (2048,))
     ys = grid.axis(0)
     kmax2 = (np.pi / grid.spacings[0]) ** 2
-    xv = np.asarray(gr.x_of_y(ys), dtype=float)
-    a11 = gr.original.a11
-    vpot = gr.original.potential.subs(
-        {s: 0 for s in X_SYMBOLS[1:gr.original.dim]})
+    xv, epsi, vred = gr.x_of_y(ys), np.exp(gr.psi(ys)), gr.reduced_potential(ys)
+    vpot = fld.potential.subs({s: 0 for s in X_SYMBOLS[1:fld.dim]})
     worst = 0.0
     for _ in range(n_tests):
         c0, c1, c2 = rng.normal(size=3)
-        ctr = rng.uniform(-1.5, 1.5)
-        width = rng.uniform(0.6, 1.0)
+        ctr, width = rng.uniform(-1.5, 1.5), rng.uniform(0.6, 1.0)
         u = (c0 + c1 * x1 + c2 * x1 ** 2) * sp.exp(-(x1 - ctr) ** 2 / (2 * width ** 2))
-        orig = sp.diff(a11 * sp.diff(u, x1), x1) + vpot * u
-        w = np.exp(gr.psi(ys)) * sample(u, (xv,))
+        orig = sp.diff(fld.a11 * sp.diff(u, x1), x1) + vpot * u
+        w = epsi * sample(u, (xv,))
         edge = max(abs(w[0]), abs(w[-1])) / np.max(np.abs(w))
         if edge * kmax2 > _EDGE_BUDGET:
-            raise GaugeError(f"the y-box |y1| <= {ymax:.3g} cuts a test function "
-                             f"(edge value {edge:.1e} of its peak, times k_max^2 "
-                             f"= {kmax2:.3g} over {_EDGE_BUDGET:.0e}); widen "
-                             f"x1_range")
-        wyy = spectral_derivative(w, grid, 0, 2).real
-        lhs = wyy + gr.reduced_potential(ys) * w
-        rhs = np.exp(gr.psi(ys)) * sample(orig, (xv,))
-        scale = np.max(np.abs(rhs))
-        worst = max(worst, float(np.max(np.abs(lhs - rhs)) / scale))
+            raise GaugeError(f"the y-box |y1| <= {ymax:.3g} cuts a test function (edge "
+                             f"value {edge:.1e} of its peak, times k_max^2 = "
+                             f"{kmax2:.3g} over {_EDGE_BUDGET:.0e}); widen x1_range")
+        lhs = spectral_derivative(w, grid, 0, 2).real + vred * w
+        rhs = epsi * sample(orig, (xv,))
+        worst = max(worst, float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs))))
     return worst
+
+
+# x1(y1) ends with the first Newton step that starts within this fraction of
+# the map's span, which lands at roundoff (1-4 steps), or raises GaugeError
+_NEWTON_TOL, _NEWTON_STEPS = 1e-13, 8
 
 
 def gauge_reduce(fld: TransversalField, x1_range: tuple[float, float] = (-12.0, 12.0),
                  npts: int = 4001) -> GaugeReduction:
     """Normalize a11 to 1 by the change of variables dy1/dx1 = a11(x1)^{-1/2}
-    plus the quarter-log gauge; returns tabulated maps and the modified
-    bounded potential."""
-    # imported here, so `import ucont` loads no scipy
-    from scipy.integrate import quad
-    from scipy.interpolate import CubicSpline
-
-    a11 = fld.a11
-    x1 = X_SYMBOLS[0]
+    plus the quarter-log gauge; returns the maps and the modified bounded
+    potential.  y1(x1) sums the 8-point Gauss-Legendre rule over the
+    npts - 1 cells of x1_range, exact to roundoff for a smooth a11, so the
+    map does not depend on npts; x1(y1) inverts it by Newton's method."""
+    # imported here, so that `import ucont` does not load numpy.polynomial
+    from numpy.polynomial.legendre import leggauss
+    nodes, weights = leggauss(8)
+    a11, x1 = fld.a11, X_SYMBOLS[0]
     xs = np.linspace(x1_range[0], x1_range[1], npts)
     amin = float(np.min(sample(a11, (xs,))))
     if amin <= 1e-10:
-        raise GaugeError(f"a11 not bounded below on {x1_range} "
-                         f"(min {amin:.3e})")
+        raise GaugeError(f"a11 not bounded below on {x1_range} (min {amin:.3e})")
 
-    integrand = lambda s: float(sample(a11, (s,))) ** -0.5
-    cells = np.array([quad(integrand, a, b, limit=200)[0]
-                      for a, b in zip(xs[:-1], xs[1:])])
-    if not np.all(np.isfinite(cells)):
-        raise GaugeError("quadrature failure building the coordinate map")
-    # y1 = 0 at x1 = 0: anchor the cumulative cell integrals at the grid
-    # point nearest the origin
-    i0 = int(np.argmin(np.abs(xs)))
-    ys = np.concatenate(([0.0], np.cumsum(cells)))
-    ys += quad(integrand, 0.0, xs[i0], limit=400)[0] - ys[i0]
-    if np.any(np.diff(ys) <= 0):
-        raise GaugeError("coordinate map is not strictly increasing")
+    def arclength(lo, hi):
+        """int_lo^hi a11^{-1/2} elementwise, in one sample; numpy sums the
+        rule, not BLAS, so a value does not depend on the batch shape."""
+        lo, hi = np.asarray(lo)[..., None], np.asarray(hi)[..., None]
+        f = sample(a11, ((hi + lo) / 2 + (hi - lo) / 2 * nodes,)) ** -0.5
+        return np.sum((hi - lo) / 2 * weights * f, axis=-1)
+    cum = np.concatenate(([0.0], np.cumsum(arclength(xs[:-1], xs[1:]))))
+    if not np.all(np.isfinite(cum)):
+        raise GaugeError("the coordinate map is not finite")
 
-    x_of_y = CubicSpline(ys, xs)
-    a0 = float(sample(a11, (0.0,)))
-    a11p = sp.diff(a11, x1)
-    a11pp = sp.diff(a11, x1, 2)
-    # the potential on the x1-axis (x' = 0)
-    v_axis = fld.potential.subs({s: 0 for s in X_SYMBOLS[1:fld.dim]})
+    def from_start(xv):
+        # y1(xv) - y1(x1_range[0]), summed from the start of xv's cell
+        i = np.clip(np.searchsorted(xs, xv, side="right") - 1, 0, npts - 2)
+        return cum[i] + arclength(xs[i], xv)
+    origin = from_start(0.0)    # y1 = 0 at x1 = 0
 
-    def _at_x(expr, xv):
+    def at_x(expr, xv):
         return np.broadcast_to(sample(expr, (xv,)), np.shape(xv))
 
+    def x_of_y(y1: np.ndarray) -> np.ndarray:
+        target = np.asarray(y1, dtype=float) + origin
+        xv = np.interp(target, cum, xs)
+        for _ in range(_NEWTON_STEPS):
+            res = from_start(xv) - target
+            xv = xv - res * np.sqrt(at_x(a11, xv))
+            if np.max(np.abs(res), initial=0.0) <= _NEWTON_TOL * cum[-1]:
+                return xv
+        raise GaugeError(f"Newton's method left x1(y1) {np.max(np.abs(res)):.1e} "
+                         f"off the map after {_NEWTON_STEPS} steps")
+
+    a0 = float(sample(a11, (0.0,)))
+    a11p, a11pp = sp.diff(a11, x1), sp.diff(a11, x1, 2)
+    v_axis = fld.potential.subs({s: 0 for s in X_SYMBOLS[1:fld.dim]})   # at x' = 0
+
     def psi(y1: np.ndarray) -> np.ndarray:
-        xv = x_of_y(y1)
-        return 0.25 * np.log(_at_x(a11, xv) / a0)
+        return 0.25 * np.log(at_x(a11, x_of_y(y1)) / a0)
 
     def reduced_potential(y1: np.ndarray) -> np.ndarray:
-        # psi' and psi'' with respect to y1, expressed through x1 derivatives:
-        # psi'(y) = a11'/(4 sqrt(a11)),  psi''(y) = a11''/4 - a11'^2/(8 a11)
-        xv = np.asarray(x_of_y(y1), dtype=float)
-        a = _at_x(a11, xv)
-        ap = _at_x(a11p, xv)
-        app = _at_x(a11pp, xv)
-        psip = 0.25 * ap / np.sqrt(a)
-        psipp = 0.25 * app - 0.125 * ap ** 2 / a
-        return _at_x(v_axis, xv) - psip ** 2 - psipp
+        # V - psi'^2 - psi'' with the y1 derivatives psi' = a11'/(4 sqrt(a11))
+        # and psi'' = a11''/4 - a11'^2/(8 a11)
+        xv = x_of_y(y1)
+        a, ap, app = (at_x(e, xv) for e in (a11, a11p, a11pp))
+        return at_x(v_axis, xv) + ap ** 2 / (16 * a) - app / 4
 
-    reduced = TransversalField(fld.dim, const(1), fld.atilde, fld.potential)
-    return GaugeReduction(fld, reduced, xs, ys, psi, x_of_y, reduced_potential)
+    return GaugeReduction(fld, xs, cum - origin, psi, x_of_y, reduced_potential)

@@ -203,7 +203,6 @@ class LowerBoundProfile:
     radii: np.ndarray
     deltas: np.ndarray
     E1: float
-    E2_required: float | None
     core_mass: float | None
     hypothesis_met: bool
     fits: dict               # p -> dict(c=..., C0=..., rel_residual=...)
@@ -274,5 +273,5 @@ def annulus_mass_profile(traj: Trajectory, radii, t_window=(0.125, 0.875), *,
         preferred = min(fits, key=lambda p: fits[p]["rel_residual"])
 
     label = "ok" if hypothesis_met else "hypothesis not met"
-    return LowerBoundProfile(radii, deltas, E1, E2, core_mass, hypothesis_met,
+    return LowerBoundProfile(radii, deltas, E1, core_mass, hypothesis_met,
                              fits, preferred, label)

@@ -443,7 +443,6 @@ def _build_grid(cfg: ExperimentConfig) -> Grid:
 
 def _propagate_from_config(cfg: ExperimentConfig):
     fld = _build_field(cfg)
-    base = fld.to_field() if isinstance(fld, TransversalField) else fld
     grid = _build_grid(cfg)
 
     def num(section: str, key: str) -> float:
@@ -453,10 +452,10 @@ def _propagate_from_config(cfg: ExperimentConfig):
         tuple(float(c) for c in cfg.get("initial", "center")),
         complex(num("initial", "amplitude")))
     d = DissipationParams(num("evolution", "a"), num("evolution", "b"))
-    traj = propagate(WaveState(0.0, packet.sample(grid), grid), base, d,
+    traj = propagate(WaveState(0.0, packet.sample(grid), grid), fld, d,
                      (0.0, num("evolution", "t_end")),
                      cfg.get("evolution", "steps"), cfg.get("evolution", "frames"))
-    return base, traj
+    return fld, traj
 
 
 def _run_simulate(cfg: ExperimentConfig, out: Path):
@@ -517,8 +516,6 @@ def _run_convexity(cfg: ExperimentConfig, out: Path):
 
 def _run_carleman(cfg: ExperimentConfig, out: Path):
     fld = _build_field(cfg) if "field" in cfg.sections else None
-    if isinstance(fld, TransversalField) and cfg.get("params", "mode") == "annulus":
-        fld = fld.to_field()
     grid = _build_grid(cfg)
     # the params keys are SweepConfig's field names
     params = {key: cfg.get("params", key) for key in _TABLE[cfg.kind]["params"]}
@@ -550,7 +547,6 @@ def _run_carleman(cfg: ExperimentConfig, out: Path):
 
 def _run_symbolic(cfg: ExperimentConfig, out: Path):
     fld = _build_field(cfg)
-    base = fld.to_field() if isinstance(fld, TransversalField) else fld
     variant, alpha = cfg.get("weight", "variant"), cfg.get("weight", "alpha")
 
     def exact(key: str) -> sp.Expr:
@@ -559,7 +555,7 @@ def _run_symbolic(cfg: ExperimentConfig, out: Path):
         return sp.Symbol(key, positive=True) if value is None \
             else parse_expression(str(value))
     w = WeightSpec(variant, exact("beta"), alpha=exact("alpha"), R=exact("R"))
-    rep = verify_T_decomposition(base, w)
+    rep = verify_T_decomposition(fld, w)
     rows = [(label, rep.residual_max[label], rep.residual_exprs[label] or "0")
             for label in sorted(rep.residual_max)]
     path = out / "residuals.csv"
@@ -572,8 +568,8 @@ def _run_symbolic(cfg: ExperimentConfig, out: Path):
     metrics = {"residual_max": rep.residual_max}
     try:
         metrics.update(remainder_grouping_report(
-            base, WeightSpec(variant, 1.0, alpha=alpha, R=2.0),
-            SamplingBox.cube(base.dim, 4.0, 9)))
+            fld, WeightSpec(variant, 1.0, alpha=alpha, R=2.0),
+            SamplingBox.cube(fld.dim, 4.0, 9)))
     except SamplingError as exc:
         checks["remainder_grouping"] = _guard_failure(exc)
     return checks, metrics, [path]
@@ -659,21 +655,21 @@ def _run_lowerbound(cfg: ExperimentConfig, out: Path):
         ok, res_tol, preferred_p=prof.preferred_p,
         rel_residual=prof.fits.get(2, {}).get("rel_residual"))}
     if not prof.hypothesis_met:
-        checks["core_mass_hypothesis"] = {"status": "exploratory",
-                                          "label": prof.label, "tolerance": 0.0}
+        checks["core_mass_hypothesis"] = {
+            "status": "exploratory", "label": prof.label,
+            "tolerance": float(E2) ** 2, "core_mass": prof.core_mass}
     metrics = {"fits": prof.fits, "E1": prof.E1, "label": prof.label}
     return checks, metrics, [path]
 
 
 def _run_gauge(cfg: ExperimentConfig, out: Path):
     fld = _build_field(cfg)
-    if isinstance(fld, CoefficientField):
+    if not isinstance(fld, TransversalField):
         fld = TransversalField(1, fld.entries[0][0], (), fld.potential)
     gr = gauge_reduce(fld, tuple(float(x) for x in cfg.get("params", "x1_range")),
                       cfg.get("params", "npts"))
     ys = np.linspace(gr.y1_grid[0] * 0.92, gr.y1_grid[-1] * 0.92, 257)
-    rows = [(float(y), float(gr.x_of_y(y)), float(gr.psi(np.array([y]))[0]),
-             float(gr.reduced_potential(np.array([y]))[0])) for y in ys]
+    rows = zip(ys, gr.x_of_y(ys), gr.psi(ys), gr.reduced_potential(ys))
     path = out / "gauge.csv"
     write_csv(path, ["y1", "x1", "psi", "V_reduced"], rows)
     err = verify_gauge_transport(gr, n_tests=cfg.get("params", "n_tests"),

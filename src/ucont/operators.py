@@ -354,7 +354,6 @@ def _graded_pieces(fld: CoefficientField, phi: sp.Expr, d: Partials
 @dataclass(frozen=True)
 class TDecompositionReport:
     dim: int
-    weight_variant: str
     residual_max: dict[str, float]
     residual_exprs: dict[str, str]
     identically_zero: bool
@@ -391,7 +390,7 @@ def verify_T_decomposition(fld: CoefficientField, w: WeightSpec
             bad.append(f"{key}: {sp.sstr(sp.cancel(sp.expand(coef)))}")
         residual_max[label] = worst
         residual_exprs[label] = "; ".join(bad)
-    return TDecompositionReport(fld.dim, w.variant, residual_max, residual_exprs,
+    return TDecompositionReport(fld.dim, residual_max, residual_exprs,
                                 all_zero, comm.spatial_order())
 
 

@@ -438,8 +438,7 @@ def test_beta_forms_take_each_derivative_once(monkeypatch, st_grid,
     # div of the flux and A1's dx(c f) make 1 + 2 + 2 + 2 forward
     # transforms in 2-D and 1 + 1 + 1 + 1 in 1-D
     cut2 = CutoffSpec(r0=1.0, R=1.0, space_width=1.0)
-    block = carleman._block_field(TransversalField(
-        2, const(1), ((pe("1 + 0.06*exp(-x2^2/4)"),),)))
+    block = TransversalField(2, const(1), ((pe("1 + 0.06*exp(-x2^2/4)"),),))
     cut1 = CutoffSpec(r0=1.0, R=1.0)
     mild = CoefficientField(1, ((pe("1 + 0.06*exp(-x1^2/4)"),),))
     cases = [(make_test_function("translated", st_grid_2d, cut2, 3),

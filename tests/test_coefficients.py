@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from ucont import coefficients
 from ucont.coefficients import (CoefficientField, EllipticityError, GaugeError,
                                 SamplingBox, TransversalField, decay_smallness,
                                 ellipticity_bounds, gauge_reduce,
@@ -131,7 +132,6 @@ def test_gauge_transport_oracle():
     tf = TransversalField(1, pe("1 + 0.5*exp(-x1^2)"), (), pe("sin(x1)"))
     gr = gauge_reduce(tf, (-10.0, 10.0), 4001)
     assert np.all(np.diff(gr.y1_grid) > 0)
-    assert str(gr.reduced.a11) == "1"
     err = verify_gauge_transport(gr, n_tests=10, seed=2)
     assert err < 1e-6
 
@@ -146,22 +146,42 @@ def _transport_or_guard(a11: str, npts: int, seed: int) -> float:
         return 0.0
 
 
-# fields of wavenumber at most 2; over 60 seeds at eps = -0.3 and 0.3, on
-# 2001 and 4001 points, the largest transport error read 3.5e-7, and the
-# y-box guard ended most atan(x1) runs
-@settings(max_examples=10, deadline=None)
+# fields of wavenumber up to 5; over 60 seeds at eps = -0.5 and 0.5, on
+# 2001 and 4001 points, the largest transport error read 1.1e-7, and the
+# y-box guard ended 306 of the 1920 runs, most of them atan(x1) ones
+@settings(max_examples=20, deadline=None)
+@example(g="cos(4*x1)", eps=0.3, npts=2001, seed=0)    # 1.18e-6 by a spline
 @given(g=st.sampled_from(["exp(-x1^2)", "cos(x1)", "atan(x1)", "1/(1+x1^2)",
-                          "cos(2*x1)"]),
-       eps=st.floats(-0.3, 0.3), npts=st.sampled_from([2001, 4001]),
+                          "cos(2*x1)", "cos(3*x1)", "cos(4*x1)", "sin(5*x1)"]),
+       eps=st.floats(-0.5, 0.5), npts=st.sampled_from([2001, 4001]),
        seed=st.integers(0, 99))
 def test_gauge_transport_holds_or_is_guarded(g, eps, npts, seed):
     assert _transport_or_guard(f"1 + ({eps!r})*({g})", npts, seed) < 1e-6
 
 
-@pytest.mark.xfail(strict=True, reason="no guard checks the resolution of "
-                   "the coordinate map: 1.08e-6 at 2001 points, 2.1e-7 at 4001")
 def test_gauge_transport_of_a_faster_field_on_a_coarse_map():
+    # a spline through the map's grid values read 1.08e-6 here
     assert _transport_or_guard("1 + 0.5*cos(3*x1)", 2001, 5) < 1e-6
+
+
+def test_gauge_map_does_not_depend_on_npts():
+    # the Gauss-Legendre cells are exact to roundoff, so the grid size only
+    # tabulates the map (a spline through it moved by 1.8e-10 here)
+    tf = TransversalField(1, pe("1 + 0.5*cos(3*x1)"), ())
+    coarse, fine = (gauge_reduce(tf, (-10.0, 10.0), n) for n in (2001, 4001))
+    ys = np.linspace(-0.9, 0.9, 1001) * coarse.y1_grid[-1]
+    assert np.max(np.abs(coarse.x_of_y(ys) - fine.x_of_y(ys))) < 1e-12
+    assert np.max(np.abs(coarse.y1_grid - fine.y1_grid[::2])) < 1e-12
+
+
+def test_gauge_map_inversion_is_guarded(monkeypatch):
+    # one Newton step from the linear interpolant leaves x1(y1) far from
+    # roundoff, which must raise rather than return
+    monkeypatch.setattr(coefficients, "_NEWTON_STEPS", 1)
+    gr = gauge_reduce(TransversalField(1, pe("1 + 0.5*cos(3*x1)"), ()),
+                      (-10.0, 10.0), 401)
+    with pytest.raises(GaugeError, match="Newton"):
+        gr.x_of_y(np.linspace(-5.0, 5.0, 11))
 
 
 def test_gauge_rejects_vanishing_a11():

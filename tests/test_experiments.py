@@ -798,6 +798,36 @@ frontier_probes = 1
     guard = payload["checks"]["numeric_guard"]
     assert guard["status"] == "fail" and guard["error"] == "ResolutionError"
     assert "spectral tail fraction" in guard["message"]
+    # the message names the task that tripped the guard
+    assert guard["message"].startswith("R = 2.4, probe seed 1019: ")
+
+
+def test_unmet_core_mass_hypothesis_records_its_values(tmp_path):
+    # the unit packet's mass within |x| <= 0.5 over t in [1/4, 3/4] is far
+    # below E2^2 = 100
+    text = """
+[experiment]
+kind = lowerbound-fit
+output = {out}
+[field]
+dimension = 1
+[grid]
+extents = [12.0]
+points = [512]
+[evolution]
+steps = 32
+frames = 17
+[params]
+radii = [2.0, 3.0, 4.0]
+R0 = 0.5
+E2 = 10
+""".format(out=tmp_path / "o")
+    report = run(validate(text))
+    check = report.checks["core_mass_hypothesis"]
+    assert check["status"] == "exploratory"
+    assert check["label"] == "hypothesis not met"
+    assert check["tolerance"] == 100.0
+    assert 0 < check["core_mass"] < 100.0
 
 
 # one config per guard error of the field and diagnostics layers, with a

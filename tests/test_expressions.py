@@ -236,16 +236,24 @@ def test_stand_in_same_in_every_process():
 
 
 def test_import_and_sample_load_no_scipy():
-    # scipy serves only the gauge reduction and the subordination check, and
-    # the numpy module object keeps lambdify off `from numpy import *`
+    # scipy serves only the subordination check, the numpy module object
+    # keeps lambdify off `from numpy import *`, and the gauge reduction
+    # builds its quadrature nodes without scipy
     code = ("import sys\nimport numpy as np\nimport ucont\n"
             "from ucont.expressions import parse_expression, sample\n"
             "sample(parse_expression('1 + 0.06*exp(-x1^2/4)'),\n"
             "       (np.linspace(-1.0, 1.0, 5),))\n"
+            "print(sorted(m for m in ('scipy', 'numpy.f2py', "
+            "'numpy.polynomial') if m in sys.modules))\n"
+            "from ucont.coefficients import TransversalField, gauge_reduce, "
+            "verify_gauge_transport\n"
+            "gr = gauge_reduce(TransversalField(1, parse_expression("
+            "'1 + 0.5*exp(-x1^2)'), ()), (-10.0, 10.0), 401)\n"
+            "verify_gauge_transport(gr, n_tests=1)\n"
             "print(sorted(m for m in ('scipy', 'numpy.f2py') "
             "if m in sys.modules))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True,
                          timeout=120).stdout
-    assert out.strip() == "[]"
+    assert out.split() == ["[]", "[]"]

@@ -276,6 +276,24 @@ def test_transversal_index_cancellation_quadratic():
     assert rep.ok
 
 
+def test_transversal_field_is_one_coefficient_field():
+    # the block field is realized once: the grid split samples the same
+    # arrays from it as from its plain copy
+    tf = TransversalField(2, const(1), ((pe("1 + 0.06*exp(-x2^2/4)"),),),
+                          pe("sin(x1)"))
+    plain = tf.to_field()
+    assert isinstance(tf, CoefficientField) and type(plain) is CoefficientField
+    assert plain.entries == tf.entries and plain.potential == tf.potential
+    stg = SpaceTimeGrid(16, Grid((8.0, 4.0), (64, 16)))
+    cut = CutoffSpec(r0=1.0, R=1.5, space_width=1.0)
+    prof = (cut.profile_values(stg.times), cut.profile_slope(stg.times))
+    ops = [ConjugatedGridOps.build(f, WeightSpec("translated", 1, R=1.5), stg,
+                                   profile=prof) for f in (tf, plain)]
+    arrays = [[*itertools.chain(*o.a_entries), *o.grad_phi, o.dt_phi,
+               o.zero_order] for o in ops]
+    assert all(np.array_equal(a, b) for a, b in zip(*arrays))
+
+
 def test_remainder_grouping_containment_finite():
     fld = full_sym_field()
     out = remainder_grouping_report(fld, WeightSpec("quadratic", 1.0),
