@@ -28,7 +28,6 @@ import numpy as np
 
 from .coefficients import CoefficientField, SamplingBox, TransversalField, \
     ellipticity_bounds
-from .expressions import const
 from .grids import Grid, NumericGuardError, ResolutionError, SpaceTimeGrid, \
     band_limited_noise, check_resolved, spectral_gradient
 from .operators import ConjugatedGridOps, WeightSpec
@@ -356,21 +355,23 @@ def carleman_sides_cubic(f: TestField, fld: CoefficientField, beta: float,
                   beta_threshold_cubic(lam, cutoff, cutoff.R))
 
 
-def _require_block(fld: TransversalField) -> None:
-    if not fld.is_assumption_61():
-        raise ValueError("field must have constant a11 > 0 (block assumption)")
+def _require_block(fld: CoefficientField) -> None:
+    block = TransversalField.of(fld)
+    if block is None or not block.is_assumption_61():
+        raise ValueError("field must have block form diag(a11, Atilde(x')) "
+                         "with constant a11 > 0 (block assumption)")
 
 
-def carleman_sides_translated(f: TestField, tfld: TransversalField, beta: float,
+def carleman_sides_translated(f: TestField, fld: CoefficientField, beta: float,
                               cutoff: CutoffSpec, *, c0: float = 4.0,
                               lam: float | None = None) -> CarlemanReport:
     """Translated-weight inequality sides under the block assumption
     (constant a11 > 0); the right-hand side is the raw conjugated energy."""
     if f.mode != "translated":
         raise SupportError("translated sides need a translated-mode field")
-    _require_block(tfld)
-    lam = _lower_ellipticity(tfld, f.st.space) if lam is None else lam
-    p = _beta_forms(f, _unit_ops(tfld, cutoff, f.mode, f.st), cutoff)
+    _require_block(fld)
+    lam = _lower_ellipticity(fld, f.st.space) if lam is None else lam
+    p = _beta_forms(f, _unit_ops(fld, cutoff, f.mode, f.st), cutoff)
     return _sides(p, f.mode, beta, cutoff.R, lam,
                   beta_threshold_translated(c0, cutoff.R))
 
@@ -470,21 +471,16 @@ def _frontier_variants(mode: str, cutoff: CutoffSpec, R: float, n: int,
 
 
 def carleman_sweep(cfg: SweepConfig, fld=None) -> SweepReport:
-    """Run the sides over all (R, seed) pairs at the mode's threshold beta,
-    then fit the admissibility frontier exponent over the frontier R grid.
+    """Run the sides on ``fld`` (the identity by default) over all (R, seed)
+    pairs at the mode's threshold beta, then fit the admissibility frontier
+    exponent over the frontier R grid.
 
     Threshold samples and frontier probes are one task list: each test
     function is drawn and reduced to its beta forms in the pool, against the
     unit-scale split built once per distinct R."""
     st = SpaceTimeGrid(cfg.nt, Grid(cfg.extents, cfg.points))
     if fld is None:
-        if cfg.mode == "annulus":
-            fld = CoefficientField.identity(len(cfg.extents))
-        else:
-            dim = len(cfg.extents)
-            fld = TransversalField(dim, const(1), tuple(
-                tuple(const(int(i == j)) for j in range(dim - 1))
-                for i in range(dim - 1)))
+        fld = CoefficientField.identity(len(cfg.extents))
     if cfg.mode == "translated":
         _require_block(fld)
     lam = _lower_ellipticity(fld, st.space)

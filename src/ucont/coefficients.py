@@ -117,6 +117,21 @@ class TransversalField(CoefficientField):
         rows = ((a11, *(zero,) * m), *((zero, *row) for row in atilde))
         super().__init__(dim, rows, const(0) if potential is None else potential)
 
+    @classmethod
+    def of(cls, fld: CoefficientField) -> "TransversalField | None":
+        """The block view of ``fld``: ``fld`` itself when it is one, else its
+        entries when a1j (j >= 2) vanish, a11 depends on x1 alone and Atilde
+        on x' alone; None when A(x) is not of block form."""
+        if isinstance(fld, cls):
+            return fld
+        if not all(coeff_is_zero(e) for e in fld.entries[0][1:]):
+            return None
+        try:
+            return cls(fld.dim, fld.entries[0][0],
+                       tuple(row[1:] for row in fld.entries[1:]), fld.potential)
+        except ValueError:
+            return None
+
     @property
     def a11(self) -> sp.Expr:
         return self.entries[0][0]
@@ -243,20 +258,21 @@ def verify_gauge_transport(gr: GaugeReduction, n_tests: int = 10,
     kmax2 = (np.pi / grid.spacings[0]) ** 2
     xv, epsi, vred = gr.x_of_y(ys), np.exp(gr.psi(ys)), gr.reduced_potential(ys)
     vpot = fld.potential.subs({s: 0 for s in X_SYMBOLS[1:fld.dim]})
+    # one test family, compiled once: its parameters are sample arguments
+    c0, c1, c2, ctr, width = family = sp.symbols("c0 c1 c2 m w", real=True)
+    u = (c0 + c1 * x1 + c2 * x1 ** 2) * sp.exp(-(x1 - ctr) ** 2 / (2 * width ** 2))
+    orig = sp.diff(fld.a11 * sp.diff(u, x1), x1) + vpot * u
     worst = 0.0
     for _ in range(n_tests):
-        c0, c1, c2 = rng.normal(size=3)
-        ctr, width = rng.uniform(-1.5, 1.5), rng.uniform(0.6, 1.0)
-        u = (c0 + c1 * x1 + c2 * x1 ** 2) * sp.exp(-(x1 - ctr) ** 2 / (2 * width ** 2))
-        orig = sp.diff(fld.a11 * sp.diff(u, x1), x1) + vpot * u
-        w = epsi * sample(u, (xv,))
+        values = (*rng.normal(size=3), rng.uniform(-1.5, 1.5), rng.uniform(0.6, 1.0))
+        w = epsi * sample(u, (xv, *values), (x1, *family))
         edge = max(abs(w[0]), abs(w[-1])) / np.max(np.abs(w))
         if edge * kmax2 > _EDGE_BUDGET:
             raise GaugeError(f"the y-box |y1| <= {ymax:.3g} cuts a test function (edge "
                              f"value {edge:.1e} of its peak, times k_max^2 = "
                              f"{kmax2:.3g} over {_EDGE_BUDGET:.0e}); widen x1_range")
         lhs = spectral_derivative(w, grid, 0, 2).real + vred * w
-        rhs = epsi * sample(orig, (xv,))
+        rhs = epsi * sample(orig, (xv, *values), (x1, *family))
         worst = max(worst, float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs))))
     return worst
 
@@ -266,15 +282,20 @@ def verify_gauge_transport(gr: GaugeReduction, n_tests: int = 10,
 _NEWTON_TOL, _NEWTON_STEPS = 1e-13, 8
 
 
-def gauge_reduce(fld: TransversalField, x1_range: tuple[float, float] = (-12.0, 12.0),
+def gauge_reduce(fld: CoefficientField, x1_range: tuple[float, float] = (-12.0, 12.0),
                  npts: int = 4001) -> GaugeReduction:
     """Normalize a11 to 1 by the change of variables dy1/dx1 = a11(x1)^{-1/2}
     plus the quarter-log gauge; returns the maps and the modified bounded
-    potential.  y1(x1) sums the 8-point Gauss-Legendre rule over the
-    npts - 1 cells of x1_range, exact to roundoff for a smooth a11, so the
-    map does not depend on npts; x1(y1) inverts it by Newton's method."""
+    potential of a block field diag(a11(x1), Atilde(x')).  y1(x1) sums the
+    8-point Gauss-Legendre rule over the npts - 1 cells of x1_range, exact to
+    roundoff for a smooth a11, so the map does not depend on npts; x1(y1)
+    inverts it by Newton's method."""
     # imported here, so that `import ucont` does not load numpy.polynomial
     from numpy.polynomial.legendre import leggauss
+    fld = TransversalField.of(fld)
+    if fld is None:
+        raise GaugeError("the gauge reduction needs block form "
+                         "diag(a11(x1), Atilde(x'))")
     nodes, weights = leggauss(8)
     a11, x1 = fld.a11, X_SYMBOLS[0]
     xs = np.linspace(x1_range[0], x1_range[1], npts)

@@ -53,9 +53,7 @@ from .operators import VARIANTS, WeightSpec, remainder_grouping_report, \
 # ``list`` takes a JSON list of numbers.  A callable default is derived from
 # the rest of the config.  A range rule ``(predicate, reason)`` holds for a
 # given value, or for each entry of a given list; a list rule
-# ``(predicate, reason, list)`` holds for a given list as a whole.  A
-# carleman-sweep without [field] runs on the field its mode implies (see
-# ``carleman_sweep``).
+# ``(predicate, reason, list)`` holds for a given list as a whole.
 
 _NUM = (int, float)
 _EXPR = (str, int, float)       # parsed by parse_expression
@@ -73,8 +71,7 @@ def _matrix(prefix: str, m: int) -> dict:
 _EXPERIMENT = {"seed": (int, 0), "output": (str, lambda cfg: f"out/{cfg.kind}")}
 _FIELD = {"dimension": (int, 1, (lambda d: 1 <= d <= 3,
                                   "fields have 1 to 3 dimensions")),
-          "transversal": (bool, False),
-          "potential": (_EXPR, "0"), **_matrix("a", 3), **_matrix("atilde", 2)}
+          "potential": (_EXPR, "0"), **_matrix("a", 3)}
 _AXES = (lambda v: 1 <= len(v) <= 3, "a grid has 1 to 3 axes", list)
 _GRID = {"extents": (list, [12.0], _POSITIVE, _AXES),
          "points": (list, [1024], _POW2, _AXES)}
@@ -93,9 +90,7 @@ _TABLE = {
     "simulate": {**_FLOW, "weight": {"beta": (_NUM, 0.0)}},
     "convexity": {
         **_FLOW,
-        "weight": {"beta": (_NUM, 0.1),
-                   "beta_values": (list, lambda cfg: [cfg.get("weight", "beta")],
-                                   _NONEMPTY)},
+        "weight": {"beta_values": (list, [0.1], _NONEMPTY)},
         "tolerances": {"boundary_budget": (_NUM, 1e-12),
                        "interp_C": (_NUM, 1.0 + 1e-6), "d2_floor": (_NUM, -1e-3)}},
     "carleman-sweep": {
@@ -153,11 +148,9 @@ _TABLE = {
 KINDS = tuple(_TABLE)
 
 
-def _field_keys(dim: int, transversal: bool) -> set[str]:
+def _field_keys(dim: int) -> set[str]:
     """The [field] keys a ``dim``-dimensional field reads."""
-    entries = {"a11", *_matrix("atilde", dim - 1)} if transversal \
-        else _matrix("a", dim).keys()
-    return {"dimension", "transversal", "potential", *entries}
+    return {"dimension", "potential", *_matrix("a", dim)}
 
 
 def _accepts(accepted, value) -> bool:
@@ -301,12 +294,10 @@ def validate(text: str) -> ExperimentConfig:
                    for key in keys)
     cfg = ExperimentConfig(kind, sections)
     fs = sections.get("field", {})
-    dim, transversal = cfg.get("field", "dimension"), cfg.get("field", "transversal")
-    if good("field", "dimension", "transversal"):
-        shape = f"{'transversal ' if transversal else ''}{dim}-D field"
-        errors += [f"key {key!r} in section [field] is not read by a {shape}"
-                   for key in sorted((fs.keys() & _FIELD.keys())
-                                     - _field_keys(dim, transversal))]
+    dim = cfg.get("field", "dimension")
+    if good("field", "dimension"):
+        errors += [f"key {key!r} in section [field] is not read by a {dim}-D field"
+                   for key in sorted((fs.keys() & _FIELD.keys()) - _field_keys(dim))]
     alpha = cfg.get("weight", "alpha")
     if good("weight", "variant", "alpha") and alpha <= 1 \
             and cfg.get("weight", "variant") == "power":
@@ -341,22 +332,22 @@ def validate(text: str) -> ExperimentConfig:
         errors.append(f"initial.center = {cfg.get('initial', 'center')}: "
                       f"needs one entry per field dimension ({dim})")
     # the field itself: entries on its own variables and, for a translated
-    # sweep, the block assumption of the translated Carleman inequality
-    if "field" in sections and good("field", "dimension", "transversal", *fs):
+    # sweep or a gauge reduction, the block form diag(a11(x1), Atilde(x'))
+    if "field" in sections and good("field", "dimension", *fs):
         try:
             fld = _build_field(cfg)
         except ValueError as exc:
             errors.append(f"[field]: {exc}")
         else:
+            block = TransversalField.of(fld)
             if kind == "carleman-sweep" and good("params", "mode") \
                     and cfg.get("params", "mode") == "translated" \
-                    and not (isinstance(fld, TransversalField)
-                             and fld.is_assumption_61()):
-                errors.append("[field]: a translated carleman-sweep needs a "
-                              "transversal field with constant a11 > 0")
-    if kind == "gauge-reduce" and dim != 1 and transversal is not True:
-        errors.append(f"field.dimension = {dim}: gauge-reduce takes a 1-D or "
-                      f"a transversal field")
+                    and not (block and block.is_assumption_61()):
+                errors.append("[field]: a translated carleman-sweep needs block "
+                              "form diag(a11, Atilde(x')) with constant a11 > 0")
+            if kind == "gauge-reduce" and block is None:
+                errors.append("[field]: gauge-reduce needs block form "
+                              "diag(a11(x1), Atilde(x'))")
     extents, points = cfg.get("grid", "extents"), cfg.get("grid", "points")
     if good("grid", "extents", "points") and len(extents) != len(points):
         errors.append(f"len(grid.extents) = {len(extents)} differs from "
@@ -420,20 +411,15 @@ def _guard_failure(exc: Exception) -> dict:
     return {"status": "fail", "error": type(exc).__name__, "message": str(exc)}
 
 
-def _build_field(cfg: ExperimentConfig):
+def _build_field(cfg: ExperimentConfig) -> CoefficientField:
     dim = cfg.get("field", "dimension")
 
     def expr(key: str):
         return parse_expression(str(cfg.get("field", key)))
-
-    def table(prefix: str, m: int):
-        """Symmetric m x m table from keys prefix11, prefix12, ..."""
-        return tuple(tuple(expr(f"{prefix}{min(k, j) + 1}{max(k, j) + 1}")
-                           for j in range(m)) for k in range(m))
-    if cfg.get("field", "transversal"):
-        return TransversalField(dim, expr("a11"), table("atilde", dim - 1),
-                                expr("potential"))
-    return CoefficientField(dim, table("a", dim), expr("potential"))
+    # the symmetric table from the keys a11, a12, ...
+    return CoefficientField(dim, tuple(
+        tuple(expr(f"a{min(k, j) + 1}{max(k, j) + 1}") for j in range(dim))
+        for k in range(dim)), expr("potential"))
 
 
 def _build_grid(cfg: ExperimentConfig) -> Grid:
@@ -663,11 +649,8 @@ def _run_lowerbound(cfg: ExperimentConfig, out: Path):
 
 
 def _run_gauge(cfg: ExperimentConfig, out: Path):
-    fld = _build_field(cfg)
-    if not isinstance(fld, TransversalField):
-        fld = TransversalField(1, fld.entries[0][0], (), fld.potential)
-    gr = gauge_reduce(fld, tuple(float(x) for x in cfg.get("params", "x1_range")),
-                      cfg.get("params", "npts"))
+    x1_range = tuple(float(x) for x in cfg.get("params", "x1_range"))
+    gr = gauge_reduce(_build_field(cfg), x1_range, cfg.get("params", "npts"))
     ys = np.linspace(gr.y1_grid[0] * 0.92, gr.y1_grid[-1] * 0.92, 257)
     rows = zip(ys, gr.x_of_y(ys), gr.psi(ys), gr.reduced_potential(ys))
     path = out / "gauge.csv"
@@ -675,9 +658,7 @@ def _run_gauge(cfg: ExperimentConfig, out: Path):
     err = verify_gauge_transport(gr, n_tests=cfg.get("params", "n_tests"),
                                  seed=cfg.seed)
     tol = float(cfg.get("tolerances", "slack_tol"))
-    mono = bool(np.all(np.diff(gr.y1_grid) > 0))
-    checks = {"transport_identity": _check(err < tol, tol, max_rel_err=err),
-              "map_monotone": _check(mono, 0.0)}
+    checks = {"transport_identity": _check(err < tol, tol, max_rel_err=err)}
     return checks, {"transport_max_rel_err": err}, [path]
 
 

@@ -570,7 +570,6 @@ output = {out}
 
 [field]
 dimension = 1
-transversal = true
 a11 = 1 + 0.5*exp(-x1^2)
 potential = sin(x1)
 

@@ -216,8 +216,22 @@ def test_translated_requires_block_assumption(st_grid_2d):
     cut = CutoffSpec(r0=1.0, R=1.0, space_width=1.0)
     f = make_test_function("translated", st_grid_2d, cut, 1)
     varying = TransversalField(2, pe("1 + 0.1*exp(-x1^2)"), ((const(1),),))
-    with pytest.raises(ValueError, match="constant a11"):
-        carleman_sides_translated(f, varying, 10.0, cut)
+    off_block = CoefficientField(2, ((const(1), const(0.1)),
+                                     (const(0.1), const(1))))
+    for fld in (varying, off_block):
+        with pytest.raises(ValueError, match="constant a11"):
+            carleman_sides_translated(f, fld, 10.0, cut)
+
+
+def test_translated_sides_read_block_form_from_the_entries(st_grid_2d):
+    # a plain field of block form gives its TransversalField's report
+    cut = CutoffSpec(r0=1.0, R=1.0, space_width=1.0)
+    f = make_test_function("translated", st_grid_2d, cut, 2)
+    a22 = pe("1 + 0.06*exp(-x2^2/4)")
+    block, plain = (carleman_sides_translated(f, fld, 4.0, cut, c0=4.0)
+                    for fld in (TransversalField(2, const(1), ((a22,),)),
+                                CoefficientField.diagonal((const(1), a22))))
+    assert block == plain
 
 
 def test_translated_inequality_block_field(st_grid_2d):

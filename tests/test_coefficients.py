@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +104,57 @@ def test_transversal_structure_enforced():
         TransversalField(2, pe("x2"), ((const(1),),))
     with pytest.raises(ValueError, match="x' only"):
         TransversalField(2, const(1), ((pe("x1"),),))
+
+
+def test_block_view_is_read_from_the_entries():
+    plain = CoefficientField(2, ((pe("1 + 0.5*exp(-x1^2)"), const(0)),
+                                 (const(0), pe("2 + cos(x2)"))), pe("sin(x1)"))
+    view = TransversalField.of(plain)
+    assert isinstance(view, TransversalField)
+    assert (view.entries, view.potential) == (plain.entries, plain.potential)
+    tf = TransversalField(2, const(1), ((const(1),),))
+    assert TransversalField.of(tf) is tf
+    off_block = CoefficientField(2, ((const(1), const(0.1)),
+                                     (const(0.1), const(1))))
+    for fld in (off_block,
+                CoefficientField.diagonal((pe("1 + 0.1*x2^2"), const(1))),
+                CoefficientField.diagonal((const(1), pe("2 + cos(x1)")))):
+        assert TransversalField.of(fld) is None
+    with pytest.raises(GaugeError, match="block form"):
+        gauge_reduce(off_block, (-8.0, 8.0), 401)
+
+
+def _calls(tree: ast.Module):
+    """(qualified name of the enclosing definition, node) of each call."""
+    def visit(node, qual):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            qual = f"{qual}.{node.name}".lstrip(".")
+        if isinstance(node, ast.Call):
+            yield qual, node
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, qual)
+    return visit(tree, "")
+
+
+def test_block_form_is_decided_in_one_place():
+    """TransversalField.of alone decides block form: no other code in ucont
+    tests a field's type against TransversalField, except decay_smallness,
+    whose metric on a plain 1-D field is the full gradient, and none
+    converts a field with to_field()."""
+    found = []
+    for path in sorted(Path(coefficients.__file__).parent.glob("*.py")):
+        for qual, call in _calls(ast.parse(path.read_text())):
+            where = f"{path.name}:{call.lineno} in {qual or 'the module'}"
+            if isinstance(call.func, ast.Attribute) \
+                    and call.func.attr == "to_field":
+                found.append(f"{where}: to_field()")
+            if isinstance(call.func, ast.Name) \
+                    and call.func.id == "isinstance" \
+                    and "TransversalField" in {n.id for n in ast.walk(call)
+                                               if isinstance(n, ast.Name)} \
+                    and qual not in ("TransversalField.of", "decay_smallness"):
+                found.append(f"{where}: isinstance")
+    assert not found
 
 
 # ---------------------------------------------------------------------------

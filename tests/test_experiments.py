@@ -9,9 +9,12 @@ import pytest
 
 import ucont
 from ucont import experiments
+from ucont.carleman import SweepConfig, carleman_sweep
 from ucont.cli import main as cli_main
+from ucont.coefficients import TransversalField
 from ucont.experiments import KINDS, ConfigError, ExperimentConfig, \
     load_config, run, validate
+from ucont.expressions import const, parse_expression as pe
 from ucont.grids import NumericGuardError
 
 CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.cfg"))
@@ -270,14 +273,6 @@ kind = simulate
 dimension = 1
 a22 = 2
 """, ["'a22'", "1-D"]),
-    "transversal-leaves-a12-unread": ("""
-[experiment]
-kind = gauge-reduce
-[field]
-dimension = 2
-transversal = true
-a12 = 0.5
-""", ["'a12'", "transversal 2-D"]),
     "scalar-extents": ("""
 [experiment]
 kind = poincare
@@ -332,7 +327,7 @@ kind = gauge-reduce
 dimension = 2
 a12 = 0.3
 a22 = 5
-""", ["field.dimension = 2", "transversal"]),
+""", ["[field]", "gauge-reduce needs block form"]),
     "symbolic-beta-nan": ("""
 [experiment]
 kind = symbolic-verify
@@ -552,7 +547,6 @@ r_values = []
 kind = gauge-reduce
 [field]
 dimension = 1
-transversal = true
 a11 = 1 + 0.5*exp(-x1^2)
 [params]
 x1_range = [10.0]
@@ -563,7 +557,6 @@ npts = 401
 kind = gauge-reduce
 [field]
 dimension = 1
-transversal = true
 a11 = 1 + 0.5*exp(-x1^2)
 [params]
 npts = 1
@@ -608,7 +601,6 @@ frames = 5
 kind = gauge-reduce
 [field]
 dimension = 1
-transversal = true
 a11 = 1 + 0.5*exp(-x1^2)
 [params]
 n_tests = 0
@@ -639,23 +631,26 @@ kind = carleman-sweep
 frontier_R_values = [1.0, 2.0]
 frontier_probes = 0
 """, ["params.frontier_probes = 0", "positive"]),
-    # the translated inequality holds under the block assumption, a
-    # transversal field with constant a11 > 0; these ended in a raw
+    # the translated inequality holds under the block assumption, block
+    # form diag(a11, Atilde(x')) with constant a11 > 0; these ended in a raw
     # AttributeError or ValueError
-    "translated-field-not-transversal": ("""
+    "translated-field-off-block": ("""
 [experiment]
 kind = carleman-sweep
 [field]
-dimension = 1
+dimension = 2
+a12 = 0.1
+[grid]
+extents = [8.0, 4.0]
+points = [128, 64]
 [params]
 mode = "translated"
-""", ["translated", "transversal field with constant a11 > 0"]),
+""", ["translated", "block form", "constant a11 > 0"]),
     "translated-a11-varying": ("""
 [experiment]
 kind = carleman-sweep
 [field]
 dimension = 1
-transversal = true
 a11 = "1 + 0.1*exp(-x1^2)"
 [params]
 mode = "translated"
@@ -665,7 +660,6 @@ mode = "translated"
 kind = carleman-sweep
 [field]
 dimension = 1
-transversal = true
 a11 = "-1"
 [params]
 mode = "translated"
@@ -695,33 +689,81 @@ def test_table_rejects_config(name, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def _sweep_csvs(tmp_path, params: str, sweep, fld):
+    """The samples CSV of a carleman-sweep config with ``params``, and the
+    one ``carleman_sweep(sweep, fld)`` gives under the same header."""
+    path = tmp_path / "c.cfg"
+    path.write_text(f"[experiment]\nkind = carleman-sweep\noutput = "
+                    f"{tmp_path / 'o'}\n" + params)
+    assert cli_main(["run", str(path)]) == 0
+    ours = (tmp_path / "o" / "carleman_samples.csv").read_bytes()
+    header = ours.decode().splitlines()[0].split(",")
+    experiments.write_csv(tmp_path / "direct.csv", header,
+                          carleman_sweep(sweep, fld).rows)
+    return ours, (tmp_path / "direct.csv").read_bytes()
+
+
 def test_annulus_sweep_reads_a_transversal_field_as_its_matrix(tmp_path):
-    # the block matrix diag(a11) of a transversal field gives the samples of
+    # the block matrix diag(a11) of a TransversalField gives the samples of
     # the same matrix given entry by entry
-    text = """
-[experiment]
-kind = carleman-sweep
-output = {out}
+    ours, direct = _sweep_csvs(tmp_path, """
 [field]
 dimension = 1
-{entry}
+a11 = "1 + 0.1*exp(-x1^2)"
 [grid]
 extents = [6.0]
 points = [256]
 [params]
 R_values = [1.0]
 n_samples = 2
-"""
-    codes = []
-    for name, entry in (("block", 'transversal = true\na11 = "1 + 0.1*exp(-x1^2)"'),
-                        ("plain", 'a11 = "1 + 0.1*exp(-x1^2)"')):
-        path = tmp_path / f"{name}.cfg"
-        path.write_text(text.format(out=tmp_path / name, entry=entry))
-        codes.append(cli_main(["run", str(path)]))
-    assert codes[0] == codes[1] == 0
-    csvs = [(tmp_path / name / "carleman_samples.csv").read_bytes()
-            for name in ("block", "plain")]
-    assert csvs[0] == csvs[1]
+""", SweepConfig(mode="annulus", extents=(6.0,), points=(256,),
+                 R_values=(1.0,), n_samples=2, seed0=0),
+        TransversalField(1, pe("1 + 0.1*exp(-x1^2)"), ()))
+    assert ours == direct
+
+
+def test_translated_sweep_reads_block_form_from_the_entries(tmp_path):
+    # a 2-D block field written entry by entry is the translated sweep's
+    # TransversalField; no flag declares it
+    ours, direct = _sweep_csvs(tmp_path, """
+[field]
+dimension = 2
+a22 = "1 + 0.06*exp(-x2^2/4)"
+[grid]
+extents = [8.0, 4.0]
+points = [128, 64]
+nt = 128
+[params]
+mode = "translated"
+R_values = [1.0]
+n_samples = 2
+space_width = 1.0
+""", SweepConfig(mode="translated", nt=128, extents=(8.0, 4.0),
+                 points=(128, 64), R_values=(1.0,), n_samples=2, seed0=0,
+                 space_width=1.0),
+        TransversalField(2, const(1), ((pe("1 + 0.06*exp(-x2^2/4)"),),)))
+    assert ours == direct
+
+
+def test_gauge_reduce_reads_a_2d_block_field(tmp_path):
+    # a11(x1) and a22(x2) are block form, so the gauge reduction runs on x1
+    path = tmp_path / "c.cfg"
+    path.write_text(f"""
+[experiment]
+kind = gauge-reduce
+output = {tmp_path / 'o'}
+[field]
+dimension = 2
+a11 = "1 + 0.5*exp(-x1^2)"
+a22 = "2 + 0.3*cos(x2)"
+potential = "sin(x1)"
+[params]
+npts = 401
+n_tests = 2
+""")
+    assert cli_main(["run", str(path)]) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["checks"]["transport_identity"]["status"] == "pass"
 
 
 def test_symbolic_power_without_alpha_runs(tmp_path):
@@ -858,7 +900,6 @@ n_samples = 1
 kind = gauge-reduce
 [field]
 dimension = 1
-transversal = true
 a11 = "-1 + 0.5*exp(-x1^2)"
 """, "a11 not bounded below"),
     # a11 is near 2 - pi/2 for x1 << 0, so the y-box cuts the transported
@@ -869,7 +910,6 @@ a11 = "-1 + 0.5*exp(-x1^2)"
 kind = gauge-reduce
 [field]
 dimension = 1
-transversal = true
 a11 = "2 + atan(x1)"
 """, "widen x1_range"),
     # edge values 1.5e-7 and 9.9e-11 of the peak pass a bare 1e-6 budget,
@@ -880,7 +920,6 @@ a11 = "2 + atan(x1)"
 kind = gauge-reduce
 [field]
 dimension = 1
-transversal = true
 [params]
 x1_range = [-8.0, 8.0]
 npts = 1601
@@ -891,7 +930,6 @@ kind = gauge-reduce
 seed = 1
 [field]
 dimension = 1
-transversal = true
 a11 = "1 - 0.4*cos(x1)"
 [params]
 npts = 2001
@@ -1099,7 +1137,6 @@ radii = [2.0, 3.0, 4.0]
     "gauge-reduce": """
 [field]
 dimension = 1
-transversal = true
 a11 = 1 + 0.5*exp(-x1^2)
 [params]
 npts = 401
@@ -1110,8 +1147,8 @@ n_tests = 2
 
 def test_every_table_key_is_read(tmp_path, monkeypatch):
     """Each kind's runner reads every key its table declares (field entries
-    that the dimension and the transversal flag leave unused exempt) and no
-    key the table does not declare."""
+    that the dimension leaves unused exempt) and no key the table does not
+    declare."""
     assert set(GUARD_CONFIGS) == set(KINDS)
     read = set()
     get = ExperimentConfig.get
@@ -1129,7 +1166,7 @@ def test_every_table_key_is_read(tmp_path, monkeypatch):
         unused = set()
         if "field" in table:
             unused = set(table["field"]) - experiments._field_keys(
-                cfg.get("field", "dimension"), cfg.get("field", "transversal"))
+                cfg.get("field", "dimension"))
         declared = {(sec, key) for sec, keys in table.items() for key in keys}
         exempt = {("field", key) for key in unused}
         assert declared - exempt - read == set(), kind
