@@ -7,7 +7,9 @@ by the operator machinery (3 in the coefficients, 4 in the weights) always
 exist.  Numbers parse to exact rationals (``0.1`` is 1/10), so symbolic
 identities hold exactly and :func:`coeff_is_zero` decides them.
 Coefficients and weights are plain sympy expressions; every numeric
-evaluation of one goes through :func:`sample`.
+evaluation of one goes through :func:`sample`, and every symbolic
+derivative the operator machinery takes comes from a :func:`partials`
+table.
 
 Grammar (whitespace insignificant)::
 
@@ -80,18 +82,37 @@ def sample(expr: sp.Expr, mesh, syms=None):
 
 
 def partials() -> Partials:
-    """A fresh memoized table of partial derivatives for one build:
-    ``d(expr, *axes, t=0)`` is dx_{axes[-1]} ... dx_{axes[0]} dt^t expr, the
-    time derivatives first and then the space derivatives in the order
-    given, one step at a time, so that each (expression, variable)
-    derivative is taken once per table."""
+    """A fresh memoized table of partial derivatives, the symbolic layer's
+    one derivative engine, for one build or call: ``d(expr, *axes, t=0)`` is
+    dx_{axes[-1]} ... dx_{axes[0]} dt^t expr, the time derivatives first and
+    then the space derivatives in the order given, one step at a time.
+
+    A step differentiates a sum term by term and a product by the product
+    rule over sympy's own factor order, taking the terms' and factors'
+    steps from the table itself, so each step builds the tree that
+    ``sp.diff`` builds.  Any other node (a power, exp, atan, vp(t), ...) is
+    handed to ``sp.diff`` once per (subexpression, variable) in the table.
+    """
     steps: dict[tuple[sp.Expr, sp.Symbol], sp.Expr] = {}
+
+    def step(expr: sp.Expr, var: sp.Symbol) -> sp.Expr:
+        if (expr, var) not in steps:
+            if isinstance(expr, sp.Add):
+                out = sp.Add(*(step(e, var) for e in expr.args))
+            elif isinstance(expr, sp.Mul):
+                # sympy's Mul._eval_derivative_n_times at n = 1
+                args = expr.args
+                out = sp.Add(*(sp.Mul(*args[:i], da, *args[i + 1:])
+                               for i, da in enumerate(step(e, var) for e in args)
+                               if da != 0))
+            else:
+                out = sp.diff(expr, var)
+            steps[expr, var] = out
+        return steps[expr, var]
 
     def d(expr: sp.Expr, *axes: int, t: int = 0) -> sp.Expr:
         for var in (T_SYMBOL,) * t + tuple(X_SYMBOLS[i] for i in axes):
-            if (expr, var) not in steps:
-                steps[expr, var] = sp.diff(expr, var)
-            expr = steps[expr, var]
+            expr = step(expr, var)
         return expr
     return d
 

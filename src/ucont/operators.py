@@ -89,28 +89,30 @@ class DiffOperator:
 
     def compose(self, other: "DiffOperator") -> "DiffOperator":
         """Leibniz expansion of self applied after other."""
-        return _accumulate(self.dim, _leibniz(self, other))
+        return _accumulate(self.dim, _leibniz(self, other, partials()))
 
     def order_part(self, spatial_order: int) -> "DiffOperator":
         return DiffOperator.build(
             self.dim, {k: v for k, v in self.terms.items() if sum(k[1]) == spatial_order})
 
     def apply_symbolic(self, f: sp.Expr) -> sp.Expr:
+        d = partials()
         out = sp.Integer(0)
         for (a, al), coef in self.terms.items():
-            df = f
-            if a:
-                df = sp.diff(df, T_SYMBOL, a)
-            for i, m in enumerate(al):
-                if m:
-                    df = sp.diff(df, X_SYMBOLS[i], m)
-            out += coef * df
+            out += coef * d(f, *_axes(al), t=a)
         return sp.expand(out)
 
 
-def _leibniz(p: DiffOperator, q: DiffOperator, cross: bool = False) -> Pairs:
-    """The Leibniz pairs of p applied after q; with ``cross``, only those in
-    which a derivative of p lands on a coefficient of q."""
+def _axes(alpha: tuple[int, ...]) -> tuple[int, ...]:
+    """The axes of dx^alpha in order, each as often as its order."""
+    return tuple(i for i, m in enumerate(alpha) for _ in range(m))
+
+
+def _leibniz(p: DiffOperator, q: DiffOperator, d: Partials,
+             cross: bool = False) -> Pairs:
+    """The Leibniz pairs of p applied after q, their partials from ``d``;
+    with ``cross``, only those in which a derivative of p lands on a
+    coefficient of q."""
     for (a1, al1), c1 in p.terms.items():
         for (a2, al2), c2 in q.terms.items():
             for jt in range(a1 + 1):
@@ -120,12 +122,7 @@ def _leibniz(p: DiffOperator, q: DiffOperator, cross: bool = False) -> Pairs:
                     binom = math.comb(a1, jt)
                     for m, g in zip(al1, gamma):
                         binom *= math.comb(m, g)
-                    dc2 = c2
-                    if jt:
-                        dc2 = sp.diff(dc2, T_SYMBOL, jt)
-                    for i, g in enumerate(gamma):
-                        if g:
-                            dc2 = sp.diff(dc2, X_SYMBOLS[i], g)
+                    dc2 = d(c2, *_axes(gamma), t=jt)
                     if dc2 != 0:
                         yield ((a1 - jt + a2, tuple(
                             m - g + n2 for m, g, n2 in zip(al1, gamma, al2))),
@@ -141,9 +138,14 @@ def commutator(s: DiffOperator, a: DiffOperator,
     When ``max_spatial_order`` is given, surviving higher-order terms (after
     zero-pruning) raise :class:`OrderOverflowError`.
     """
+    return _commutator(s, a, partials(), max_spatial_order)
+
+
+def _commutator(s: DiffOperator, a: DiffOperator, d: Partials,
+                max_spatial_order: int | None = None) -> DiffOperator:
     comm = _accumulate(s.dim, itertools.chain(
-        _leibniz(s, a, cross=True),
-        ((k, -c) for k, c in _leibniz(a, s, cross=True))))
+        _leibniz(s, a, d, cross=True),
+        ((k, -c) for k, c in _leibniz(a, s, d, cross=True))))
     if max_spatial_order is not None and comm.spatial_order() > max_spatial_order:
         high = {k: v for k, v in comm.terms.items() if sum(k[1]) > max_spatial_order}
         survivors = {k: v for k, v in high.items() if not coeff_is_zero(v)}
@@ -230,9 +232,12 @@ class WeightSpec:
 def conjugate_decompose(fld: CoefficientField, w: WeightSpec
                         ) -> tuple[DiffOperator, DiffOperator]:
     """Split e^phi (i dt + L) e^{-phi} into symmetric and antisymmetric parts."""
+    return _split(fld, w.phi(fld.dim), partials())
+
+
+def _split(fld: CoefficientField, phi: sp.Expr, d: Partials
+           ) -> tuple[DiffOperator, DiffOperator]:
     n = fld.dim
-    phi = w.phi(n)
-    d = partials()
     s_pairs = [(_key(n, t=1), sp.I)]
     a_pairs = [(_key(n), -sp.I * d(phi, t=1))]
     for k, j in itertools.product(range(n), repeat=2):
@@ -368,9 +373,10 @@ def verify_T_decomposition(fld: CoefficientField, w: WeightSpec
                            ) -> TDecompositionReport:
     """Check that the graded pieces built from their closed formulas sum to
     the brute-force commutator of the conjugated split, grade by grade."""
-    s_op, a_op = conjugate_decompose(fld, w)
-    comm = commutator(s_op, a_op, max_spatial_order=2)
-    parts = t_decomposition_terms(fld, w)
+    phi, d = w.phi(fld.dim), partials()
+    s_op, a_op = _split(fld, phi, d)
+    comm = _commutator(s_op, a_op, d, max_spatial_order=2)
+    parts = _graded_pieces(fld, phi, d)
     grouped = {
         "order2": comm.order_part(2) - parts["order2"],
         "order1": comm.order_part(1) - parts["order1"],
@@ -470,7 +476,7 @@ class ConjugatedGridOps:
         ``grid.times``, which a time-dependent weight needs: they stand in
         for vp(t) and its derivative, so no profile expression is compiled."""
         n = fld.dim
-        phi = w.phi(n)
+        phi, d = w.phi(n), partials()
         syms, mesh, bind = (T_SYMBOL, *X_SYMBOLS[:n]), grid.open_mesh, {}
         if phi.has(PROFILE):
             if profile is None:
@@ -485,8 +491,8 @@ class ConjugatedGridOps:
         return cls(grid,
                    [[on_grid(fld.entry(k, j)) for j in range(n)]
                     for k in range(n)],
-                   [on_grid(sp.diff(phi, x)) for x in X_SYMBOLS[:n]],
-                   on_grid(sp.diff(phi, T_SYMBOL)))
+                   [on_grid(d(phi, i)) for i in range(n)],
+                   on_grid(d(phi, t=1)))
 
     @property
     def space(self) -> Grid:

@@ -157,6 +157,30 @@ def test_block_form_is_decided_in_one_place():
     assert not found
 
 
+# the sp.diff calls outside the derivative engine, each of which a table
+# would change: the direct-conjugation oracle of the split, the gauge check's
+# ODE side, and gauge_reduce's a11' and a11'' (stepping twice builds another
+# a11'' tree, which moves gauge.csv)
+_DIFF_SITES = {("expressions.py", "partials.step"),
+               ("operators.py", "conjugated_operator"),
+               ("coefficients.py", "verify_gauge_transport"),
+               ("coefficients.py", "gauge_reduce")}
+
+
+def test_derivatives_are_taken_in_one_place():
+    """expressions.partials is the symbolic layer's one derivative engine:
+    no other code in ucont calls sp.diff or an expression's diff method,
+    apart from the sites named above."""
+    found = []
+    for path in sorted(Path(coefficients.__file__).parent.glob("*.py")):
+        for qual, call in _calls(ast.parse(path.read_text())):
+            if isinstance(call.func, ast.Attribute) and call.func.attr == "diff" \
+                    and getattr(call.func.value, "id", None) != "np" \
+                    and (path.name, qual) not in _DIFF_SITES:
+                found.append(f"{path.name}:{call.lineno} in {qual or 'the module'}")
+    assert not found
+
+
 # ---------------------------------------------------------------------------
 # gauge reduction
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -9,8 +10,10 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from ucont.expressions import (T_SYMBOL, X_SYMBOLS, ExpressionError,
-                               SamplingError, parse_expression, sample)
+                               SamplingError, coeff_is_zero, parse_expression,
+                               partials, sample)
 from ucont.grids import Grid, SpaceTimeGrid
+from ucont.operators import VARIANTS, WeightSpec
 
 
 def test_constant_identity():
@@ -185,6 +188,55 @@ def test_polynomial_round_trip(a, b, k):
     x = 0.37
     expected = a + b * x ** k if k else a + b
     assert sample(e, (x,)) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the derivative engine
+# ---------------------------------------------------------------------------
+
+# an oracle apart from the engine, which compose, commutator and the graded
+# pieces share, so that their own tests cannot catch a wrong derivative:
+# random grammar trees in t, x1, x2, x3 and the four weights (two of them
+# with the abstract profile vp(t)), each differentiated up to 4 times by the
+# table and by sp.diff
+_LEAVES = st.sampled_from([T_SYMBOL, *X_SYMBOLS[:3], sp.Integer(2),
+                           sp.Rational(1, 10), sp.Rational(-3, 2)])
+_UNARY = st.sampled_from([sp.exp, sp.sin, sp.cos, sp.atan,
+                          lambda e: 1 / (1 + e ** 2)])
+
+
+def _compound(children):
+    return st.one_of(
+        st.builds(lambda f, e: f(e), _UNARY, children),
+        st.builds(operator.mul, children, children),
+        st.builds(operator.add, children, children))
+
+
+_BETA, _R = sp.Symbol("beta", positive=True), sp.Symbol("R", positive=True)
+_WEIGHTS = st.builds(
+    lambda variant, beta, R, n: WeightSpec(variant, beta, sp.Rational(3, 2),
+                                           R).phi(n),
+    st.sampled_from(VARIANTS),
+    st.sampled_from([1, 0.5, sp.Rational(1, 2), _BETA]),
+    st.sampled_from([2, _R]), st.integers(1, 3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.recursive(_LEAVES, _compound, max_leaves=6), _WEIGHTS),
+       st.lists(st.sampled_from([None, 0, 1, 2]), min_size=1, max_size=4))
+def test_partials_match_sympy(expr, steps):
+    """``steps`` lists dt (None) and dx_i (i), the time steps taken first."""
+    k, axes = steps.count(None), [i for i in steps if i is not None]
+    variables = [T_SYMBOL] * k + [X_SYMBOLS[i] for i in axes]
+    d = partials()
+    got = d(expr, *axes, t=k)
+    assert coeff_is_zero(got - sp.diff(expr, *variables))
+    # each single step builds sp.diff's own tree
+    for var in variables:
+        step = d(expr, t=1) if var == T_SYMBOL else d(expr, X_SYMBOLS.index(var))
+        assert sp.srepr(step) == sp.srepr(sp.diff(expr, var))
+        expr = step
+    assert expr == got
 
 
 # ---------------------------------------------------------------------------

@@ -379,10 +379,16 @@ def test_symbolic_builders_take_each_partial_once(monkeypatch):
         return diff(expr, *args, **kwargs)
     monkeypatch.setattr(sp, "diff", counting)
     fld, w = full_sym_field(), WeightSpec("translated", 1.0, R=2.0)
+    s_op, a_op = conjugate_decompose(fld, w)
+    x1, x2 = X_SYMBOLS[:2]
+    probe = x1 * x2 * sp.exp(sp.I * T_SYMBOL - x1 ** 2 - x2 ** 2)
     for build in (lambda: conjugate_decompose(fld, w),
                   lambda: t_decomposition_terms(fld, w),
                   lambda: remainder_grouping_report(
-                      fld, w, SamplingBox.cube(2, 3.0, 6))):
+                      fld, w, SamplingBox.cube(2, 3.0, 6)),
+                  lambda: commutator(s_op, a_op),
+                  lambda: verify_T_decomposition(fld, w),
+                  lambda: s_op.apply_symbolic(probe)):
         calls.clear()
         build()
         assert calls and len(set(calls)) == len(calls)

@@ -17,6 +17,10 @@ READ_BY_TESTS = {
     "operators.conjugated_operator": "oracle of the split S + A",
     "operators.DiffOperator.compose":
         "oracle of the commutator; perfbench patches it by name",
+    "operators.t_decomposition_terms":
+        "the graded pieces alone, which the T-decomposition tests read; "
+        "verify_T_decomposition builds them on its shared derivative table, "
+        "and perfbench patches the name",
     "evolution.linear_potential_closed_form": "oracle of criterion 04",
     "grids.l2_inner": "the adjoint identities of criterion 03",
     "diagnostics.gaussian_decay_schedule": "criterion 08",
