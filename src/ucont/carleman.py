@@ -29,7 +29,8 @@ import numpy as np
 from .coefficients import CoefficientField, SamplingBox, TransversalField, \
     ellipticity_bounds
 from .grids import Grid, NumericGuardError, ResolutionError, SpaceTimeGrid, \
-    band_limited_noise, check_resolved, spectral_gradient
+    band_limited_noise, check_resolved, pairwise_total, slabs, \
+    spectral_gradient
 from .operators import ConjugatedGridOps, WeightSpec
 
 SMOOTHSTEP_D1_MAX = 15.0 / 8.0
@@ -102,10 +103,12 @@ class CutoffSpec:
             * smoothstep5((k[3] - t) / (k[3] - k[2]))
 
 
-def translated_shift(cutoff: CutoffSpec, st: SpaceTimeGrid) -> np.ndarray:
-    """|x/R + profile(t) e1| on the space-time mesh."""
-    prof = cutoff.profile_values(st.times)
-    shape = (st.nt,) + (1,) * st.space.dim
+def translated_shift(cutoff: CutoffSpec, st: SpaceTimeGrid,
+                     rows: slice = slice(None)) -> np.ndarray:
+    """|x/R + profile(t) e1| on the time rows ``rows`` of the space-time
+    mesh."""
+    prof = cutoff.profile_values(st.times[rows])
+    shape = (prof.size,) + (1,) * st.space.dim
     q2 = (st.space.meshes[0][None] / cutoff.R + prof.reshape(shape)) ** 2
     for m in st.space.meshes[1:]:
         q2 = q2 + (m[None] / cutoff.R) ** 2
@@ -169,31 +172,43 @@ def make_test_function(mode: str, st: SpaceTimeGrid, cutoff: CutoffSpec,
     if t_center is not None:
         tau = tau * np.exp(-((st.times - t_center) / t_width) ** 2)
     shape_t = (st.nt,) + (1,) * g.dim
-
+    tau = tau.reshape(shape_t)
     outer_cut = smoothstep5((outer - rad) / w)
     if mode == "annulus":
-        space_cut = smoothstep5((rad - cutoff.r0) / w) * outer_cut
-        f = tau.reshape(shape_t) * (noise * space_cut)[None]
+        spatial = noise * (smoothstep5((rad - cutoff.r0) / w) * outer_cut)
         bad = rad[None] < cutoff.r0
     else:
-        q = translated_shift(cutoff, st)
-        moving = smoothstep5((q - 1.0) / w)
-        f = tau.reshape(shape_t) * noise[None] * moving * outer_cut[None]
-        bad = q < 1.0
+        bad = np.empty(st.shape, dtype=bool)
+    env = None
     if x_center is not None:
         xw = x_width if x_width is not None else 1.0
-        env = np.exp(-((g.meshes[0] - x_center) / xw) ** 2)
-        f = f * env[None]
-    f = f.astype(complex)
+        env = np.exp(-((g.meshes[0] - x_center) / xw) ** 2)[None]
 
-    peak = np.abs(f).max()
+    # the field is built, scaled and scanned one time slab at a time
+    f = np.empty(st.shape, dtype=complex)
+    peak = 0.0
+    parts = slabs(st.shape)
+    for rows in parts:
+        if mode == "annulus":
+            f[rows] = tau[rows] * spatial[None] if env is None \
+                else tau[rows] * spatial[None] * env
+        else:
+            q = translated_shift(cutoff, st, rows)
+            bad[rows] = q < 1.0
+            moving = smoothstep5((q - 1.0) / w)
+            del q
+            fs = tau[rows] * noise[None] * moving * outer_cut[None]
+            f[rows] = fs if env is None else fs * env
+            del moving, fs
+        peak = np.maximum(peak, np.abs(f[rows]).max())
     if peak == 0.0:
         raise SupportError("generated field is identically zero")
-    f /= peak
-
-    # exhaustive support scan
-    if np.any(f[np.broadcast_to(bad, f.shape)] != 0):
-        raise SupportError("support constraint violated on the grid")
+    for rows in parts:      # exhaustive support scan
+        fs = f[rows]
+        fs /= peak
+        out = bad[rows] if mode == "translated" else bad
+        if np.any(fs[np.broadcast_to(out, fs.shape)] != 0):
+            raise SupportError("support constraint violated on the grid")
     check_resolved(f, resolution_budget)
     return TestField(f, st, mode, seed)
 
@@ -269,31 +284,51 @@ def _unit_ops(fld: CoefficientField, cutoff: CutoffSpec, mode: str,
 
 def _beta_forms(f: TestField, ops: ConjugatedGridOps,
                 cutoff: CutoffSpec) -> BetaForms:
-    """The beta-polynomial coefficients of f from the unit-scale split."""
+    """The beta-polynomial coefficients of f from the unit-scale split.
+
+    Only dt f is a full-size transform.  Everything else, from the spatial
+    gradient to the inner products, is taken one time slab at a time, so
+    besides f the pass holds one full-size field, dt f, which S0 f
+    overwrites slab by slab.  Each sum is combined over the slabs in
+    numpy's pairwise order, so the floats are those of whole-array sums."""
     st = f.st
     g = st.space
-    vol = g.cell_volume * st.dt
     vals = f.values
 
-    def dot(u, v) -> float:
-        # Re<u, v> summed by numpy, not BLAS: BLAS threads left spinning
-        # after each call would bill their idle time to the process
-        return float(np.sum(u.real * v.real) + np.sum(u.imag * v.imag)) * vol
-    # one gradient serves ||grad f||^2, S0 f and A1 f
-    grads = spectral_gradient(vals, g, time_offset=1)
-    grad = sum(dot(d, d) for d in grads)
-    q2 = translated_shift(cutoff, st) ** 2 if f.mode == "translated" \
-        else g.radius_sq[None]
-    moment = float(np.sum(q2 * np.abs(vals) ** 2)) * vol
-    del q2
-    s0 = ops.apply_S0(vals, grads)
-    a1 = ops.apply_A(vals, grads)
-    del grads  # at most four full-size fields from here on
-    s2 = ops.zero_order * vals
-    return BetaForms(f.seed, c1=2 * dot(s0, a1), c3=2 * dot(s2, a1),
+    def dot(u, v) -> list:
+        # Re<u, v> as its two sums, by numpy, not BLAS: BLAS threads left
+        # spinning after each call would bill their idle time to the process
+        return [np.sum(u.real * v.real), np.sum(u.imag * v.imag)]
+    dtf = st.time_derivative(vals)
+    parts = []
+    for rows in slabs(vals.shape):
+        split, fs = ops.on_rows(rows), vals[rows]
+        q2 = translated_shift(cutoff, st, rows) ** 2 \
+            if f.mode == "translated" else g.radius_sq[None]
+        sums = [np.sum(q2 * np.abs(fs) ** 2)]
+        del q2
+        # one gradient serves ||grad f||^2, S0 f and A1 f
+        grads = spectral_gradient(fs, g, time_offset=1)
+        for d in grads:
+            sums += dot(d, d)
+        s0 = split.apply_S0(fs, grads, dtf=dtf[rows])
+        a1 = split.apply_A(fs, grads)
+        del grads
+        s2 = split.zero_order * fs
+        for u, v in ((s0, a1), (s2, a1), (s0, s0), (a1, a1), (s0, s2),
+                     (s2, s2)):
+            sums += dot(u, v)
+        del s0, a1, s2
+        parts.append(np.array(sums))
+    total = pairwise_total(parts)
+    vol = g.cell_volume * st.dt
+    moment = float(total[0]) * vol
+    dots = [float(re + im) * vol for re, im in total[1:].reshape(-1, 2)]
+    grad = sum(dots[:g.dim])
+    s0a1, s2a1, s0s0, a1a1, s0s2, s2s2 = dots[g.dim:]
+    return BetaForms(f.seed, c1=2 * s0a1, c3=2 * s2a1,
                      g1=grad / cutoff.R ** 2, g3=moment / cutoff.R ** 6,
-                     n0=dot(s0, s0), n2=dot(a1, a1) + 2 * dot(s0, s2),
-                     n4=dot(s2, s2))
+                     n0=s0s0, n2=a1a1 + 2 * s0s2, n4=s2s2)
 
 
 def frontier_root(forms: list[BetaForms], lam: float, R: float) -> float:

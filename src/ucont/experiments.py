@@ -535,12 +535,12 @@ def _run_symbolic(cfg: ExperimentConfig, out: Path):
     fld = _build_field(cfg)
     variant, alpha = cfg.get("weight", "variant"), cfg.get("weight", "alpha")
 
-    def exact(key: str) -> sp.Expr:
-        """The config number as an exact rational; absent, a symbol."""
+    def param(key: str) -> float | sp.Expr:
+        """The config number, which the check takes exactly; absent, a
+        symbol."""
         value = cfg.get("weight", key)
-        return sp.Symbol(key, positive=True) if value is None \
-            else parse_expression(str(value))
-    w = WeightSpec(variant, exact("beta"), alpha=exact("alpha"), R=exact("R"))
+        return sp.Symbol(key, positive=True) if value is None else value
+    w = WeightSpec(variant, param("beta"), alpha=param("alpha"), R=param("R"))
     rep = verify_T_decomposition(fld, w)
     rows = [(label, rep.residual_max[label], rep.residual_exprs[label] or "0")
             for label in sorted(rep.residual_max)]

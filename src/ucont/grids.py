@@ -10,6 +10,7 @@ Carleman quadratic forms rely on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -92,23 +93,28 @@ def _multiplier(n: int, h: float, order: int) -> np.ndarray:
     return mult
 
 
-def _fourier_derivative(values: np.ndarray, mult: np.ndarray,
-                        axis: int) -> np.ndarray:
+def _fourier_derivative(values: np.ndarray, mult: np.ndarray, axis: int,
+                        overwrite: bool = False) -> np.ndarray:
     """The Fourier multiplier ``mult`` applied along ``axis``: one forward
     transform, multiplied and inverse-transformed in place, so the result is
-    the only array allocated and ``values`` is left unchanged."""
+    the only array allocated and ``values`` is left unchanged; with
+    ``overwrite``, a complex ``values`` holds the result and nothing is
+    allocated."""
     shape = [1] * values.ndim
     shape[axis] = mult.size
-    vhat = np.fft.fft(values, axis=axis)
+    in_place = overwrite and values.dtype == complex
+    vhat = np.fft.fft(values, axis=axis, out=values if in_place else None)
     vhat *= mult.reshape(shape)
     return np.fft.ifft(vhat, axis=axis, out=vhat)
 
 
 def spectral_derivative(values: np.ndarray, grid: Grid, axis: int,
-                        order: int = 1, *, time_offset: int = 0) -> np.ndarray:
-    """d^order/dx_axis^order via FFT along ``axis + time_offset`` of ``values``."""
+                        order: int = 1, *, time_offset: int = 0,
+                        overwrite: bool = False) -> np.ndarray:
+    """d^order/dx_axis^order via FFT along ``axis + time_offset`` of
+    ``values``; ``overwrite`` as for :func:`_fourier_derivative`."""
     mult = _multiplier(grid.points[axis], grid.spacings[axis], order)
-    return _fourier_derivative(values, mult, axis + time_offset)
+    return _fourier_derivative(values, mult, axis + time_offset, overwrite)
 
 
 def spectral_gradient(values: np.ndarray, grid: Grid, *,
@@ -117,20 +123,63 @@ def spectral_gradient(values: np.ndarray, grid: Grid, *,
             for i in range(grid.dim)]
 
 
+# Streamed passes walk the leading (time) axis of a field in slabs of about
+# this many bytes of complex data.  A slab's dozen temporaries then stay small
+# beside the one or two full-size fields a pass keeps, while each FFT call
+# still covers thousands of lines, so the per-slab Python cost is negligible.
+_SLAB_BYTES = 1 << 20
+
+
+def slabs(shape: tuple[int, ...]) -> list[slice]:
+    """Slices of the leading axis of a complex array of ``shape``, each at
+    most _SLAB_BYTES (or one row) and a power of two rows long, so on a
+    power-of-two shape all slabs have one power-of-two size."""
+    row = 16 * math.prod(shape[1:])
+    step = 1 << max((_SLAB_BYTES // row).bit_length() - 1, 0)
+    return [slice(i, min(i + step, shape[0]))
+            for i in range(0, shape[0], step)]
+
+
+def pairwise_total(parts: list):
+    """The per-slab sums of :func:`slabs` combined in a balanced tree.  numpy
+    sums a contiguous float array pairwise, halving it down to blocks of 128,
+    so on a power-of-two shape this is ``np.sum`` of the whole array, bit for
+    bit (a slab holds at least 2^15 values whenever there are two)."""
+    while len(parts) > 1:
+        parts = [a + b for a, b in zip(parts[::2], parts[1::2])] \
+            + parts[len(parts) - len(parts) % 2:]
+    return parts[0]
+
+
 def spectral_tail_fraction(values: np.ndarray) -> float:
-    """Max magnitude in the top-sixth wavenumber shell relative to the peak."""
-    vhat = np.fft.fftn(values)
-    peak = np.abs(vhat).max()
+    """Max magnitude in the top-sixth wavenumber shell relative to the peak.
+
+    The transform is ``np.fft.fftn``'s, in its own axis order (the last axis
+    first), streamed: the trailing axes slab by slab, then axis 0 in place;
+    the maxima are taken slab by slab."""
+    vhat = np.empty(values.shape, dtype=complex)
+    parts = slabs(values.shape)
+    for rows in parts:
+        vhat[rows] = np.fft.fftn(values[rows],
+                                axes=tuple(range(1, values.ndim)))
+    np.fft.fft(vhat, axis=0, out=vhat)
+    shells = [(n // 2 - n // 6, n // 2 + n // 6 + 1) for n in values.shape]
+    # np.maximum, like the whole-array max, lets a NaN through
+    peak, tops = 0.0, [0.0] * values.ndim
+    for rows in parts:
+        mag = np.abs(vhat[rows])
+        peak = np.maximum(peak, mag.max())
+        lo, hi = (max(b - rows.start, 0) for b in shells[0])
+        if mag[lo:hi].size:
+            tops[0] = np.maximum(tops[0], mag[lo:hi].max())
+        for ax in range(1, values.ndim):
+            cut = (slice(None),) * ax + (slice(*shells[ax]),)
+            tops[ax] = np.maximum(tops[ax], mag[cut].max())
     if peak == 0.0:
         return 0.0
     frac = 0.0
-    ndim = values.ndim
-    for ax in range(ndim):
-        n = values.shape[ax]
-        lo, hi = n // 2 - n // 6, n // 2 + n // 6
-        sl = [slice(None)] * ndim
-        sl[ax] = slice(lo, hi + 1)
-        frac = max(frac, np.abs(vhat[tuple(sl)]).max() / peak)
+    for top in tops:
+        frac = max(frac, top / peak)
     return float(frac)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -372,8 +372,15 @@ class TDecompositionReport:
 def verify_T_decomposition(fld: CoefficientField, w: WeightSpec
                            ) -> TDecompositionReport:
     """Check that the graded pieces built from their closed formulas sum to
-    the brute-force commutator of the conjugated split, grade by grade."""
-    phi, d = w.phi(fld.dim), partials()
+    the brute-force commutator of the conjugated split, grade by grade.
+
+    The check is exact: a numeric weight parameter is taken as the rational
+    of its decimal text (beta = 0.1 as 1/10), since Float coefficients would
+    leave roundoff where the identity cancels."""
+    exact = {k: sp.Rational(str(v)) for k, v in
+             (("beta", w.beta), ("alpha", w.alpha), ("R", w.R))
+             if isinstance(v, _NUMBER)}
+    phi, d = replace(w, **exact).phi(fld.dim), partials()
     s_op, a_op = _split(fld, phi, d)
     comm = _commutator(s_op, a_op, d, max_spatial_order=2)
     parts = _graded_pieces(fld, phi, d)
@@ -498,8 +505,20 @@ class ConjugatedGridOps:
     def space(self) -> Grid:
         return self.grid.space
 
-    def _dx(self, f: np.ndarray, i: int) -> np.ndarray:
-        return spectral_derivative(f, self.space, i, 1, time_offset=1)
+    def on_rows(self, rows: slice) -> "ConjugatedGridOps":
+        """The split on the time rows ``rows``, which applies its spatial
+        parts to the slab f[rows] with the same arithmetic as the whole
+        field; :meth:`apply_S0` on it takes dt f on those rows."""
+        def cut(c):
+            return c if np.ndim(c) == 0 or np.shape(c)[0] == 1 else c[rows]
+        return ConjugatedGridOps(
+            self.grid, [[cut(c) for c in row] for row in self.a_entries],
+            [cut(c) for c in self.grad_phi], cut(self.dt_phi))
+
+    def _dx(self, f: np.ndarray, i: int, overwrite: bool = False
+            ) -> np.ndarray:
+        return spectral_derivative(f, self.space, i, 1, time_offset=1,
+                                   overwrite=overwrite)
 
     @property
     def zero_order(self) -> np.ndarray:
@@ -509,17 +528,20 @@ class ConjugatedGridOps:
         return sum(self.grad_phi[k] * self.grad_phi[j] * self.a_entries[k][j]
                    for k in range(n) for j in range(n))
 
-    def apply_S0(self, f: np.ndarray,
-                 grads: list[np.ndarray] | None = None) -> np.ndarray:
+    def apply_S0(self, f: np.ndarray, grads: list[np.ndarray] | None = None,
+                 *, dtf: np.ndarray | None = None) -> np.ndarray:
         """The weight-free part i dt + div(A grad) of the symmetric part.
-        ``grads`` is the spatial gradient of f, when the caller has it."""
+        ``grads`` is the spatial gradient of f and ``dtf`` its time
+        derivative, when the caller has them; ``dtf`` is overwritten with
+        the result."""
         n = self.space.dim
-        out = 1j * self.grid.time_derivative(f)
+        out = self.grid.time_derivative(f) if dtf is None else dtf
+        out *= 1j
         if grads is None:
             grads = [self._dx(f, j) for j in range(n)]
         for k in range(n):
             flux = sum(self.a_entries[k][j] * grads[j] for j in range(n))
-            out += self._dx(flux, k)
+            out += self._dx(flux, k, overwrite=True)
         return out
 
     def apply_S(self, f: np.ndarray) -> np.ndarray:
@@ -531,13 +553,14 @@ class ConjugatedGridOps:
                 grads: list[np.ndarray] | None = None) -> np.ndarray:
         """The antisymmetric part; ``grads`` as for :meth:`apply_S0`."""
         n = self.space.dim
-        out = np.zeros_like(f, dtype=complex)
+        out = 0.0
         c = [sum(self.a_entries[m][l] * self.grad_phi[l] for l in range(n))
              for m in range(n)]
         for m in range(n):
-            # c dx f + dx(c f), summed into the transform's own array
-            term = self._dx(c[m] * f, m)
+            # c dx f + dx(c f), summed into the transform's own array, which
+            # then takes out - term: 0 - term_0 - term_1 - ...
+            term = self._dx(c[m] * f, m, overwrite=True)
             term += c[m] * (self._dx(f, m) if grads is None else grads[m])
-            out -= term
+            out = np.subtract(out, term, out=term)
         out += -1j * self.dt_phi * f
         return out

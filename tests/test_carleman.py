@@ -448,26 +448,33 @@ def test_frontier_probes_run_in_the_pool(monkeypatch):
 
 def test_beta_forms_take_each_derivative_once(monkeypatch, st_grid,
                                               st_grid_2d):
-    # one gradient of f serves ||grad f||^2, S0 f and A1 f: d/dt, grad f,
-    # div of the flux and A1's dx(c f) make 1 + 2 + 2 + 2 forward
-    # transforms in 2-D and 1 + 1 + 1 + 1 in 1-D
+    # one gradient of f serves ||grad f||^2, S0 f and A1 f: d/dt transforms
+    # f once along t, and grad f, the flux divergence and A1's dx(c f) each
+    # transform f.size points along every space axis, in however many slabs
     cut2 = CutoffSpec(r0=1.0, R=1.0, space_width=1.0)
     block = TransversalField(2, const(1), ((pe("1 + 0.06*exp(-x2^2/4)"),),))
     cut1 = CutoffSpec(r0=1.0, R=1.0)
     mild = CoefficientField(1, ((pe("1 + 0.06*exp(-x1^2/4)"),),))
     cases = [(make_test_function("translated", st_grid_2d, cut2, 3),
               carleman._unit_ops(block, cut2, "translated", st_grid_2d),
-              cut2, 7),
+              cut2),
              (make_test_function("annulus", st_grid, cut1, 5),
-              carleman._unit_ops(mild, cut1, "annulus", st_grid), cut1, 4)]
+              carleman._unit_ops(mild, cut1, "annulus", st_grid), cut1)]
     fft = np.fft.fft
-    for f, ops, cut, want in cases:
-        calls = []
-        monkeypatch.setattr(np.fft, "fft",
-                            lambda *a, **k: calls.append(1) or fft(*a, **k))
+    for f, ops, cut in cases:
+        points = {}
+
+        def counted(a, *args, axis=-1, **kw):
+            ax = axis % np.ndim(a)
+            points[ax] = points.get(ax, 0) + np.size(a)
+            return fft(a, *args, axis=axis, **kw)
+        monkeypatch.setattr(np.fft, "fft", counted)
         carleman._beta_forms(f, ops, cut)
         monkeypatch.undo()
-        assert len(calls) == want
+        size, dim = f.values.size, f.st.space.dim
+        assert points == {0: size, **{ax: 3 * size
+                                      for ax in range(1, dim + 1)}}
+        assert sum(points.values()) == (7 if dim == 2 else 4) * size
         # the shared gradient gives the split's own values, bit for bit
         grads = [spectral_derivative(f.values, f.st.space, i, 1,
                                      time_offset=1)

@@ -237,6 +237,25 @@ def test_t_decomposition_calls_no_simplify(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("w", [WeightSpec("quadratic", 1.0),
+                               WeightSpec("translated", 1.0, R=2.0),
+                               WeightSpec("scaled-time", 0.5, R=1.5)])
+def test_t_decomposition_is_exact_for_float_parameters(w):
+    # a Float beta or R would leave roundoff in the exact zero test; the
+    # check reads a number as the rational of its decimal text, as the
+    # same weight with rational parameters shows
+    fld = CoefficientField(2, ((pe("1 + 0.2*sin(x1)"), pe("0.1*x1*x2")),
+                               (pe("0.1*x1*x2"), pe("2 + 0.2*cos(x2)"))))
+    rep = verify_T_decomposition(fld, w)
+    assert rep.identically_zero and rep.ok
+    assert all(v == 0.0 for v in rep.residual_max.values())
+    exact = WeightSpec(w.variant, sp.Rational(str(w.beta)),
+                       R=sp.Rational(str(w.R)))
+    assert w.phi(2) != exact.phi(2)
+    assert verify_T_decomposition(fld, exact).residual_exprs \
+        == rep.residual_exprs
+
+
 def test_t_first_order_reduction_constant_diagonal_scaled_time():
     # constant-coefficient gradient terms vanish; with the radial-in-x
     # profile-shifted weight the first-order piece collapses to the two
