@@ -392,9 +392,9 @@ def carleman_sides_cubic(f: TestField, fld: CoefficientField, beta: float,
 
 def _require_block(fld: CoefficientField) -> None:
     block = TransversalField.of(fld)
-    if block is None or not block.is_assumption_61():
-        raise ValueError("field must have block form diag(a11, Atilde(x')) "
-                         "with constant a11 > 0 (block assumption)")
+    if block is None or block.a11.free_symbols or block.a11.is_positive is not True:
+        raise ValueError("the translated weight needs block form diag(a11, "
+                         "Atilde(x')) with constant a11 > 0 (block assumption)")
 
 
 def carleman_sides_translated(f: TestField, fld: CoefficientField, beta: float,

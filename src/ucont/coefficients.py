@@ -140,13 +140,8 @@ class TransversalField(CoefficientField):
     def atilde(self) -> tuple[tuple[sp.Expr, ...], ...]:
         return tuple(row[1:] for row in self.entries[1:])
 
-    def is_assumption_61(self) -> bool:
-        """Constant a11 > 0 (the translated-weight Carleman hypothesis)."""
-        return not self.a11.free_symbols and self.a11.is_positive is True
-
     def to_field(self) -> CoefficientField:
-        """The same matrix as a plain field, whose full gradient
-        :func:`decay_smallness` reads."""
+        """A plain copy, kept for the benchmark's ``symbolic`` workload."""
         return CoefficientField(self.dim, self.entries, self.potential)
 
 
@@ -193,21 +188,30 @@ def derivative_sq_sums(table: Sequence[Sequence[sp.Expr]], order: int,
     return out
 
 
-def decay_smallness(fld: CoefficientField, box: SamplingBox) -> float:
-    """sup over the box of |x| |grad A| (|x'| |grad_{x'} Atilde| in the
-    transversal case), with the Frobenius-style gradient norm."""
-    if isinstance(fld, TransversalField):
-        if fld.dim == 1:
-            return 0.0
-        if len(box.lo) == fld.dim:
-            box = SamplingBox(box.lo[1:], box.hi[1:], box.pts[1:])
-        table, syms = fld.atilde, X_SYMBOLS[1:fld.dim]
-    else:
-        table, syms = fld.entries, X_SYMBOLS[:fld.dim]
+def _radial_gradient_sup(table: Sequence, syms: Sequence, box: SamplingBox) -> float:
+    """sup over the box (on ``syms``) of |x| |grad table|, Frobenius-style."""
     coords = box.lattice()
     grad_sq = sum(derivative_sq_sums(table, 1, coords, syms))
     rad = np.sqrt(sum(c ** 2 for c in coords))
     return float(np.max(rad * np.sqrt(grad_sq)))
+
+
+def decay_smallness(fld: CoefficientField, box: SamplingBox) -> float:
+    """sup over the box of |x| |grad A|: the smallness of the cubic-weight
+    uniqueness hypothesis, on any field."""
+    return _radial_gradient_sup(fld.entries, X_SYMBOLS[:fld.dim], box)
+
+
+def transversal_smallness(fld: CoefficientField, box: SamplingBox) -> float:
+    """sup of |x'| |grad_{x'} Atilde| over the x' axes of the box, on the block
+    view of ``fld``: the Gaussian-rate hypothesis; 0.0 in 1-D, raises off block form."""
+    block = TransversalField.of(fld)
+    if block is None:
+        raise ValueError("transversal smallness needs block form diag(a11, Atilde(x'))")
+    if fld.dim == 1:
+        return 0.0
+    return _radial_gradient_sup(block.atilde, X_SYMBOLS[1:fld.dim],
+                                SamplingBox(box.lo[1:], box.hi[1:], box.pts[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -34,9 +34,9 @@ import sympy as sp
 from . import __version__
 from .analysis import SubordinationCase, poincare_weighted_check, \
     subordination_ratio
-from .carleman import SweepConfig, carleman_sweep
+from .carleman import SweepConfig, _require_block, carleman_sweep
 from .coefficients import CoefficientField, SamplingBox, TransversalField, \
-    gauge_reduce, verify_gauge_transport
+    decay_smallness, gauge_reduce, transversal_smallness, verify_gauge_transport
 from .diagnostics import annulus_mass_profile, derivative_bound_check, \
     logconvexity_check, weighted_norm
 from .evolution import DissipationParams, GaussianPacket, WaveState, \
@@ -336,16 +336,13 @@ def validate(text: str) -> ExperimentConfig:
     if "field" in sections and good("field", "dimension", *fs):
         try:
             fld = _build_field(cfg)
+            if kind == "carleman-sweep" and good("params", "mode") \
+                    and cfg.get("params", "mode") == "translated":
+                _require_block(fld)
         except ValueError as exc:
             errors.append(f"[field]: {exc}")
         else:
-            block = TransversalField.of(fld)
-            if kind == "carleman-sweep" and good("params", "mode") \
-                    and cfg.get("params", "mode") == "translated" \
-                    and not (block and block.is_assumption_61()):
-                errors.append("[field]: a translated carleman-sweep needs block "
-                              "form diag(a11, Atilde(x')) with constant a11 > 0")
-            if kind == "gauge-reduce" and block is None:
+            if kind == "gauge-reduce" and TransversalField.of(fld) is None:
                 errors.append("[field]: gauge-reduce needs block form "
                               "diag(a11(x1), Atilde(x'))")
     extents, points = cfg.get("grid", "extents"), cfg.get("grid", "points")
@@ -501,8 +498,9 @@ def _run_convexity(cfg: ExperimentConfig, out: Path):
 
 
 def _run_carleman(cfg: ExperimentConfig, out: Path):
-    fld = _build_field(cfg) if "field" in cfg.sections else None
     grid = _build_grid(cfg)
+    fld = _build_field(cfg) if "field" in cfg.sections \
+        else CoefficientField.identity(grid.dim)
     # the params keys are SweepConfig's field names
     params = {key: cfg.get("params", key) for key in _TABLE[cfg.kind]["params"]}
     for key in ("R_values", "frontier_R_values"):
@@ -519,6 +517,12 @@ def _run_carleman(cfg: ExperimentConfig, out: Path):
         sweep.min_slack >= 1 - slack_tol, 1 - slack_tol,
         min_slack=sweep.min_slack)}
     metrics = {"min_slack": sweep.min_slack, "n_failures": len(sweep.failures)}
+    # the smallness of the sweep's own hypothesis, in the report only
+    box = SamplingBox.cube(fld.dim, min(grid.extents), 65)
+    if params["mode"] == "annulus":
+        metrics["decay_smallness"] = decay_smallness(fld, box)
+    else:
+        metrics["transversal_smallness"] = transversal_smallness(fld, box)
     if sweep.frontier_R is not None:
         rows = list(zip(sweep.frontier_R, sweep.frontier_beta))
         fpath = out / "frontier.csv"

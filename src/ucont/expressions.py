@@ -142,8 +142,9 @@ def parse_expression(text: str) -> sp.Expr:
     Python's parser reads the text, with ``^`` for ``**``, and the sympy
     tree is built from the grammar's nodes alone, in the grammar's order (a
     leading sign signs its whole term).  Python syntax outside the grammar,
-    syntax errors and unknown identifiers raise :class:`ExpressionError`
-    with the position in ``text``.
+    syntax errors, unknown identifiers and a piece without a value (a
+    division by zero, ``0^-1``) raise :class:`ExpressionError` with the
+    position in ``text``.
     """
     bad = _EXCLUDED.search(text)
     if bad:
@@ -162,6 +163,13 @@ def parse_expression(text: str) -> sp.Expr:
     def source(node: ast.expr) -> str:
         return body[node.col_offset:node.end_col_offset]
 
+    def defined(e: sp.Expr, node: ast.expr) -> sp.Expr:
+        # sympy evaluates 1/0 to zoo, sin(zoo) to nan, atan(zoo) to an
+        # interval, and raises on some expressions of those
+        if e.has(sp.zoo, sp.nan, sp.oo, -sp.oo, sp.AccumBounds):
+            fail("division by zero", node)
+        return e
+
     def chain(node: ast.expr, level: dict) -> sp.Expr:
         """An expr (``level`` the sums) or a term (the products): the
         left-associative chain of the level's operators from ``node``.  An
@@ -177,7 +185,7 @@ def parse_expression(text: str) -> sp.Expr:
         operand = factor if level is _PRODUCTS else lambda n: chain(n, _PRODUCTS)
         e = operand(node)
         for op, right in reversed(rest):
-            e = op(e, operand(right))
+            e = defined(op(e, operand(right)), right)
         return sign * e
 
     def factor(node: ast.expr) -> sp.Expr:
@@ -187,7 +195,7 @@ def parse_expression(text: str) -> sp.Expr:
             if not re.fullmatch(r"[+-]?\d+", digits) \
                     or not body[:node.right.col_offset].rstrip().endswith("*"):
                 fail("exponent must be an integer", node.right)
-            return left ** int(digits)
+            return defined(left ** int(digits), node.right)
         if isinstance(node, ast.Constant) and type(node.value) in (int, float) \
                 and set(source(node)) <= set("0123456789.eE+-"):
             return sp.Rational(source(node))
@@ -195,7 +203,8 @@ def parse_expression(text: str) -> sp.Expr:
             return _SYMBOLS[node.id]
         if isinstance(node, ast.Call) and getattr(node.func, "id", "") in _FUNCTIONS \
                 and len(node.args) == 1 and node.func.col_offset == node.col_offset:
-            return _FUNCTIONS[node.func.id](chain(node.args[0], _SUMS))
+            return defined(_FUNCTIONS[node.func.id](chain(node.args[0], _SUMS)),
+                           node)
         if isinstance(node, (ast.BinOp, ast.UnaryOp)) and type(node.op) in _OPERATORS:
             return chain(node, _SUMS)       # in parentheses
         name = getattr(node, "func", node)

@@ -156,7 +156,7 @@ def spectral_tail_fraction(values: np.ndarray) -> float:
 
     The transform is ``np.fft.fftn``'s, in its own axis order (the last axis
     first), streamed: the trailing axes slab by slab, then axis 0 in place;
-    the maxima are taken slab by slab."""
+    the maxima are taken slab by slab.  A non-finite field raises."""
     vhat = np.empty(values.shape, dtype=complex)
     parts = slabs(values.shape)
     for rows in parts:
@@ -164,7 +164,7 @@ def spectral_tail_fraction(values: np.ndarray) -> float:
                                 axes=tuple(range(1, values.ndim)))
     np.fft.fft(vhat, axis=0, out=vhat)
     shells = [(n // 2 - n // 6, n // 2 + n // 6 + 1) for n in values.shape]
-    # np.maximum, like the whole-array max, lets a NaN through
+    # np.maximum, like the whole-array max, carries a NaN to the peak test
     peak, tops = 0.0, [0.0] * values.ndim
     for rows in parts:
         mag = np.abs(vhat[rows])
@@ -175,6 +175,8 @@ def spectral_tail_fraction(values: np.ndarray) -> float:
         for ax in range(1, values.ndim):
             cut = (slice(None),) * ax + (slice(*shells[ax]),)
             tops[ax] = np.maximum(tops[ax], mag[cut].max())
+    if not np.isfinite(peak):
+        raise ResolutionError(f"non-finite field: its spectral peak is {peak}")
     if peak == 0.0:
         return 0.0
     frac = 0.0

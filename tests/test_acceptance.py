@@ -56,13 +56,12 @@ def test_acceptance_01_t_decomposition():
     t0 = time.perf_counter()
 
     def tf2():
-        return TransversalField(2, const(2),
-                                ((pe("1 + 0.1/(1+x2^2)"),),)).to_field()
+        return TransversalField(2, const(2), ((pe("1 + 0.1/(1+x2^2)"),),))
 
     def tf3():
         at = ((pe("1 + 0.1*exp(-x2^2)"), pe("0.05*x2*x3")),
               (pe("0.05*x2*x3"), pe("1 + 0.1*exp(-x3^2)")))
-        return TransversalField(3, const(1), at).to_field()
+        return TransversalField(3, const(1), at)
 
     configs = [
         (CoefficientField.identity(1), WeightSpec("quadratic", BETA)),

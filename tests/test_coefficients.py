@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ucont import coefficients
+from ucont import coefficients, experiments
+from ucont.carleman import _require_block
 from ucont.coefficients import (CoefficientField, EllipticityError, GaugeError,
                                 SamplingBox, TransversalField, decay_smallness,
                                 ellipticity_bounds, gauge_reduce,
-                                verify_gauge_transport)
+                                transversal_smallness, verify_gauge_transport)
 from ucont.expressions import const, parse_expression
 
 pe = parse_expression
@@ -82,8 +83,80 @@ def test_smallness_rational_calculus_oracle():
 def test_smallness_transversal_uses_prime_metric():
     tf = TransversalField(2, pe("1 + 0.5*exp(-x1^2)"),
                           ((pe("1 + 0.1/(1+x2^2)"),),))
-    val = decay_smallness(tf, SamplingBox.cube(2, 6.0, 201))
+    val = transversal_smallness(tf, SamplingBox.cube(2, 6.0, 201))
     assert val == pytest.approx(0.05, rel=1e-3)   # a11 variation ignored
+    assert transversal_smallness(TransversalField(1, pe("1 + 0.5*exp(-x1^2)"), ()),
+                                 SamplingBox.cube(1, 6.0, 201)) == 0.0
+
+
+def test_smallness_is_read_from_the_matrix():
+    # a11 = 1, Atilde = 1 + 0.1 exp(-x2^2): both hypotheses' metrics on the
+    # field a config builds; an off-block a12 has no transversal metric
+    text = _block_config(2, "1", {"a22": "1 + 0.1*exp(-x2^2)"})
+    fld = experiments._build_field(experiments.validate(text))
+    assert type(fld) is CoefficientField
+    box = SamplingBox.cube(2, 6.0, 201)
+    assert transversal_smallness(fld, box) == 0.07351743736485779
+    assert decay_smallness(fld, box) == 0.5181793517096994
+    off_block = CoefficientField(2, ((const(1), const(0.1)),
+                                     (const(0.1), const(1))))
+    with pytest.raises(ValueError, match="block form"):
+        transversal_smallness(off_block, box)
+
+
+def _block_config(dim: int, a11: str, atilde: dict) -> str:
+    """A translated carleman-sweep config of the field diag(a11, Atilde)."""
+    entries = "".join(f'{key} = "{text}"\n' for key, text in atilde.items())
+    return (f'[experiment]\nkind = carleman-sweep\n[field]\ndimension = {dim}\n'
+            f'a11 = "{a11}"\n{entries}[grid]\nextents = {[8.0] * dim}\n'
+            f'points = {[16] * dim}\n[params]\nmode = "translated"\n')
+
+
+def _outcome(check, *args):
+    """None when ``check(*args)`` passes, else its ValueError's message."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+_PROFILES = {2: ("exp(-x2^2)", "1/(1+x2^2)", "cos(x2)"),
+             3: ("exp(-x2^2-x3^2)", "x2*x3/(1+x2^2+x3^2)", "cos(x2)*sin(x3)")}
+
+
+@settings(max_examples=20, deadline=None)
+@given(dim=st.sampled_from((2, 3)),
+       a11=st.sampled_from(("1", "2.5", "0.5", "1 + 0.2*exp(-x1^2)", "2 + cos(x1)")),
+       eps=st.floats(-0.4, 0.4).map(lambda v: round(v, 3)),
+       g=st.lists(st.integers(0, 2), min_size=3, max_size=3))
+def test_block_metrics_do_not_depend_on_the_field_type(dim, a11, eps, g):
+    """A block field's smallness metrics, its translated-weight hypothesis
+    and its config's validation are read from A(x): a TransversalField, its
+    plain copy and the field a config builds give the same answers."""
+    prof = _PROFILES[dim]
+    texts = {"a22": f"1 + ({eps})*{prof[g[0]]}"}
+    if dim == 3:
+        texts.update(a33=f"1 + ({eps})*{prof[g[1]]}",
+                     a23=f"({eps / 2})*{prof[g[2]]}")
+    rows = [[pe(texts["a22"])]] if dim == 2 else \
+        [[pe(texts["a22"]), pe(texts["a23"])], [pe(texts["a23"]), pe(texts["a33"])]]
+    tf = TransversalField(dim, pe(a11), tuple(tuple(r) for r in rows))
+    text = _block_config(dim, a11, texts)
+    try:
+        experiments.validate(text)
+        errors = []
+    except experiments.ConfigError as exc:
+        errors = exc.errors
+    built = experiments._build_field(experiments.ExperimentConfig(
+        "carleman-sweep", {"field": {"dimension": dim, "a11": a11, **texts}}))
+    box = SamplingBox.cube(dim, 4.0, 9)
+    answers = {(decay_smallness(f, box), transversal_smallness(f, box),
+                _outcome(_require_block, f)) for f in (tf, tf.to_field(), built)}
+    assert len(answers) == 1
+    (*_, block_error), = answers
+    assert errors == ([] if block_error is None else [f"[field]: {block_error}"])
+    assert (block_error is None) == (a11 in ("1", "2.5", "0.5"))
 
 
 def test_smallness_permutation_invariance():
@@ -124,36 +197,44 @@ def test_block_view_is_read_from_the_entries():
         gauge_reduce(off_block, (-8.0, 8.0), 401)
 
 
-def _calls(tree: ast.Module):
-    """(qualified name of the enclosing definition, node) of each call."""
+def _nodes(tree: ast.Module):
+    """(qualified name of the enclosing definition, node) of each node."""
     def visit(node, qual):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             qual = f"{qual}.{node.name}".lstrip(".")
-        if isinstance(node, ast.Call):
-            yield qual, node
+        yield qual, node
         for child in ast.iter_child_nodes(node):
             yield from visit(child, qual)
     return visit(tree, "")
 
 
 def test_block_form_is_decided_in_one_place():
-    """TransversalField.of alone decides block form: no other code in ucont
-    tests a field's type against TransversalField, except decay_smallness,
-    whose metric on a plain 1-D field is the full gradient, and none
-    converts a field with to_field()."""
+    """TransversalField.of alone decides block form: no code in ucont tests
+    a field's type against TransversalField (isinstance, issubclass or a
+    type(...) comparison), refers to is_assumption_61, or converts a field
+    with to_field()."""
     found = []
     for path in sorted(Path(coefficients.__file__).parent.glob("*.py")):
-        for qual, call in _calls(ast.parse(path.read_text())):
-            where = f"{path.name}:{call.lineno} in {qual or 'the module'}"
-            if isinstance(call.func, ast.Attribute) \
-                    and call.func.attr == "to_field":
+        for qual, node in _nodes(ast.parse(path.read_text())):
+            where = f"{path.name} in {qual or 'the module'}"
+            if "is_assumption_61" in (getattr(node, "attr", None),
+                                      getattr(node, "name", None),
+                                      getattr(node, "id", None)):
+                found.append(f"{where}: is_assumption_61")
+            if not isinstance(node, (ast.Call, ast.Compare)):
+                continue
+            func = getattr(node, "func", None)
+            if getattr(func, "attr", None) == "to_field":
                 found.append(f"{where}: to_field()")
-            if isinstance(call.func, ast.Name) \
-                    and call.func.id == "isinstance" \
-                    and "TransversalField" in {n.id for n in ast.walk(call)
-                                               if isinstance(n, ast.Name)} \
-                    and qual not in ("TransversalField.of", "decay_smallness"):
-                found.append(f"{where}: isinstance")
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            if "TransversalField" not in names:
+                continue
+            if getattr(func, "id", None) in ("isinstance", "issubclass"):
+                found.append(f"{where}: {func.id}")
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(n, ast.Call) and getattr(n.func, "id", None) == "type"
+                    for n in ast.walk(node)):
+                found.append(f"{where}: type comparison")
     assert not found
 
 
@@ -173,8 +254,9 @@ def test_derivatives_are_taken_in_one_place():
     apart from the sites named above."""
     found = []
     for path in sorted(Path(coefficients.__file__).parent.glob("*.py")):
-        for qual, call in _calls(ast.parse(path.read_text())):
-            if isinstance(call.func, ast.Attribute) and call.func.attr == "diff" \
+        for qual, call in _nodes(ast.parse(path.read_text())):
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute) \
+                    and call.func.attr == "diff" \
                     and getattr(call.func.value, "id", None) != "np" \
                     and (path.name, qual) not in _DIFF_SITES:
                 found.append(f"{path.name}:{call.lineno} in {qual or 'the module'}")

@@ -11,7 +11,8 @@ import ucont
 from ucont import experiments
 from ucont.carleman import SweepConfig, carleman_sweep
 from ucont.cli import main as cli_main
-from ucont.coefficients import TransversalField
+from ucont.coefficients import CoefficientField, SamplingBox, \
+    TransversalField, decay_smallness, transversal_smallness
 from ucont.experiments import KINDS, ConfigError, ExperimentConfig, \
     load_config, run, validate
 from ucont.expressions import const, parse_expression as pe
@@ -743,6 +744,34 @@ space_width = 1.0
                  space_width=1.0),
         TransversalField(2, const(1), ((pe("1 + 0.06*exp(-x2^2/4)"),),)))
     assert ours == direct
+
+
+@pytest.mark.parametrize("mode, metric", [("annulus", decay_smallness),
+                                          ("translated", transversal_smallness)])
+def test_sweep_report_records_its_own_hypothesis_smallness(tmp_path, mode, metric):
+    # the report, not the CSV, gains the smallness of the mode's hypothesis
+    ours, direct = _sweep_csvs(tmp_path, f"""
+[field]
+dimension = 2
+a22 = "1 + 0.1*exp(-x2^2)"
+[grid]
+extents = [8.0, 8.0]
+points = [128, 128]
+[params]
+mode = "{mode}"
+R_values = [1.0]
+n_samples = 1
+space_width = 1.0
+""", SweepConfig(mode=mode, extents=(8.0, 8.0), points=(128, 128),
+                 R_values=(1.0,), n_samples=1, seed0=0, space_width=1.0),
+        TransversalField(2, const(1), ((pe("1 + 0.1*exp(-x2^2)"),),)))
+    assert ours == direct
+    metrics = json.loads((tmp_path / "o" / "report.json").read_text())["metrics"]
+    other = {"decay_smallness", "transversal_smallness"} - {metric.__name__}
+    assert metrics[metric.__name__] == metric(
+        CoefficientField.diagonal((const(1), pe("1 + 0.1*exp(-x2^2)"))),
+        SamplingBox.cube(2, 8.0, 65)) > 0
+    assert not other & metrics.keys()
 
 
 def test_gauge_reduce_reads_a_2d_block_field(tmp_path):

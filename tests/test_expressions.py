@@ -61,6 +61,15 @@ def test_unknown_identifier():
         parse_expression("sinh(x1)")
 
 
+@pytest.mark.parametrize("text, position", [
+    ("1/0", 2), ("x1/(t-t)", 4), ("0^-1", 2), ("sin(x1/0)", 7),
+    ("(atan(t/0)+t)^-1", 8)])
+def test_division_by_zero_rejected(text, position):
+    with pytest.raises(ExpressionError, match="division by zero") as err:
+        parse_expression(text)
+    assert err.value.position == position
+
+
 def test_non_integer_exponent_rejected():
     with pytest.raises(ExpressionError, match="integer"):
         parse_expression("x1^1.5")
@@ -89,7 +98,8 @@ def test_signs_open_expressions_and_exponents():
 # an oracle apart from the parser: random trees of the grammar, rendered as
 # text with random whitespace and redundant parentheses, next to the sympy
 # tree the grammar defines (a leading sign signs its whole term; the
-# operators of one level associate to the left)
+# operators of one level associate to the left), or None where a piece of
+# the tree has no value (a division by zero)
 _WS = st.sampled_from(["", " ", "  ", "\n", "\t", " \n "])
 _NUMBERS = st.sampled_from([
     ("0", sp.Integer(0)), ("1", sp.Integer(1)), ("3", sp.Integer(3)),
@@ -99,6 +109,14 @@ _NAMES = st.sampled_from([("t", T_SYMBOL), *((f"x{i}", X_SYMBOLS[i - 1])
                                              for i in (1, 2, 9))])
 _CALLS = st.sampled_from([("exp", sp.exp), ("sin", sp.sin), ("cos", sp.cos),
                           ("atan", sp.atan), ("arctan", sp.atan)])
+
+
+def _valued(build, *args):
+    if None in args:
+        return None
+    value = build(*args)
+    undefined = value.has(sp.zoo, sp.nan, sp.oo, -sp.oo, sp.AccumBounds)
+    return None if undefined else value
 
 
 @st.composite
@@ -114,7 +132,7 @@ def _grammar_expr(draw, depth):
         if kind == 2:
             return f"({ws()}{text}{ws()})", value
         name, func = draw(_CALLS)
-        return f"{name}{ws()}({ws()}{text}{ws()})", func(value)
+        return f"{name}{ws()}({ws()}{text}{ws()})", _valued(func, value)
 
     def factor():
         text, value = base()
@@ -122,7 +140,8 @@ def _grammar_expr(draw, depth):
             sign, digits = draw(st.sampled_from(["", "-", "+"])), draw(
                 st.sampled_from(["0", "1", "2", "3", "02"]))
             exponent = int(digits) * (-1 if sign == "-" else 1)
-            return f"{text}{ws()}^{ws()}{sign}{ws()}{digits}", value ** exponent
+            return (f"{text}{ws()}^{ws()}{sign}{ws()}{digits}",
+                    _valued(lambda v: v ** exponent, value))
         return text, value
 
     def term():
@@ -131,25 +150,33 @@ def _grammar_expr(draw, depth):
             op = draw(st.sampled_from("*/"))
             t, v = factor()
             text += f"{ws()}{op}{ws()}{t}"
-            value = value * v if op == "*" else value / v
+            value = _valued(operator.mul if op == "*" else operator.truediv,
+                            value, v)
         return text, value
 
     sign = draw(st.sampled_from(["", "", "-", "+"]))
     text, value = term()
-    text, value = f"{sign}{ws()}{text}", (-1 if sign == "-" else 1) * value
+    text, value = f"{sign}{ws()}{text}", _valued(
+        lambda v: (-1 if sign == "-" else 1) * v, value)
     for _ in range(draw(st.integers(0, 2))):
         op = draw(st.sampled_from("+-"))
         t, v = term()
         text += f"{ws()}{op}{ws()}{t}"
-        value = value + v if op == "+" else value - v
+        value = _valued(operator.add if op == "+" else operator.sub, value, v)
     return text, value
 
 
-@settings(max_examples=150, deadline=None)
+# about half the trees divide by zero somewhere; 300 examples keep some 150
+# defined trees
+@settings(max_examples=300, deadline=None)
 @given(_WS, _grammar_expr(3), _WS)
 def test_parse_matches_grammar_trees(before, pair, after):
     text, value = pair
-    assert sp.srepr(parse_expression(before + text + after)) == sp.srepr(value)
+    if value is None:
+        with pytest.raises(ExpressionError, match="division by zero"):
+            parse_expression(before + text + after)
+    else:
+        assert sp.srepr(parse_expression(before + text + after)) == sp.srepr(value)
 
 
 def test_derivative_matches_central_difference():

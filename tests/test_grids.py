@@ -50,6 +50,18 @@ def test_resolution_check_fires():
     check_resolved(np.exp(-wide.axis(0) ** 2), 1e-10)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered in fft")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("shape", [(64,), (16, 64)])
+def test_resolution_check_fires_on_a_non_finite_field(bad, shape):
+    # one NaN used to read tail fraction 0.0: max(0.0, nan / nan) keeps 0.0
+    g = Grid((8.0,), (shape[-1],))
+    values = np.broadcast_to(np.exp(-g.axis(0) ** 2), shape).astype(complex)
+    values[(0,) * (len(shape) - 1) + (shape[-1] // 3,)] = bad
+    with pytest.raises(ResolutionError, match="non-finite field"):
+        check_resolved(values, 1e-10)
+
+
 def test_space_time_grid_time_derivative():
     st = SpaceTimeGrid(64, Grid((4.0,), (32,)))
     f = np.exp(2j * np.pi * st.times)[:, None] * np.ones((1, 32))

@@ -274,7 +274,7 @@ def test_translated_first_order_coefficient_block_field():
     # -8i (beta/R) profile'(t) a11
     tf = TransversalField(2, const(2), ((pe("1 + 0.1/(1+x2^2)"),),))
     w = WeightSpec("translated", BETA, R=RSYM)
-    s_op, a_op = conjugate_decompose(tf.to_field(), w)
+    s_op, a_op = conjugate_decompose(tf, w)
     comm = commutator(s_op, a_op, max_spatial_order=2)
     vp = sp.Function("vp")(T_SYMBOL)
     expect = -8 * sp.I * (BETA / RSYM) * sp.diff(vp, T_SYMBOL) * 2
@@ -286,12 +286,12 @@ def test_transversal_index_cancellation_quadratic():
     # every summand a_kj (d_k a_ml) x_l with an index equal to 1 vanishes:
     # the order-2 gradient families must involve only the x'-block
     tf = TransversalField(2, const(2), ((pe("1 + 0.1*exp(-x2^2)"),),))
-    parts = t_decomposition_terms(tf.to_field(), WeightSpec("quadratic", BETA))
+    parts = t_decomposition_terms(tf, WeightSpec("quadratic", BETA))
     t2 = parts["order2"]
     # coefficient of d^2/dx1^2 must be constant in x (no gradient residue)
     c11 = t2.terms[(0, (2, 0))]
     assert sp.diff(c11, X_SYMBOLS[0]) == 0 and sp.diff(c11, X_SYMBOLS[1]) == 0
-    rep = verify_T_decomposition(tf.to_field(), WeightSpec("quadratic", BETA))
+    rep = verify_T_decomposition(tf, WeightSpec("quadratic", BETA))
     assert rep.ok
 
 
