@@ -11,7 +11,7 @@ from .grids import Grid, SpaceTimeGrid
 from .operators import (DiffOperator, WeightSpec, commutator,
                         conjugate_decompose, verify_T_decomposition)
 from .evolution import (DissipationParams, GaussianPacket, Trajectory,
-                        WaveState, free_flow_closed_form, mass, propagate)
+                        WaveState, mass, propagate)
 from .diagnostics import (ConvexityTrace, DecaySchedule, LowerBoundProfile,
                           annulus_mass_profile, derivative_bound_check,
                           gaussian_decay_schedule, logconvexity_check,

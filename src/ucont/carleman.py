@@ -126,9 +126,9 @@ class TestField:
 
 
 def make_test_function(mode: str, st: SpaceTimeGrid, cutoff: CutoffSpec,
-                       seed: int, *, k_cut: float | None = None,
-                       carrier: float = 0.0, t_center: float | None = None,
-                       t_width: float = 0.1, x_center: float | None = None,
+                       seed: int, *, carrier: float = 0.0,
+                       t_center: float | None = None, t_width: float = 0.1,
+                       x_center: float | None = None,
                        x_width: float | None = None,
                        resolution_budget: float | None = None) -> TestField:
     """Smooth compactly supported random field satisfying the mode's support
@@ -158,14 +158,14 @@ def make_test_function(mode: str, st: SpaceTimeGrid, cutoff: CutoffSpec,
     if mode == "annulus" and cutoff.r0 + w >= outer - w:
         raise SupportError("empty admissible region: r0 too close to the box")
 
-    k_cut_eff = k_cut if k_cut is not None else min(5.0, 0.15 * math.pi / h)
+    k_cut = min(5.0, 0.15 * math.pi / h)
     k_nyq = math.pi / g.spacings[0]
-    if abs(carrier) + k_cut_eff > 0.45 * k_nyq:
+    if abs(carrier) + k_cut > 0.45 * k_nyq:
         raise SupportError(
-            f"carrier {carrier:+.1f} + band {k_cut_eff:.1f} exceeds the "
+            f"carrier {carrier:+.1f} + band {k_cut:.1f} exceeds the "
             f"quadratic-form aliasing cap 0.45 * {k_nyq:.1f}")
     rng = np.random.default_rng(seed)
-    noise = band_limited_noise(g, rng, k_cut_eff,
+    noise = band_limited_noise(g, rng, k_cut,
                                carrier=(carrier, *(0.0,) * (g.dim - 1))
                                if carrier else None)
     tau = cutoff.time_window(st.times)
@@ -177,38 +177,33 @@ def make_test_function(mode: str, st: SpaceTimeGrid, cutoff: CutoffSpec,
     if mode == "annulus":
         spatial = noise * (smoothstep5((rad - cutoff.r0) / w) * outer_cut)
         bad = rad[None] < cutoff.r0
-    else:
-        bad = np.empty(st.shape, dtype=bool)
     env = None
     if x_center is not None:
         xw = x_width if x_width is not None else 1.0
         env = np.exp(-((g.meshes[0] - x_center) / xw) ** 2)[None]
 
-    # the field is built, scaled and scanned one time slab at a time
+    # the field is built and its support scanned one time slab at a time
     f = np.empty(st.shape, dtype=complex)
     peak = 0.0
-    parts = slabs(st.shape)
-    for rows in parts:
+    for rows in slabs(st.shape):
         if mode == "annulus":
             f[rows] = tau[rows] * spatial[None] if env is None \
                 else tau[rows] * spatial[None] * env
         else:
             q = translated_shift(cutoff, st, rows)
-            bad[rows] = q < 1.0
+            bad = q < 1.0
             moving = smoothstep5((q - 1.0) / w)
             del q
             fs = tau[rows] * noise[None] * moving * outer_cut[None]
             f[rows] = fs if env is None else fs * env
             del moving, fs
-        peak = np.maximum(peak, np.abs(f[rows]).max())
+        fs = f[rows]
+        if np.any(fs[np.broadcast_to(bad, fs.shape)] != 0):
+            raise SupportError("support constraint violated on the grid")
+        peak = np.maximum(peak, np.abs(fs).max())
     if peak == 0.0:
         raise SupportError("generated field is identically zero")
-    for rows in parts:      # exhaustive support scan
-        fs = f[rows]
-        fs /= peak
-        out = bad[rows] if mode == "translated" else bad
-        if np.any(fs[np.broadcast_to(out, fs.shape)] != 0):
-            raise SupportError("support constraint violated on the grid")
+    f /= peak
     check_resolved(f, resolution_budget)
     return TestField(f, st, mode, seed)
 
@@ -398,14 +393,14 @@ def _require_block(fld: CoefficientField) -> None:
 
 
 def carleman_sides_translated(f: TestField, fld: CoefficientField, beta: float,
-                              cutoff: CutoffSpec, *, c0: float = 4.0,
-                              lam: float | None = None) -> CarlemanReport:
+                              cutoff: CutoffSpec, *, c0: float = 4.0
+                              ) -> CarlemanReport:
     """Translated-weight inequality sides under the block assumption
     (constant a11 > 0); the right-hand side is the raw conjugated energy."""
     if f.mode != "translated":
         raise SupportError("translated sides need a translated-mode field")
     _require_block(fld)
-    lam = _lower_ellipticity(fld, f.st.space) if lam is None else lam
+    lam = _lower_ellipticity(fld, f.st.space)
     p = _beta_forms(f, _unit_ops(fld, cutoff, f.mode, f.st), cutoff)
     return _sides(p, f.mode, beta, cutoff.R, lam,
                   beta_threshold_translated(c0, cutoff.R))

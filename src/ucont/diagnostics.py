@@ -72,7 +72,7 @@ class ConvexityTrace:
     H: np.ndarray
     beta: float
     max_interp_ratio_c1: float       # with C = 1, recorded separately
-    violation: bool                  # the ratio exceeds the configured C
+    violation: bool                  # the ratio exceeds C, or is NaN
     vacuous: bool = False
 
     def d2_logH(self) -> np.ndarray:
@@ -107,7 +107,7 @@ def logconvexity_check(traj: Trajectory, beta: float, M1: float, *,
     tt = (times - times[0]) / (times[-1] - times[0])
     interp = H[0] ** (1 - tt) * H[-1] ** tt
     max_c1 = float(np.max(H / (math.exp(M1 ** 2) * interp)))
-    return ConvexityTrace(times, H, beta, max_c1, bool(max_c1 / C > 1.0),
+    return ConvexityTrace(times, H, beta, max_c1, not (max_c1 / C <= 1.0),
                           False)
 
 
@@ -150,12 +150,11 @@ class DecaySchedule:
 
 
 def gaussian_decay_schedule(gamma: float, d: DissipationParams, lam: float,
-                            Lam: float, normA: float, C_dim: float = 1.0
-                            ) -> DecaySchedule:
+                            Lam: float, normA: float) -> DecaySchedule:
     """Maintained Gaussian rate of the dissipative flow:
 
         alpha(t) = gamma lam a / (lam a + 4 gamma (lam a^2 Lam
-                                                   + 4 b^2 normA^2 C_dim) t)
+                                                   + 4 b^2 normA^2) t)
 
     Degenerate for a = 0 (no maintained rate for t > 0).
     """
@@ -165,7 +164,7 @@ def gaussian_decay_schedule(gamma: float, d: DissipationParams, lam: float,
     if d.a == 0.0:
         return DecaySchedule(gamma, ts, np.where(ts == 0.0, gamma, 0.0), True)
     denom = lam * d.a + 4 * gamma * (lam * d.a ** 2 * Lam
-                                     + 4 * d.b ** 2 * normA ** 2 * C_dim) * ts
+                                     + 4 * d.b ** 2 * normA ** 2) * ts
     return DecaySchedule(gamma, ts, gamma * lam * d.a / denom, False)
 
 
@@ -182,7 +181,7 @@ def decay_schedule_companion(traj: Trajectory, schedule: DecaySchedule
     """
     ts = np.asarray(traj.times, dtype=float)
     alphas = np.interp(ts, schedule.times, schedule.alphas)
-    rhs0 = math.sqrt(weighted_norm(traj.initial, schedule.gamma, strict=False))
+    rhs0 = math.sqrt(weighted_norm(traj.state(0), schedule.gamma, strict=False))
     margins = np.empty_like(ts)
     for i, al in enumerate(alphas):
         lhs = math.sqrt(weighted_norm(traj.state(i), al, strict=False))

@@ -86,14 +86,6 @@ class Trajectory:
     def state(self, i: int) -> WaveState:
         return WaveState(float(self.times[i]), self.frames[i], self.grid)
 
-    @property
-    def initial(self) -> WaveState:
-        return self.state(0)
-
-    @property
-    def final(self) -> WaveState:
-        return self.state(len(self.times) - 1)
-
 
 # ---------------------------------------------------------------------------
 # complex-Gaussian closed forms
@@ -129,12 +121,6 @@ class GaussianPacket:
         s_new = complex(self.s) + zeta * t
         scale = (complex(self.s) / s_new) ** (self.dim / 2.0)
         return GaussianPacket(s_new, self.center, self.amplitude * scale)
-
-
-def free_flow_closed_form(p: GaussianPacket, t: float) -> GaussianPacket:
-    """Free propagator closed form: s -> s + i t, amplitude times
-    (s/(s+it))^{n/2}; the modulus is again a Gaussian."""
-    return p.flow(1j, t)
 
 
 def linear_potential_closed_form(p: GaussianPacket, c: float, t: float,

@@ -40,7 +40,7 @@ from .coefficients import CoefficientField, SamplingBox, TransversalField, \
 from .diagnostics import annulus_mass_profile, derivative_bound_check, \
     logconvexity_check, weighted_norm
 from .evolution import DissipationParams, GaussianPacket, WaveState, \
-    free_flow_closed_form, mass, propagate, write_checkpoint
+    mass, propagate, write_checkpoint
 from .expressions import ExpressionError, SamplingError, parse_expression
 from .grids import Grid, NumericGuardError, _is_pow2, band_limited_noise
 from .operators import VARIANTS, WeightSpec, remainder_grouping_report, \
@@ -78,13 +78,13 @@ _GRID = {"extents": (list, [12.0], _POSITIVE, _AXES),
 _FLOW = {
     "experiment": _EXPERIMENT, "field": _FIELD, "grid": _GRID,
     "initial": {"s_re": (_NUM, 1.0, _POSITIVE), "s_im": (_NUM, 0.0),
-                "amplitude": (_NUM, 1.0),
+                "amplitude": (_NUM, 1.0, (lambda v: v != 0, "must be nonzero")),
                 "center": (list, lambda cfg: [0.0] * cfg.get("field", "dimension"))},
     "evolution": {"a": (_NUM, 0.0, (lambda a: a >= 0, "dissipation requires a >= 0")),
                   "b": (_NUM, 1.0), "steps": (int, 1024),
                   "frames": (int, 65, (lambda n: n >= 2, "a trajectory stores "
                                        "at least 2 frames")),
-                  "t_end": (_NUM, 1.0)}}
+                  "t_end": (_NUM, 1.0, _POSITIVE)}}
 
 _TABLE = {
     "simulate": {**_FLOW, "weight": {"beta": (_NUM, 0.0)}},
@@ -204,12 +204,12 @@ class ExperimentConfig:
     kind: str
     sections: dict            # section -> {key: typed value}, as written
 
-    def get(self, section: str, key: str, default=None):
+    def get(self, section: str, key: str):
         """The config's value of ``key``, else the kind's table default,
-        else ``default`` for a key the kind does not read."""
+        else None for a key the kind does not read."""
         if key in self.sections.get(section, {}):
             return self.sections[section][key]
-        value = _TABLE[self.kind].get(section, {}).get(key, (None, default))[1]
+        value = _TABLE[self.kind].get(section, {}).get(key, (None, None))[1]
         return value(self) if callable(value) else value
 
     @property
@@ -612,7 +612,7 @@ def _run_hardy(cfg: ExperimentConfig, out: Path):
     for s in s_values:
         p = GaussianPacket(complex(s, 0.0), (0.0,))
         A = p.modulus_rate()
-        B = free_flow_closed_form(p, 1.0).modulus_rate()
+        B = p.flow(1j, 1.0).modulus_rate()
         oracle = 1.0 / (16.0 * (s ** 2 + 1.0))
         rows.append((s, A, B, A * B, oracle, 1.0 / 16.0))
         prods.append((A * B, oracle))

@@ -192,20 +192,13 @@ def check_resolved(values: np.ndarray, budget: float = 1e-10) -> None:
             f"spectral tail fraction {frac:.3e} exceeds budget {budget:.1e}")
 
 
-def l2_inner(f: np.ndarray, g: np.ndarray, grid: Grid, dt: float | None = None
-             ) -> complex:
-    """<f, g> = int f conj(g); space-time when ``dt`` is given (axis 0 = t)."""
-    val = np.sum(f * np.conj(g)) * grid.cell_volume
-    if dt is not None:
-        val = val * dt
-    return complex(val)
+def l2_inner(f: np.ndarray, g: np.ndarray, grid: Grid) -> complex:
+    """<f, g> = int f conj(g) over the cells of ``grid``."""
+    return complex(np.sum(f * np.conj(g)) * grid.cell_volume)
 
 
-def l2_norm_sq(f: np.ndarray, grid: Grid, dt: float | None = None) -> float:
-    val = np.sum(np.abs(f) ** 2) * grid.cell_volume
-    if dt is not None:
-        val = val * dt
-    return float(val)
+def l2_norm_sq(f: np.ndarray, grid: Grid) -> float:
+    return float(np.sum(np.abs(f) ** 2) * grid.cell_volume)
 
 
 @dataclass(frozen=True)

@@ -364,10 +364,6 @@ class TDecompositionReport:
     identically_zero: bool
     commutator_spatial_order: int
 
-    @property
-    def ok(self) -> bool:
-        return self.identically_zero
-
 
 def verify_T_decomposition(fld: CoefficientField, w: WeightSpec
                            ) -> TDecompositionReport:

@@ -106,6 +106,17 @@ def test_logconvexity_vacuous_zero_endpoint(line_grid, unit_packet):
     assert tr.vacuous and not tr.violation
 
 
+def test_logconvexity_nan_ratio_is_a_violation(line_grid, unit_packet):
+    # frames all at t = 0 rescale time by 0/0: the interpolation ratio is
+    # NaN, which no C bounds
+    frames = np.stack([unit_packet.sample(line_grid)] * 3)
+    traj = Trajectory(line_grid, np.zeros(3), frames)
+    with np.errstate(invalid="ignore"):
+        tr = logconvexity_check(traj, 0.05, 0.0)
+    assert math.isnan(tr.max_interp_ratio_c1)
+    assert tr.violation
+
+
 def test_derivative_bound_stable_under_refinement(identity_field_1d,
                                                   chirped_packet):
     vals = []

@@ -7,7 +7,7 @@ from ucont.coefficients import CoefficientField
 from ucont.evolution import (HEAT, SCHRODINGER, BlowUpError, CheckpointError,
                              DissipationParams, GaussianPacket,
                              NonFiniteFieldError, StabilityError, WaveState,
-                             _remainder_step, free_flow_closed_form,
+                             _remainder_step,
                              linear_potential_closed_form, mass, propagate,
                              read_checkpoint, write_checkpoint)
 from ucont.expressions import parse_expression, sample
@@ -30,10 +30,10 @@ def test_dissipation_params_validation():
 def test_packet_modulus_rate_examples():
     p = GaussianPacket(1.0, (0.0,))
     assert p.modulus_rate() == pytest.approx(0.25)
-    evolved = free_flow_closed_form(p, 1.0)
+    evolved = p.flow(1j, 1.0)
     assert evolved.s == pytest.approx(1.0 + 1.0j)
     assert evolved.modulus_rate() == pytest.approx(0.125)
-    assert free_flow_closed_form(p, 0.0).s == pytest.approx(p.s)
+    assert p.flow(1j, 0.0).s == pytest.approx(p.s)
 
 
 def test_hardy_product_family():
@@ -41,7 +41,7 @@ def test_hardy_product_family():
     prods = []
     for s in (1.0, 0.5, 0.1, 0.01):
         p = GaussianPacket(complex(s), (0.0,))
-        ab = p.modulus_rate() * free_flow_closed_form(p, 1.0).modulus_rate()
+        ab = p.modulus_rate() * p.flow(1j, 1.0).modulus_rate()
         assert ab == pytest.approx(1.0 / (16 * (s ** 2 + 1)), rel=1e-12)
         assert ab <= 1.0 / 16 + 1e-15
         prods.append(ab)
@@ -52,7 +52,7 @@ def test_free_flow_matches_closed_form(line_grid, identity_field_1d,
                                        unit_packet):
     u0 = WaveState(0.0, unit_packet.sample(line_grid), line_grid)
     traj = propagate(u0, identity_field_1d, SCHRODINGER, steps=64, n_frames=3)
-    ref = free_flow_closed_form(unit_packet, 1.0).sample(line_grid)
+    ref = unit_packet.flow(1j, 1.0).sample(line_grid)
     assert l2_dist(traj.frames[-1], ref, line_grid) < 1e-6
 
 
@@ -69,9 +69,9 @@ def test_constant_potential_global_phase(line_grid, unit_packet):
     fld = CoefficientField.identity(1, pe("2"))
     u0 = WaveState(0.0, unit_packet.sample(line_grid), line_grid)
     traj = propagate(u0, fld, SCHRODINGER, steps=32, n_frames=2)
-    free = free_flow_closed_form(unit_packet, 1.0).sample(line_grid)
+    free = unit_packet.flow(1j, 1.0).sample(line_grid)
     assert l2_dist(traj.frames[-1], np.exp(2j) * free, line_grid) < 1e-9
-    assert mass(traj.final) == pytest.approx(mass(traj.initial), rel=1e-12)
+    assert mass(traj.state(-1)) == pytest.approx(mass(traj.state(0)), rel=1e-12)
 
 
 def test_mass_examples(line_grid):
@@ -100,7 +100,7 @@ def test_mass_conservation_variable_coefficients(mild_field_1d, chirped_packet):
     g = Grid((13.5,), (2048,))
     u0 = WaveState(0.0, chirped_packet.sample(g), g)
     traj = propagate(u0, mild_field_1d, SCHRODINGER, steps=2048, n_frames=5)
-    drift = abs(mass(traj.final) - mass(traj.initial)) / mass(traj.initial)
+    drift = abs(mass(traj.state(-1)) - mass(traj.state(0))) / mass(traj.state(0))
     assert drift < 1e-7
 
 
@@ -207,7 +207,7 @@ def test_semigroup_composition(line_grid, identity_field_1d, unit_packet):
     second = propagate(WaveState(0.4, first.frames[-1], line_grid),
                        identity_field_1d, d, (0.4, 1.0), 96, 2)
     rel = l2_dist(second.frames[-1], direct.frames[-1], line_grid) \
-        / math.sqrt(mass(direct.final))
+        / math.sqrt(mass(direct.state(-1)))
     assert rel < 1e-7
 
 
@@ -222,7 +222,7 @@ def test_heat_then_schrodinger_identity(line_grid, identity_field_1d,
     heat_after = propagate(WaveState(0.0, schr.frames[-1], line_grid),
                            identity_field_1d, HEAT, (0.0, eps), 64, 2)
     rel = l2_dist(heat_after.frames[-1], reg.frames[-1], line_grid) \
-        / math.sqrt(mass(reg.final))
+        / math.sqrt(mass(reg.state(-1)))
     assert rel < 1e-7
 
 

@@ -94,7 +94,8 @@ def test_minimal_config_normalizes_with_defaults(tmp_path):
     assert cfg.kind == "simulate"
     assert cfg.seed == 5
     assert cfg.get("evolution", "b") == 1.0
-    assert cfg.get("initial", "s_im", 0.0) == 0.0
+    assert cfg.get("initial", "s_im") == 0.0
+    assert cfg.get("params", "mode") is None
 
 
 def test_run_simulate_writes_artifacts(tmp_path):
@@ -109,6 +110,18 @@ def test_run_simulate_writes_artifacts(tmp_path):
     assert "tolerance" in payload["checks"]["mass_conservation"]
     header = (tmp_path / "o" / "trajectory.csv").read_text().splitlines()[0]
     assert header == "t,mass,H"
+
+
+def test_run_simulate_checks_dissipation_for_a_positive(tmp_path):
+    # with a > 0 the mass decays, and the report checks that it never grows
+    cfg = validate(MINIMAL_SIMULATE.format(out=tmp_path / "o")
+                   .replace("a = 0.0", "a = 0.5"))
+    report = run(cfg)
+    assert report.checks["dissipation_monotone"]["status"] == "pass"
+    assert "mass_conservation" not in report.checks
+    masses = [float(line.split(",")[1]) for line in
+              (tmp_path / "o" / "trajectory.csv").read_text().splitlines()[1:]]
+    assert masses[-1] < masses[0]
 
 
 def test_rerun_same_seed_byte_identical(tmp_path):
@@ -581,6 +594,50 @@ b = 0.0
 steps = 32
 frames = 5
 """, ["evolution.a = evolution.b = 0", "a^2 + b^2"]),
+    # t_end = 0 rescaled time by 0/0, so the interpolation ratio read NaN
+    # and its check passed
+    "convexity-t_end-zero": ("""
+[experiment]
+kind = convexity
+[grid]
+extents = [11.25]
+points = [1024]
+[initial]
+s_re = 0.5
+s_im = -0.5
+[evolution]
+steps = 64
+frames = 65
+t_end = 0
+[weight]
+beta_values = [0.05, 0.1]
+""", ["evolution.t_end = 0", "must be positive"]),
+    # a zero packet divided by zero (simulate's mass drift) or took log 0
+    # (convexity's log H)
+    "simulate-amplitude-zero": ("""
+[experiment]
+kind = simulate
+[grid]
+extents = [12.0]
+points = [256]
+[initial]
+amplitude = 0
+[evolution]
+steps = 32
+frames = 5
+""", ["initial.amplitude = 0", "must be nonzero"]),
+    "convexity-amplitude-zero": ("""
+[experiment]
+kind = convexity
+[grid]
+extents = [11.25]
+points = [1024]
+[initial]
+amplitude = 0.0
+[evolution]
+steps = 64
+frames = 65
+""", ["initial.amplitude = 0.0", "must be nonzero"]),
     # a 1-D packet has no centre (0, 1)
     "simulate-center-longer-than-field": ("""
 [experiment]
@@ -772,6 +829,34 @@ space_width = 1.0
         CoefficientField.diagonal((const(1), pe("1 + 0.1*exp(-x2^2)"))),
         SamplingBox.cube(2, 8.0, 65)) > 0
     assert not other & metrics.keys()
+
+
+def test_translated_sweep_reports_fitted_c0(tmp_path):
+    # the translated frontier's c0 is the largest beta* / R^2 it measured
+    path = tmp_path / "c.cfg"
+    path.write_text(f"""
+[experiment]
+kind = carleman-sweep
+seed = 3
+output = {tmp_path / 'o'}
+[grid]
+extents = [6.0]
+points = [256]
+nt = 256
+[params]
+mode = "translated"
+R_values = [1.0]
+n_samples = 1
+frontier_R_values = [1.1, 1.5]
+frontier_probes = 1
+""")
+    assert cli_main(["run", str(path)]) == 0
+    with open(tmp_path / "o" / "frontier.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    metrics = json.loads((tmp_path / "o" / "report.json").read_text())["metrics"]
+    assert [float(row["R"]) for row in rows] == [1.1, 1.5]
+    assert metrics["fitted_c0"] == max(
+        float(row["beta_star"]) / float(row["R"]) ** 2 for row in rows)
 
 
 def test_gauge_reduce_reads_a_2d_block_field(tmp_path):
@@ -1182,9 +1267,9 @@ def test_every_table_key_is_read(tmp_path, monkeypatch):
     read = set()
     get = ExperimentConfig.get
 
-    def recording(self, section, key, default=None):
+    def recording(self, section, key):
         read.add((section, key))
-        return get(self, section, key, default)
+        return get(self, section, key)
     monkeypatch.setattr(ExperimentConfig, "get", recording)
     for kind, body in GUARD_CONFIGS.items():
         cfg = validate(f"[experiment]\nkind = {kind}\noutput = "
