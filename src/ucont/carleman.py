@@ -212,6 +212,8 @@ def make_test_function(mode: str, st: SpaceTimeGrid, cutoff: CutoffSpec,
 # the two sides
 # ---------------------------------------------------------------------------
 
+SLACK_FLOOR = 1.0 - 1e-6    # a sample passes when rhs / lhs is at least this
+
 @dataclass
 class CarlemanReport:
     mode: str
@@ -362,7 +364,7 @@ def _sides(p: BetaForms, mode: str, beta: float, R: float, lam: float,
     comm_slack = comm / comm_denom if comm_denom > 0 else math.inf
     return CarlemanReport(mode, float(beta), float(R), p.seed, lhs, rhs, raw,
                           beta >= threshold - 1e-12, slack, comm, comm_slack,
-                          slack >= 1.0 - 1e-6)
+                          slack >= SLACK_FLOOR)
 
 
 def _lower_ellipticity(fld: CoefficientField, g: Grid) -> float:

@@ -66,6 +66,8 @@ def weighted_norm(u: WaveState, beta: float, alpha: float = 1.0, *,
 # log-convexity of H(t)
 # ---------------------------------------------------------------------------
 
+INTERP_C = 1.0 + 1e-6       # the C of the interpolation bound on H(t)
+
 @dataclass
 class ConvexityTrace:
     times: np.ndarray
@@ -89,13 +91,12 @@ class ConvexityTrace:
 
 
 def logconvexity_check(traj: Trajectory, beta: float, M1: float, *,
-                       C: float = 1.0 + 1e-6,
                        boundary_budget: float = 1e-12) -> ConvexityTrace:
     """Weighted-energy trace with the interpolation-bound and discrete
     second-difference diagnostics.
 
-    The bound checked is H(t) <= C e^{M1^2} H(0)^{1-t} H(1)^t; the max ratio
-    with C = 1 is recorded separately.
+    The bound checked is H(t) <= INTERP_C e^{M1^2} H(0)^{1-t} H(1)^t; the
+    max ratio with C = 1 is recorded separately.
     """
     times = np.asarray(traj.times, dtype=float)
     H = np.array([weighted_norm(traj.state(i), beta,
@@ -107,8 +108,8 @@ def logconvexity_check(traj: Trajectory, beta: float, M1: float, *,
     tt = (times - times[0]) / (times[-1] - times[0])
     interp = H[0] ** (1 - tt) * H[-1] ** tt
     max_c1 = float(np.max(H / (math.exp(M1 ** 2) * interp)))
-    return ConvexityTrace(times, H, beta, max_c1, not (max_c1 / C <= 1.0),
-                          False)
+    return ConvexityTrace(times, H, beta, max_c1,
+                          not (max_c1 / INTERP_C <= 1.0), False)
 
 
 def derivative_bound_check(traj: Trajectory, beta: float, M1: float = 0.0, *,
@@ -197,6 +198,11 @@ class AnnulusResolutionError(NumericGuardError):
     """Fewer than 8 grid cells across an annulus."""
 
 
+def _in_window(times: np.ndarray, window) -> np.ndarray:
+    """Which frame times lie in [start, end], with 1e-12 slack at each end."""
+    return (times >= window[0] - 1e-12) & (times <= window[1] + 1e-12)
+
+
 @dataclass
 class LowerBoundProfile:
     radii: np.ndarray
@@ -225,7 +231,7 @@ def annulus_mass_profile(traj: Trajectory, radii, t_window=(0.125, 0.875), *,
         raise ValueError("radii exceed the grid box")
 
     times = np.asarray(traj.times, dtype=float)
-    sel = (times >= t_window[0] - 1e-12) & (times <= t_window[1] + 1e-12)
+    sel = _in_window(times, t_window)
     if sel.sum() < 2:
         raise ValueError("trajectory has too few samples inside the window")
     tsel = times[sel]
@@ -247,7 +253,7 @@ def annulus_mass_profile(traj: Trajectory, radii, t_window=(0.125, 0.875), *,
     core_mass = None
     hypothesis_met = True
     if R0 is not None and E2 is not None:
-        core_sel = (times >= 0.25 - 1e-12) & (times <= 0.75 + 1e-12)
+        core_sel = _in_window(times, (0.25, 0.75))
         core_mask = rad <= R0
         vals = np.array([np.abs(traj.frames[i][core_mask]) ** 2
                          for i in np.nonzero(core_sel)[0]]).sum(axis=1) \

@@ -37,6 +37,10 @@ class NonFiniteFieldError(NumericGuardError):
     """A coefficient entry or the potential is not finite on the grid."""
 
 
+class ZeroMassError(NumericGuardError):
+    """The initial squared norm is 0 in float64, so no ratio to it exists."""
+
+
 @dataclass(frozen=True)
 class DissipationParams:
     """Coefficients of d_t u = (a+ib)(L+V)u; a >= 0, a^2+b^2 != 0."""
@@ -290,6 +294,8 @@ def propagate(u0: WaveState, fld: CoefficientField, d: DissipationParams,
     times = np.linspace(t0, t1, n_frames)
     frames[0] = u0.values
     m0 = l2_norm_sq(frames[0], grid)
+    if not m0 > 0:
+        raise ZeroMassError(f"initial squared norm {m0} is not positive")
     stride = steps // (n_frames - 1)
 
     # the state stays in Fourier space; frames are inverse transforms of it
@@ -304,7 +310,7 @@ def propagate(u0: WaveState, fld: CoefficientField, d: DissipationParams,
             np.fft.ifftn(uhat, out=frames[idx])
             # a NaN norm fails the comparison, so it counts as blow-up
             norm = l2_norm_sq(frames[idx], grid)
-            if m0 > 0 and not norm <= BLOWUP_FACTOR * m0:
+            if not norm <= BLOWUP_FACTOR * m0:
                 raise BlowUpError(
                     f"norm exceeded {BLOWUP_FACTOR:.0e} x initial at t={times[idx]:.4f}")
     return Trajectory(grid, times, frames)

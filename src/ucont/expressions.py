@@ -118,7 +118,9 @@ def partials() -> Partials:
 
 
 def coeff_is_zero(expr: sp.Expr) -> bool:
-    """Exact zero test: the expansion of ``expr`` is 0 or cancels to 0."""
+    """Exact zero test: the expansion of ``expr`` is 0 or cancels to 0.
+    Rational cancellation only: a zero that needs a trigonometric identity,
+    such as sin(2 x1) - 2 sin(x1) cos(x1), reads as nonzero."""
     expr = sp.expand(expr)
     return expr == 0 or sp.cancel(expr) == 0
 

@@ -15,7 +15,7 @@ from ucont.coefficients import (CoefficientField, SamplingBox,
                                 ellipticity_bounds)
 from ucont.analysis import SubordinationCase, poincare_weighted_check, \
     subordination_ratio
-from ucont.diagnostics import (decay_schedule_companion,
+from ucont.diagnostics import (INTERP_C, decay_schedule_companion,
                                gaussian_decay_schedule, logconvexity_check,
                                annulus_mass_profile)
 from ucont.evolution import (HEAT, SCHRODINGER, DissipationParams,
@@ -231,10 +231,9 @@ def test_acceptance_06_log_convexity():
     u0 = WaveState(0.0, packet.sample(g), g)
     traj = propagate(u0, fld, SCHRODINGER, steps=64, n_frames=65)
     details = []
-    ok = True
+    ok = INTERP_C == 1 + 1e-6       # the C the line states
     for beta in (0.05, 0.1, 0.2):
-        tr = logconvexity_check(traj, beta, 0.0, C=1 + 1e-6,
-                                boundary_budget=1e-4)
+        tr = logconvexity_check(traj, beta, 0.0, boundary_budget=1e-4)
         closed = np.array([_free_H_closed(beta, 0.5, -0.5, float(t))
                            for t in tr.times])
         agree = float(np.max(np.abs(tr.H / closed - 1)))
@@ -247,8 +246,7 @@ def test_acceptance_06_log_convexity():
     gv = Grid((13.5,), (2048,))
     u0v = WaveState(0.0, packet.sample(gv), gv)
     trajv = propagate(u0v, var, SCHRODINGER, steps=2048, n_frames=65)
-    trv = logconvexity_check(trajv, 0.05, 0.0, C=1 + 1e-6,
-                             boundary_budget=1e-8)
+    trv = logconvexity_check(trajv, 0.05, 0.0, boundary_budget=1e-8)
     ok &= small <= 0.05 and trv.min_d2_logH >= -1e-3 and not trv.violation
     details.append(f"var field (smallness {small:.3f}): d2min "
                    f"{trv.min_d2_logH:.3f}")

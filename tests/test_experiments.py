@@ -1,5 +1,7 @@
+import ast
 import csv
 import importlib
+import itertools
 import json
 import math
 import pkgutil
@@ -502,6 +504,21 @@ kind = lowerbound-fit
 [params]
 t_window = [0.125, 0.5, 0.875]
 """, ["params.t_window = [0.125, 0.5, 0.875]", "expected [start, end]"]),
+    # one key of the pair skipped the core-mass hypothesis, and the report
+    # still read label "ok"
+    "lowerbound-fit-R0-without-E2": ("""
+[experiment]
+kind = lowerbound-fit
+[grid]
+extents = [12.0]
+points = [512]
+[evolution]
+steps = 32
+frames = 17
+[params]
+radii = [2.0, 3.0, 4.0]
+R0 = 0.5
+""", ["params.R0 and params.E2", "set both or neither"]),
     # checks that would pass on no data
     "carleman-R-values-empty": ("""
 [experiment]
@@ -744,6 +761,29 @@ def test_table_rejects_config(name, tmp_path, capsys):
     err = capsys.readouterr().err
     for word in named:
         assert word in err
+    assert not (tmp_path / "o").exists()
+
+
+# the gates a config could once loosen; each check now states its own
+DELETED_GATES = [("convexity", "interp_C"), ("convexity", "d2_floor"),
+                 ("carleman-sweep", "slack_tol"), ("subordination", "slack_tol"),
+                 ("poincare", "interp_C"), ("hardy", "slack_tol"),
+                 ("lowerbound-fit", "slack_tol"), ("gauge-reduce", "slack_tol")]
+
+
+@pytest.mark.parametrize("kind, key", DELETED_GATES,
+                         ids=[f"{kind}-{key}" for kind, key in DELETED_GATES])
+def test_config_cannot_set_a_gate(kind, key, tmp_path, capsys):
+    text = (f"[experiment]\nkind = {kind}\noutput = {tmp_path / 'o'}\n"
+            f"[tolerances]\n{key} = 2\n")
+    with pytest.raises(ConfigError) as err:
+        validate(text)
+    assert any(f"key {key!r} in section [tolerances]" in e
+               for e in err.value.errors)
+    path = tmp_path / "c.cfg"
+    path.write_text(text)
+    assert cli_main(["run", str(path)]) == 2
+    assert repr(key) in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -1049,6 +1089,30 @@ a11 = "1 - 0.4*cos(x1)"
 npts = 2001
 n_tests = 5
 """, "times k_max^2"),
+    # |u0|^2 = 1e-340 underflows to 0: simulate's mass drift divided by
+    # zero, and convexity took log 0 of H
+    "ZeroMassError": ("""
+[experiment]
+kind = simulate
+[field]
+dimension = 1
+[grid]
+extents = [12.0]
+points = [256]
+[initial]
+amplitude = 1e-170
+""", "initial squared norm 0.0 is not positive"),
+    "ZeroMassError:convexity": ("""
+[experiment]
+kind = convexity
+[field]
+dimension = 1
+[grid]
+extents = [12.0]
+points = [256]
+[initial]
+amplitude = 1e-170
+""", "initial squared norm 0.0 is not positive"),
 }
 
 
@@ -1285,3 +1349,51 @@ def test_every_table_key_is_read(tmp_path, monkeypatch):
         exempt = {("field", key) for key in unused}
         assert declared - exempt - read == set(), kind
         assert read <= declared - exempt, kind
+
+
+def _literal_reads(tree) -> list:
+    """(section, key) of each ``cfg.get(section, key)`` call in ``tree``
+    whose arguments are string literals, or names that a comprehension or
+    a for loop binds to a literal tuple or list of strings."""
+    def strings(node):
+        nodes = node.elts if isinstance(node, (ast.Tuple, ast.List)) else [node]
+        if all(isinstance(e, ast.Constant) and isinstance(e.value, str)
+               for e in nodes):
+            return [e.value for e in nodes]
+        return None
+    out = []
+
+    def visit(node, env):
+        loops = [node] if isinstance(node, ast.For) else \
+            getattr(node, "generators", [])
+        for loop in loops:
+            if isinstance(loop.target, ast.Name) and strings(loop.iter):
+                env = {**env, loop.target.id: strings(loop.iter)}
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "get" \
+                and isinstance(node.func.value, ast.Name) \
+                and node.func.value.id == "cfg" and len(node.args) == 2:
+            values = [strings(a) or (env.get(a.id) if isinstance(a, ast.Name)
+                                     else None) for a in node.args]
+            if all(values):
+                out.extend(itertools.product(*values))
+        for child in ast.iter_child_nodes(node):
+            visit(child, env)
+    visit(tree, {})
+    return out
+
+
+def test_every_literal_read_names_a_table_slot():
+    """``ExperimentConfig.get`` returns None for a key no table declares, so
+    a read of a deleted key would otherwise fail only when it runs."""
+    tree = ast.parse(Path(experiments.__file__).read_text())
+    reads = set(_literal_reads(tree))
+    slots = {(sec, key) for table in experiments._TABLE.values()
+             for sec, keys in table.items() for key in keys}
+    assert not reads - slots, sorted(reads - slots)
+    # the guard sees the runners' reads, looped ones included
+    assert {("tolerances", "boundary_budget"), ("evolution", "frames"),
+            ("params", "E2")} <= reads
+    stale = ast.parse('for key in ("a", "slack_tol"):\n'
+                      '    tol = cfg.get("tolerances", key)\n')
+    assert ("tolerances", "slack_tol") in set(_literal_reads(stale)) - slots
