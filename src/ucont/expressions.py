@@ -30,6 +30,7 @@ from typing import Callable
 
 import numpy as np
 import sympy as sp
+from sympy.printing.numpy import NumPyPrinter
 
 T_SYMBOL = sp.Symbol("t", real=True)
 X_SYMBOLS = tuple(sp.Symbol(f"x{i}", real=True) for i in range(1, 10))
@@ -52,6 +53,15 @@ class SamplingError(ValueError):
     """An expression that does not sample to the finite numbers required."""
 
 
+class _ExactFloatPrinter(NumPyPrinter):
+    """numpy's printer with each Float at its exact binary value: the
+    default prints 15 significant digits, so 2/2.2^2 sampled as
+    0.413223140495868, not the double 0.4132231404958677."""
+
+    def _print_Float(self, expr: sp.Float) -> str:
+        return repr(float(expr))
+
+
 @lru_cache(maxsize=512)
 def _lambdify(expr: sp.Expr, syms: tuple[sp.Symbol, ...]):
     unbound = [*(expr.free_symbols - set(syms)),
@@ -60,8 +70,11 @@ def _lambdify(expr: sp.Expr, syms: tuple[sp.Symbol, ...]):
         raise SamplingError(f"expression has unbound symbols or abstract "
                             f"functions {sorted(map(str, unbound))}")
     # the module object, not "numpy": the string makes sympy run
-    # `from numpy import *`, which imports numpy.f2py, .testing and .ma
-    return sp.lambdify(syms, expr, modules=np)
+    # `from numpy import *`, which imports numpy.f2py, .testing and .ma.
+    # A printer keeps state while it prints, so each compile has its own.
+    printer = _ExactFloatPrinter({"fully_qualified_modules": False, "inline": True,
+                                  "allow_unknown_functions": True})
+    return sp.lambdify(syms, expr, modules=np, printer=printer)
 
 
 def sample(expr: sp.Expr, mesh, syms=None):
@@ -119,10 +132,15 @@ def partials() -> Partials:
 
 def coeff_is_zero(expr: sp.Expr) -> bool:
     """Exact zero test: the expansion of ``expr`` is 0 or cancels to 0.
-    Rational cancellation only: a zero that needs a trigonometric identity,
-    such as sin(2 x1) - 2 sin(x1) cos(x1), reads as nonzero."""
+    When it does not and ``expr`` holds sin or cos, the test repeats on
+    ``expr`` rewritten in exponentials, which decides trigonometric zeros
+    such as sin(2 x1) - 2 sin(x1) cos(x1)."""
     expr = sp.expand(expr)
-    return expr == 0 or sp.cancel(expr) == 0
+    if expr == 0 or sp.cancel(expr) == 0:
+        return True
+    if not expr.has(sp.sin, sp.cos):
+        return False
+    return sp.cancel(sp.expand(expr.rewrite(sp.exp))) == 0
 
 
 _SYMBOLS = {"t": T_SYMBOL, **{s.name: s for s in X_SYMBOLS}}

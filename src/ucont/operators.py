@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -454,6 +455,30 @@ def remainder_grouping_report(fld: CoefficientField, w: WeightSpec,
 # numeric application
 # ---------------------------------------------------------------------------
 
+# the symbols that a numeric beta and R bind to in the grid split, which no
+# field or user weight can name
+_SCALES = {"beta": sp.Dummy("beta", real=True), "R": sp.Dummy("R", real=True)}
+
+
+@lru_cache(maxsize=32)
+def _grid_split(fld: CoefficientField, w: WeightSpec,
+                scales: tuple[sp.Symbol, ...]
+                ) -> tuple[tuple[sp.Expr, ...], tuple[sp.Symbol, ...], bool]:
+    """The expressions that :meth:`ConjugatedGridOps.build` samples: the
+    entries a_kj row by row, d_i phi and dt phi, with vp(t) and its slope
+    bound to symbols; the symbols they sample on, t, x1..xn, vp and dvp
+    when phi holds vp(t) (the third item), then ``scales``."""
+    n = fld.dim
+    phi, d = w.phi(n), partials()
+    timed = phi.has(PROFILE)
+    bind = dict(zip((PROFILE, sp.Derivative(PROFILE, T_SYMBOL)),
+                    sp.symbols("vp dvp", real=True))) if timed else {}
+    exprs = (*(fld.entry(k, j) for k in range(n) for j in range(n)),
+             *(d(phi, i) for i in range(n)), d(phi, t=1))
+    return (tuple(e.xreplace(bind) for e in exprs),
+            (T_SYMBOL, *X_SYMBOLS[:n], *bind.values(), *scales), timed)
+
+
 @dataclass
 class ConjugatedGridOps:
     """Structured space-time grid realizations of the symmetric and
@@ -477,25 +502,24 @@ class ConjugatedGridOps:
               ) -> "ConjugatedGridOps":
         """``profile`` holds the values and slope of the time profile on
         ``grid.times``, which a time-dependent weight needs: they stand in
-        for vp(t) and its derivative, so no profile expression is compiled."""
+        for vp(t) and its derivative, so no profile expression is compiled.
+        A numeric beta and R are sample arguments too, so the split's
+        expressions are derived and compiled once per (field, variant,
+        alpha), and a new beta or R costs no symbolic work."""
         n = fld.dim
-        phi, d = w.phi(n), partials()
-        syms, mesh, bind = (T_SYMBOL, *X_SYMBOLS[:n]), grid.open_mesh, {}
-        if phi.has(PROFILE):
+        scales = {name: s for name, s in _SCALES.items()
+                  if isinstance(getattr(w, name), _NUMBER)}
+        exprs, syms, timed = _grid_split(fld, replace(w, **scales),
+                                         tuple(scales.values()))
+        mesh = grid.open_mesh
+        if timed:
             if profile is None:
                 raise SamplingError(f"{w.variant} weight without profile samples")
-            bind = dict(zip((PROFILE, sp.Derivative(PROFILE, T_SYMBOL)),
-                            sp.symbols("vp dvp", real=True)))
-            syms += tuple(bind.values())
             mesh += tuple(np.reshape(v, mesh[0].shape) for v in profile)
-
-        def on_grid(e: sp.Expr):
-            return sample(e.xreplace(bind), mesh, syms)
-        return cls(grid,
-                   [[on_grid(fld.entry(k, j)) for j in range(n)]
-                    for k in range(n)],
-                   [on_grid(d(phi, i)) for i in range(n)],
-                   on_grid(d(phi, t=1)))
+        mesh += tuple(float(getattr(w, name)) for name in scales)
+        values = [sample(e, mesh, syms) for e in exprs]
+        return cls(grid, [values[k * n:(k + 1) * n] for k in range(n)],
+                   values[n * n:n * n + n], values[-1])
 
     @property
     def space(self) -> Grid:

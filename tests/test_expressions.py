@@ -290,6 +290,30 @@ def test_sample_keeps_natural_shape():
         sample(beta * e, ST2.open_mesh, ST2_SYMS)
 
 
+def test_sample_takes_floats_at_their_binary_value():
+    # lambdify's own printer writes a Float with 15 significant digits:
+    # 2/2.2^2 would sample as 0.413223140495868
+    x1 = X_SYMBOLS[0]
+    c = sp.Float(2) / sp.Float(2.2) ** 2
+    assert sample(c * x1, (np.array([1.0]),))[0] == float(c) == 2 / 2.2 ** 2
+    assert sample(-sp.Float(0.1) * x1 ** sp.Float(1.5), (2.0,)) == -0.1 * 2.0 ** 1.5
+
+
+@pytest.mark.parametrize("text", [
+    "sin(2*x1) - 2*sin(x1)*cos(x1)",
+    "4*cos(x1)^2 - 4*sin(x1)^2 - 4*cos(2*x1)",
+    "sin(x1 + x2) - sin(x1)*cos(x2) - cos(x1)*sin(x2)"])
+def test_trigonometric_zeros_read_as_zero(text):
+    assert coeff_is_zero(parse_expression(text))
+
+
+@pytest.mark.parametrize("text", ["sin(x1) - cos(x1)", "atan(x1) - x1",
+                                  "sin(x1)^2 + cos(x1)^2",
+                                  "exp(x1)*sin(x1) - sin(x1)"])
+def test_trigonometric_nonzeros_read_as_nonzero(text):
+    assert not coeff_is_zero(parse_expression(text))
+
+
 def test_sample_raises_on_an_abstract_function():
     vp = sp.Function("vp")(T_SYMBOL)
     for expr in (vp + X_SYMBOLS[0], sp.Derivative(vp, T_SYMBOL)):

@@ -224,6 +224,16 @@ def test_order_bound_drops_vanishing_high_order_terms():
     assert all(coeff_is_zero(c) for c in full.terms.values())
 
 
+def test_order_bound_drops_trigonometric_zeros():
+    # the coefficient 1 + sin(2 x1) - 2 sin(x1) cos(x1) is the constant 1,
+    # so the bounded commutator's dx1^3 term is a trigonometric zero
+    p = DiffOperator.build(1, {(0, (2,)): pe("sin(2*x1) - 2*sin(x1)*cos(x1) + 1")})
+    q = DiffOperator.build(1, {(0, (2,)): sp.Integer(1)})
+    bounded = commutator(p, q, max_spatial_order=2)
+    assert bounded.spatial_order() <= 2
+    assert all(coeff_is_zero(c) for c in bounded.terms.values())
+
+
 # ---------------------------------------------------------------------------
 # T-decomposition
 # ---------------------------------------------------------------------------
@@ -525,6 +535,69 @@ def test_time_dependent_split_needs_profile_samples():
     for variant in ("scaled-time", "translated"):
         with pytest.raises(SamplingError, match="profile samples"):
             ConjugatedGridOps.build(fld, WeightSpec(variant, 1, R=2.0), stg)
+
+
+_SPLIT_FIELDS = {
+    "1d": (CoefficientField.identity(1), SpaceTimeGrid(16, Grid((8.0,), (64,)))),
+    "2d-block": (TransversalField(2, const(1), ((pe("1 + 0.06*exp(-x2^2/4)"),),)),
+                 SpaceTimeGrid(16, Grid((8.0, 4.0), (32, 16))))}
+
+
+def _unit_split(fld, stg, variant, R, beta=1):
+    cut = CutoffSpec(R=R)
+    return ConjugatedGridOps.build(
+        fld, WeightSpec(variant, beta, R=R), stg,
+        profile=(cut.profile_values(stg.times), cut.profile_slope(stg.times)))
+
+
+@pytest.mark.parametrize("variant", ["scaled-time", "translated"])
+@pytest.mark.parametrize("name", list(_SPLIT_FIELDS))
+def test_split_is_derived_and_compiled_once_per_field(name, variant):
+    # beta and R are sample arguments: after the first build, builds at new
+    # beta and R take no derivative and compile nothing
+    from ucont import expressions, operators
+    fld, stg = _SPLIT_FIELDS[name]
+    operators._grid_split.cache_clear()
+    expressions._lambdify.cache_clear()
+    _unit_split(fld, stg, variant, 1.0)
+    misses = (operators._grid_split.cache_info().misses,
+              expressions._lambdify.cache_info().misses)
+    for R, beta in ((1.1, 1), (2.8, 4.0), (2.0, 0.5), (7.0, 40)):
+        _unit_split(fld, stg, variant, R, beta)
+    assert (operators._grid_split.cache_info().misses,
+            expressions._lambdify.cache_info().misses) == misses
+
+
+@pytest.mark.parametrize("R", [1.1, 1.5, 2.8, 2.0])
+@pytest.mark.parametrize("variant", ["scaled-time", "translated"])
+@pytest.mark.parametrize("name", list(_SPLIT_FIELDS))
+def test_split_weights_are_exact_float64(name, variant, R):
+    # grad phi and dt phi are the float64 closed forms to 1 ulp, and at a
+    # dyadic R bit for bit
+    fld, stg = _SPLIT_FIELDS[name]
+    ops = _unit_split(fld, stg, variant, R)
+    cut = CutoffSpec(R=R)
+    vp = cut.profile_values(stg.times).reshape(-1, *(1,) * fld.dim)
+    dvp = cut.profile_slope(stg.times).reshape(vp.shape)
+    xs = stg.space.meshes
+    grad = [2 * x[None] / R ** 2 for x in xs]
+    dt = dvp
+    if variant == "translated":
+        shifted = xs[0][None] / R + vp
+        grad[0], dt = 2 * shifted / R, 2 * shifted * dvp
+    shape = np.broadcast_shapes(vp.shape, xs[0][None].shape)
+    for got, want in zip((*ops.grad_phi, ops.dt_phi), (*grad, dt)):
+        got, want = np.broadcast_to(got, shape), np.broadcast_to(want, shape)
+        if R == 2.0:
+            assert np.array_equal(got, want)
+        else:
+            np.testing.assert_array_max_ulp(got, want, maxulp=1)
+
+
+def test_split_with_a_symbolic_beta_names_it():
+    fld, stg = _SPLIT_FIELDS["1d"]
+    with pytest.raises(SamplingError, match=r"\['beta'\]"):
+        _unit_split(fld, stg, "translated", 1.5, BETA)
 
 
 def test_reconstruction_against_direct_conjugation():
