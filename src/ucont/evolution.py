@@ -33,10 +33,6 @@ class StabilityError(NumericGuardError):
     """Requested step count violates the explicit-stage stability budget."""
 
 
-class NonFiniteFieldError(NumericGuardError):
-    """A coefficient entry or the potential is not finite on the grid."""
-
-
 class ZeroMassError(NumericGuardError):
     """The initial squared norm is 0 in float64, so no ratio to it exists."""
 
@@ -155,15 +151,6 @@ def _kinetic_symbol(abar: np.ndarray, grid: Grid) -> np.ndarray:
     return sym
 
 
-def _require_finite(name: str, values, grid: Grid) -> None:
-    bad = ~np.isfinite(np.broadcast_to(values, grid.points))
-    if bad.any():
-        at = tuple(float(grid.axis(i)[n])
-                   for i, n in enumerate(np.argwhere(bad)[0]))
-        raise NonFiniteFieldError(
-            f"{name} is not finite on the grid, first at x = {at}")
-
-
 def _remainder_step(grid: Grid, delta, v, c: complex):
     """The in-place step e^{cR} on Fourier coefficients, or None when R = 0.
 
@@ -259,11 +246,6 @@ def propagate(u0: WaveState, fld: CoefficientField, d: DissipationParams,
     entries = [[sample(fld.entry(k, j), grid.open_mesh)
                 for j in range(grid.dim)] for k in range(grid.dim)]
     v = sample(fld.potential, grid.open_mesh)
-    for k in range(grid.dim):
-        for j in range(grid.dim):
-            _require_finite(f"coefficient a{k + 1}{j + 1}", entries[k][j],
-                            grid)
-    _require_finite("potential", v, grid)
     abar = np.array([[np.mean(entries[k][j]) for j in range(grid.dim)]
                      for k in range(grid.dim)])
     delta = [[entries[k][j] - abar[k, j] for j in range(grid.dim)]

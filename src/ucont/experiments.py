@@ -484,7 +484,7 @@ def _run_convexity(cfg: ExperimentConfig, out: Path):
         metrics[f"min_d2_logH[{tag}]"] = tr.min_d2_logH
     metrics["M1"] = M1
     metrics["derivative_bound_ratio"] = derivative_bound_check(
-        traj, float(betas[0]), M1, strict=False)
+        traj, float(betas[0]), M1)
     return checks, metrics, artifacts
 
 

@@ -32,6 +32,8 @@ import numpy as np
 import sympy as sp
 from sympy.printing.numpy import NumPyPrinter
 
+from .grids import NumericGuardError
+
 T_SYMBOL = sp.Symbol("t", real=True)
 X_SYMBOLS = tuple(sp.Symbol(f"x{i}", real=True) for i in range(1, 10))
 
@@ -49,7 +51,7 @@ class ExpressionError(ValueError):
         self.position = position
 
 
-class SamplingError(ValueError):
+class SamplingError(NumericGuardError, ValueError):
     """An expression that does not sample to the finite numbers required."""
 
 
@@ -82,16 +84,29 @@ def sample(expr: sp.Expr, mesh, syms=None):
     in order, to ``syms`` (default x1..xn for n arrays).
 
     The value keeps its natural shape: a scalar for a constant, and only the
-    axes of the variables it depends on otherwise (on an open mesh).  Each
-    (expression, symbols) pair is compiled once per process; symbols left
-    unbound, an abstract function such as the weight profile vp(t) (no value
-    is made up for it), or a function numpy lacks raise :class:`SamplingError`.
+    axes of the variables it depends on otherwise (on an open mesh).  A
+    number is its value (an int or a float); any other (expression,
+    symbols) pair is compiled once per process.  Symbols left unbound, an
+    abstract function such as the weight profile vp(t) (no value is made up
+    for it), a function numpy lacks, or a NaN or inf in the value raise
+    :class:`SamplingError`, the last naming the first point not finite.
     """
     syms = X_SYMBOLS[:len(mesh)] if syms is None else tuple(syms)
-    try:
-        return _lambdify(expr, syms)(*mesh)
-    except NameError as exc:    # a function the numpy printer left by name
-        raise SamplingError(f"numpy has no counterpart of {exc.name}") from exc
+    if expr.is_Number:
+        value = int(expr) if expr.is_Integer else float(expr)
+    else:
+        try:
+            value = _lambdify(expr, syms)(*mesh)
+        except NameError as exc:    # a function the numpy printer left by name
+            raise SamplingError(f"numpy has no counterpart of {exc.name}") from exc
+    finite = np.isfinite(value)
+    if not finite.all():
+        shape = np.broadcast_shapes(finite.shape, *map(np.shape, mesh))
+        first = tuple(np.argwhere(~np.broadcast_to(finite, shape))[0])
+        at = ", ".join(f"{s} = {np.broadcast_to(m, shape)[first]:g}"
+                       for s, m in zip(syms, mesh))
+        raise SamplingError(f"{expr} is not finite at {at}")
+    return value
 
 
 def partials() -> Partials:

@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from ucont.coefficients import (CoefficientField, EllipticityError, GaugeError,
                                 SamplingBox, TransversalField, decay_smallness,
                                 ellipticity_bounds, gauge_reduce,
                                 transversal_smallness, verify_gauge_transport)
-from ucont.expressions import const, parse_expression
+from ucont.expressions import SamplingError, const, parse_expression
 
 pe = parse_expression
 
@@ -261,6 +262,36 @@ def test_derivatives_are_taken_in_one_place():
                     and (path.name, qual) not in _DIFF_SITES:
                 found.append(f"{path.name}:{call.lineno} in {qual or 'the module'}")
     assert not found
+
+
+def _called_name(call: ast.Call) -> str | None:
+    return getattr(call.func, "attr", getattr(call.func, "id", None))
+
+
+def test_expressions_are_compiled_in_one_place():
+    """expressions.sample is the one evaluator, and so the one finiteness
+    guard, of an expression: sp.lambdify is called only in
+    expressions._lambdify, and _lambdify only in expressions.sample."""
+    sites = {"lambdify": ("expressions.py", "_lambdify"),
+             "_lambdify": ("expressions.py", "sample")}
+    found = []
+    for path in sorted(Path(coefficients.__file__).parent.glob("*.py")):
+        for qual, call in _nodes(ast.parse(path.read_text())):
+            if isinstance(call, ast.Call) and _called_name(call) in sites \
+                    and (path.name, qual) != sites[_called_name(call)]:
+                found.append(f"{path.name}:{call.lineno} in {qual or 'the module'}")
+    assert not found
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("a11", ["1 + 1/x1^2", "2 + sin(x1)/x1"])
+def test_ellipticity_rejects_a_field_that_is_not_finite(a11):
+    # (1.015625, inf) and (nan, nan) before sample checked its values
+    with pytest.raises(SamplingError, match=re.escape(
+            f"{pe(a11)} is not finite at x1 = 0")):
+        ellipticity_bounds(CoefficientField(1, ((pe(a11),),)),
+                           SamplingBox.cube(1, 8.0, 17))
 
 
 # ---------------------------------------------------------------------------

@@ -129,8 +129,7 @@ def test_derivative_bound_stable_under_refinement(identity_field_1d,
     assert vals[0] == pytest.approx(vals[1], rel=0.02)
 
 
-@pytest.mark.parametrize("strict", [True, False])
-def test_derivative_bound_weighs_each_endpoint_once(strict, monkeypatch,
+def test_derivative_bound_weighs_each_endpoint_once(monkeypatch,
                                                     identity_field_1d,
                                                     chirped_packet):
     from ucont import diagnostics
@@ -144,8 +143,8 @@ def test_derivative_bound_weighs_each_endpoint_once(strict, monkeypatch,
         calls.append(kwargs.get("strict"))
         return norm(u, beta, *args, **kwargs)
     monkeypatch.setattr(diagnostics, "weighted_norm", counting)
-    derivative_bound_check(traj, 0.1, strict=strict)
-    assert calls == [strict, strict]
+    derivative_bound_check(traj, 0.1)
+    assert calls == [False, False]
 
 
 def test_decay_schedule_formula_specialization():
@@ -256,7 +255,7 @@ def test_frame_stack_gradients_match_per_frame_loop():
         integ = beta * g2 + beta ** 3 * g.radius_sq * np.abs(weight * u) ** 2
         vals.append(float(integ.sum() * g.cell_volume) * t * (1 - t))
     rhs = sum(weighted_norm(traj.state(i), beta, strict=False) for i in (0, 8))
-    assert derivative_bound_check(traj, beta, strict=False) == pytest.approx(
+    assert derivative_bound_check(traj, beta) == pytest.approx(
         float(np.trapezoid(vals, times)) / rhs, rel=1e-12)
     rad = np.sqrt(g.radius_sq)
     dens = [np.abs(u) ** 2

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,11 +7,11 @@ import pytest
 from ucont.coefficients import CoefficientField
 from ucont.evolution import (HEAT, SCHRODINGER, BlowUpError, CheckpointError,
                              DissipationParams, GaussianPacket,
-                             NonFiniteFieldError, StabilityError, WaveState,
+                             StabilityError, WaveState,
                              _remainder_step,
                              linear_potential_closed_form, mass, propagate,
                              read_checkpoint, write_checkpoint)
-from ucont.expressions import parse_expression, sample
+from ucont.expressions import SamplingError, parse_expression, sample
 from ucont.grids import Grid, band_limited_noise, spectral_derivative
 
 pe = parse_expression
@@ -156,19 +157,18 @@ def test_blowup_guard_catches_a_nan_norm(line_grid, unit_packet):
 
 @pytest.mark.filterwarnings("ignore:divide by zero encountered")
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
-@pytest.mark.parametrize("a11, potential, name", [
-    ("1", "1/x1", "potential"),
-    ("1 + 0.06*exp(-x1^2/4)", "1/x1", "potential"),
-    ("1 + 0.06*sin(x1)/x1", "0", "coefficient a11"),
+@pytest.mark.parametrize("a11, potential, bad", [
+    ("1", "1/x1", "1/x1"),
+    ("1 + 0.06*exp(-x1^2/4)", "1/x1", "1/x1"),
+    ("1 + 0.06*sin(x1)/x1", "0", "1 + 0.06*sin(x1)/x1"),
 ], ids=["potential", "potential-variable-a11", "entry"])
 def test_non_finite_field_rejected(line_grid, unit_packet, a11, potential,
-                                   name):
+                                   bad):
     # x1 = 0 is a node of the 1024-point grid
     fld = CoefficientField(1, ((pe(a11),),), pe(potential))
     u0 = WaveState(0.0, unit_packet.sample(line_grid), line_grid)
-    with pytest.raises(NonFiniteFieldError,
-                       match=f"{name} is not finite on the grid, first at "
-                             r"x = \(0\.0,\)"):
+    with pytest.raises(SamplingError,
+                       match=re.escape(f"{pe(bad)} is not finite at x1 = 0")):
         propagate(u0, fld, SCHRODINGER, steps=1024, n_frames=2)
 
 

@@ -1113,6 +1113,47 @@ points = [256]
 [initial]
 amplitude = 1e-170
 """, "initial squared norm 0.0 is not positive"),
+    # a coefficient that is NaN at x1 = 0 read as ellipticity (nan, nan),
+    # every sample passed with slack inf, and the run exited 0
+    "SamplingError:sweep": ("""
+[experiment]
+kind = carleman-sweep
+[field]
+dimension = 1
+a11 = "2 + sin(x1)/x1"
+[grid]
+extents = [8.0]
+points = [512]
+nt = 64
+[params]
+R_values = [1.0]
+n_samples = 2
+""", "not finite at x1 = 0"),
+    # an infinite coefficient ended the frontier in "no root (... = nan)"
+    "SamplingError:frontier": ("""
+[experiment]
+kind = carleman-sweep
+[field]
+dimension = 1
+a11 = "1 + 1/x1^2"
+[grid]
+extents = [8.0]
+points = [512]
+nt = 64
+[params]
+R_values = [1.0]
+n_samples = 2
+frontier_R_values = [2.0, 4.0]
+frontier_probes = 2
+""", "not finite at x1 = 0"),
+    # a NaN coefficient ended the gauge reduction in a Newton failure
+    "SamplingError:gauge": ("""
+[experiment]
+kind = gauge-reduce
+[field]
+dimension = 1
+a11 = "2 + sin(x1)/x1"
+""", "not finite at x1 = 0"),
 }
 
 
@@ -1132,8 +1173,8 @@ def test_field_and_diagnostics_guards_are_failed_checks(case, tmp_path):
 
 
 # ucont's exception classes that are not numeric guards: a run raises them
-NON_GUARD_ERRORS = {"ConfigError", "ExpressionError", "SamplingError",
-                    "CheckpointError", "ThreadCountError", "OrderOverflowError"}
+NON_GUARD_ERRORS = {"ConfigError", "ExpressionError", "CheckpointError",
+                    "ThreadCountError", "OrderOverflowError"}
 
 
 def test_every_error_class_is_a_guard_or_listed():
@@ -1148,7 +1189,7 @@ def test_every_error_class_is_a_guard_or_listed():
     guards = {name for name, cls in defined.items()
               if issubclass(cls, NumericGuardError)}
     assert set(defined) - guards == NON_GUARD_ERRORS
-    assert {"QuadratureError", "ResolutionError", "NonFiniteFieldError"} <= guards
+    assert {"QuadratureError", "ResolutionError", "SamplingError"} <= guards
     assert all(issubclass(defined[name], ValueError)
                for name in ("SupportError", "EllipticityError", "GaugeError"))
 
@@ -1191,8 +1232,8 @@ def test_non_finite_field_is_a_failed_check(field, tmp_path):
     assert list(payload["checks"]) == ["numeric_guard"]
     guard = payload["checks"]["numeric_guard"]
     assert guard["status"] == "fail"
-    assert guard["error"] == "NonFiniteFieldError"
-    assert "potential is not finite on the grid" in guard["message"]
+    assert guard["error"] == "SamplingError"
+    assert "1/x1 is not finite at x1 = 0" in guard["message"]
 
 
 # the power weight beta |x|^3 is not smooth at the origin: in 1-D its
@@ -1202,7 +1243,7 @@ def test_non_finite_field_is_a_failed_check(field, tmp_path):
 @pytest.mark.parametrize("field,cause", [
     ('dimension = 1\na11 = "1 + 0.1*exp(-x1^2)"', "DiracDelta"),
     ('dimension = 2\na11 = "1 + 0.1*exp(-x1^2)"\na12 = "0.05*x1*x2"\n'
-     'a22 = "1 + 0.1*exp(-x2^2)"', "not finite at t = 0, x = (0.0, 0.0)")],
+     'a22 = "1 + 0.1*exp(-x2^2)"', "not finite at t = 0, x1 = 0, x2 = 0")],
     ids=["1d", "2d"])
 def test_unsamplable_remainder_grouping_is_a_failed_check(field, cause,
                                                           tmp_path):

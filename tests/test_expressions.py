@@ -1,6 +1,7 @@
 import math
 import operator
 import os
+import re
 import subprocess
 import sys
 
@@ -10,8 +11,8 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from ucont.expressions import (T_SYMBOL, X_SYMBOLS, ExpressionError,
-                               SamplingError, coeff_is_zero, parse_expression,
-                               partials, sample)
+                               SamplingError, coeff_is_zero, const,
+                               parse_expression, partials, sample)
 from ucont.grids import Grid, SpaceTimeGrid
 from ucont.operators import VARIANTS, WeightSpec
 
@@ -312,6 +313,32 @@ def test_trigonometric_zeros_read_as_zero(text):
                                   "exp(x1)*sin(x1) - sin(x1)"])
 def test_trigonometric_nonzeros_read_as_nonzero(text):
     assert not coeff_is_zero(parse_expression(text))
+
+
+@pytest.mark.parametrize("expr", [const(1), sp.Rational(1, 3), sp.Float(0.1)],
+                         ids=["integer", "rational", "float"])
+def test_constant_samples_compile_nothing(expr):
+    # a number is its value, the value and type its compiled lambda returns
+    from ucont import expressions
+    mesh = (np.linspace(-1.0, 1.0, 5),)
+    expressions._lambdify.cache_clear()
+    got = sample(expr, mesh)
+    assert expressions._lambdify.cache_info().misses == 0
+    want = expressions._lambdify(expr, X_SYMBOLS[:1])(*mesh)
+    assert got == want and type(got) is type(want)
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero encountered")
+@pytest.mark.parametrize("expr, mesh, where", [
+    (sp.Float("nan"), (np.array([-1.0, 0.0]),), "nan is not finite at x1 = -1"),
+    (sp.oo, (2.0,), "oo is not finite at x1 = 2"),
+    (1 / X_SYMBOLS[0], (np.array([-1.0, 0.0, 1.0]),), "1/x1 is not finite at x1 = 0"),
+    (1 / X_SYMBOLS[0], (np.array([[1.0], [0.0]]), np.array([[3.0, 4.0]])),
+     "1/x1 is not finite at x1 = 0, x2 = 3")],
+    ids=["nan-constant", "infinite-constant", "pole", "pole-on-open-mesh"])
+def test_sample_names_the_first_point_not_finite(expr, mesh, where):
+    with pytest.raises(SamplingError, match=re.escape(where)):
+        sample(expr, mesh)
 
 
 def test_sample_raises_on_an_abstract_function():

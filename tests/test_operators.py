@@ -594,6 +594,16 @@ def test_split_weights_are_exact_float64(name, variant, R):
             np.testing.assert_array_max_ulp(got, want, maxulp=1)
 
 
+@pytest.mark.filterwarnings("ignore:divide by zero encountered")
+def test_split_of_a_field_not_finite_on_the_grid_raises():
+    # x1 = 0 is a node of the 64-point grid
+    fld = CoefficientField(1, ((pe("1 + 1/x1^2"),),))
+    with pytest.raises(SamplingError,
+                       match=r"x1\*\*\(-2\) is not finite at t = 0, x1 = 0,"):
+        ConjugatedGridOps.build(fld, WeightSpec("quadratic", 1.0),
+                                _SPLIT_FIELDS["1d"][1])
+
+
 def test_split_with_a_symbolic_beta_names_it():
     fld, stg = _SPLIT_FIELDS["1d"]
     with pytest.raises(SamplingError, match=r"\['beta'\]"):
