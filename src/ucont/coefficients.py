@@ -286,14 +286,13 @@ def verify_gauge_transport(gr: GaugeReduction, n_tests: int = 10,
 _NEWTON_TOL, _NEWTON_STEPS = 1e-13, 8
 
 
-def gauge_reduce(fld: CoefficientField, x1_range: tuple[float, float] = (-12.0, 12.0),
-                 npts: int = 4001) -> GaugeReduction:
+def gauge_reduce(fld: CoefficientField, x1_range: tuple[float, float] = (-12.0, 12.0)
+                 ) -> GaugeReduction:
     """Normalize a11 to 1 by the change of variables dy1/dx1 = a11(x1)^{-1/2}
     plus the quarter-log gauge; returns the maps and the modified bounded
     potential of a block field diag(a11(x1), Atilde(x')).  y1(x1) sums the
-    8-point Gauss-Legendre rule over the npts - 1 cells of x1_range, exact to
-    roundoff for a smooth a11, so the map does not depend on npts; x1(y1)
-    inverts it by Newton's method."""
+    8-point Gauss-Legendre rule over the 4000 cells of x1_range, exact to
+    roundoff for a smooth a11; x1(y1) inverts it by Newton's method."""
     # imported here, so that `import ucont` does not load numpy.polynomial
     from numpy.polynomial.legendre import leggauss
     fld = TransversalField.of(fld)
@@ -302,7 +301,7 @@ def gauge_reduce(fld: CoefficientField, x1_range: tuple[float, float] = (-12.0, 
                          "diag(a11(x1), Atilde(x'))")
     nodes, weights = leggauss(8)
     a11, x1 = fld.a11, X_SYMBOLS[0]
-    xs = np.linspace(x1_range[0], x1_range[1], npts)
+    xs = np.linspace(x1_range[0], x1_range[1], 4001)
     amin = float(np.min(sample(a11, (xs,))))
     if amin <= 1e-10:
         raise GaugeError(f"a11 not bounded below on {x1_range} (min {amin:.3e})")
@@ -319,7 +318,7 @@ def gauge_reduce(fld: CoefficientField, x1_range: tuple[float, float] = (-12.0, 
 
     def from_start(xv):
         # y1(xv) - y1(x1_range[0]), summed from the start of xv's cell
-        i = np.clip(np.searchsorted(xs, xv, side="right") - 1, 0, npts - 2)
+        i = np.clip(np.searchsorted(xs, xv, side="right") - 1, 0, xs.size - 2)
         return cum[i] + arclength(xs[i], xv)
     origin = from_start(0.0)    # y1 = 0 at x1 = 0
 

@@ -134,8 +134,6 @@ _TABLE = {
         "params": {"x1_range": (list, [-10.0, 10.0], (
                        lambda v: len(v) == 2 and v[0] < v[1],
                        "expected [start, end] with start < end", list)),
-                   "npts": (int, 4001, (lambda n: n >= 2,
-                                        "the map needs at least 2 points")),
                    "n_tests": (int, 10, _POSITIVE)}},
 }
 KINDS = tuple(_TABLE)
@@ -638,7 +636,7 @@ def _run_lowerbound(cfg: ExperimentConfig, out: Path):
 
 def _run_gauge(cfg: ExperimentConfig, out: Path):
     x1_range = tuple(float(x) for x in cfg.get("params", "x1_range"))
-    gr = gauge_reduce(_build_field(cfg), x1_range, cfg.get("params", "npts"))
+    gr = gauge_reduce(_build_field(cfg), x1_range)
     ys = np.linspace(gr.y1_grid[0] * 0.92, gr.y1_grid[-1] * 0.92, 257)
     rows = zip(ys, gr.x_of_y(ys), gr.psi(ys), gr.reduced_potential(ys))
     path = out / "gauge.csv"

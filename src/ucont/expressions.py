@@ -96,7 +96,9 @@ def sample(expr: sp.Expr, mesh, syms=None):
         value = int(expr) if expr.is_Integer else float(expr)
     else:
         try:
-            value = _lambdify(expr, syms)(*mesh)
+            # a pole or a 0/0 is reported below, naming its point
+            with np.errstate(all="ignore"):
+                value = _lambdify(expr, syms)(*mesh)
         except NameError as exc:    # a function the numpy printer left by name
             raise SamplingError(f"numpy has no counterpart of {exc.name}") from exc
     finite = np.isfinite(value)

@@ -185,7 +185,7 @@ def spectral_tail_fraction(values: np.ndarray) -> float:
     return float(frac)
 
 
-def check_resolved(values: np.ndarray, budget: float = 1e-10) -> None:
+def check_resolved(values: np.ndarray, budget: float) -> None:
     frac = spectral_tail_fraction(values)
     if frac > budget:
         raise ResolutionError(

@@ -92,10 +92,6 @@ class DiffOperator:
         """Leibniz expansion of self applied after other."""
         return _accumulate(self.dim, _leibniz(self, other, partials()))
 
-    def order_part(self, spatial_order: int) -> "DiffOperator":
-        return DiffOperator.build(
-            self.dim, {k: v for k, v in self.terms.items() if sum(k[1]) == spatial_order})
-
     def apply_symbolic(self, f: sp.Expr) -> sp.Expr:
         d = partials()
         out = sp.Integer(0)
@@ -290,14 +286,31 @@ def _collect_operator(expr: sp.Expr, F: sp.Expr, dim: int) -> DiffOperator:
 # ---------------------------------------------------------------------------
 
 def _principal_order1(fld: CoefficientField, phi: sp.Expr, d: Partials) -> Pairs:
-    """The principal first-order families of [S, A], kept explicit by the
-    graded formulas and left out of the O(1) remainder grouping:
-    -4 a_kj a_ml (d_kjl phi) dx_m and -4i a_ml (d_l dt phi) dx_m."""
+    """The principal first-order families of [S, A], which the graded
+    formulas keep explicit: -4 a_kj a_ml (d_kjl phi) dx_m and
+    -4i a_ml (d_l dt phi) dx_m."""
     n = fld.dim
     for k, j, m, l in itertools.product(range(n), repeat=4):
         yield _key(n, m), -4 * fld.entry(k, j) * fld.entry(m, l) * d(phi, k, j, l)
     for m, l in itertools.product(range(n), repeat=2):
         yield _key(n, m), -4 * sp.I * fld.entry(m, l) * d(phi, l, t=1)
+
+
+def _order1_remainder(fld: CoefficientField, phi: sp.Expr, d: Partials) -> Pairs:
+    """The first-order families of [S, A] that are not principal, the O(1)
+    remainder that the smallness of A's derivatives keeps under control."""
+    n = fld.dim
+    for k, j, m, l in itertools.product(range(n), repeat=4):
+        akj, aml = fld.entry(k, j), fld.entry(m, l)
+        yield from [(_key(n, m), -4 * akj * d(phi, k, l) * d(aml, j)),
+                    (_key(n, m), -4 * aml * d(phi, j, l) * d(akj, k)),
+                    (_key(n, j), -2 * akj * d(phi, m, l) * d(aml, k)),
+                    (_key(n, m), -2 * d(phi, l) * d(aml, j) * d(akj, k)),
+                    (_key(n, j), -2 * akj * d(phi, l) * d(aml, k, m)),
+                    (_key(n, j), 2 * aml * d(phi, l) * d(akj, k, m)),
+                    # second-derivative-of-A family paired with dx_m (dropped
+                    # from the printed display but produced by the composition)
+                    (_key(n, m), -2 * akj * d(phi, l) * d(aml, k, j))]
 
 
 def t_decomposition_terms(fld: CoefficientField, w: WeightSpec
@@ -316,22 +329,12 @@ def _graded_pieces(fld: CoefficientField, phi: sp.Expr, d: Partials
                    ) -> dict[str, DiffOperator]:
     n = fld.dim
     k0 = _key(n)
-    t2, t1, t01, t02 = [], [], [], []
+    t2, t01, t02 = [], [], []
     for k, j, m, l in itertools.product(range(n), repeat=4):
         akj, aml = fld.entry(k, j), fld.entry(m, l)
         t2 += [(_key(n, m, j), -4 * akj * aml * d(phi, k, l)),
                (_key(n, m, j), -4 * akj * d(aml, k) * d(phi, l)),
                (_key(n, k, j), 2 * aml * d(akj, m) * d(phi, l))]
-
-        t1 += [(_key(n, m), -4 * akj * d(phi, k, l) * d(aml, j)),
-               (_key(n, m), -4 * aml * d(phi, j, l) * d(akj, k)),
-               (_key(n, j), -2 * akj * d(phi, m, l) * d(aml, k)),
-               (_key(n, m), -2 * d(phi, l) * d(aml, j) * d(akj, k)),
-               (_key(n, j), -2 * akj * d(phi, l) * d(aml, k, m)),
-               (_key(n, j), 2 * aml * d(phi, l) * d(akj, k, m)),
-               # second-derivative-of-A family paired with dx_m (dropped from
-               # the printed display but produced by the composition; see ledger)
-               (_key(n, m), -2 * akj * d(phi, l) * d(aml, k, j))]
 
         t01 += [(k0, 4 * aml * akj * d(phi, l) * d(phi, k, m) * d(phi, j)),
                 (k0, 2 * aml * d(akj, m) * d(phi, l) * d(phi, k) * d(phi, j))]
@@ -346,14 +349,15 @@ def _graded_pieces(fld: CoefficientField, phi: sp.Expr, d: Partials
                 (k0, -d(akj, k) * d(phi, l) * d(aml, j, m)),
                 (k0, -akj * d(phi, l) * d(aml, k, j, m))]
 
-    t1 += _principal_order1(fld, phi, d)
     t02 += [(k0, -2 * sp.I * d(phi, l, t=1) * d(fld.entry(m, l), m))
             for m, l in itertools.product(range(n), repeat=2)]
     t02.append((k0, d(phi, t=2)))
     t02 += [(k0, -2 * sp.I * fld.entry(k, j) * d(phi, k, j, t=1))
             for k, j in itertools.product(range(n), repeat=2)]
 
-    return {"order2": _accumulate(n, t2), "order1": _accumulate(n, t1),
+    return {"order2": _accumulate(n, t2),
+            "order1": _accumulate(n, itertools.chain(
+                _order1_remainder(fld, phi, d), _principal_order1(fld, phi, d))),
             "order0_cubic": _accumulate(n, t01), "order0_rest": _accumulate(n, t02)}
 
 
@@ -369,7 +373,9 @@ class TDecompositionReport:
 def verify_T_decomposition(fld: CoefficientField, w: WeightSpec
                            ) -> TDecompositionReport:
     """Check that the graded pieces built from their closed formulas sum to
-    the brute-force commutator of the conjugated split, grade by grade.
+    the brute-force commutator of the conjugated split: the residual
+    [S, A] - (sum of the pieces) is formed once and its terms reported by
+    spatial order.
 
     The check is exact: a numeric weight parameter is taken as the rational
     of its decimal text (beta = 0.1 as 1/10), since Float coefficients would
@@ -380,26 +386,20 @@ def verify_T_decomposition(fld: CoefficientField, w: WeightSpec
     phi, d = replace(w, **exact).phi(fld.dim), partials()
     s_op, a_op = _split(fld, phi, d)
     comm = _commutator(s_op, a_op, d, max_spatial_order=2)
-    parts = _graded_pieces(fld, phi, d)
-    grouped = {
-        "order2": comm.order_part(2) - parts["order2"],
-        "order1": comm.order_part(1) - parts["order1"],
-        "order0": comm.order_part(0) - (parts["order0_cubic"] + parts["order0_rest"]),
-    }
-    residual_max: dict[str, float] = {}
-    residual_exprs: dict[str, str] = {}
-    all_zero = True
-    for label, op in grouped.items():
-        worst = 0.0
-        bad = []
-        for key, coef in op.terms.items():
-            if coeff_is_zero(coef):
-                continue
-            all_zero = False
-            worst = max(worst, probe_max_abs(coef, fld.dim))
-            bad.append(f"{key}: {sp.sstr(sp.cancel(sp.expand(coef)))}")
-        residual_max[label] = worst
-        residual_exprs[label] = "; ".join(bad)
+    residual = _accumulate(fld.dim, itertools.chain(comm.terms.items(), (
+        (k, -c) for piece in _graded_pieces(fld, phi, d).values()
+        for k, c in piece.terms.items())))
+    # no key is above order 2: _commutator raised on such terms or dropped them
+    bad: dict[str, list[str]] = {"order2": [], "order1": [], "order0": []}
+    residual_max = dict.fromkeys(bad, 0.0)
+    for key, coef in residual.terms.items():
+        if coeff_is_zero(coef):
+            continue
+        label = f"order{sum(key[1])}"
+        residual_max[label] = max(residual_max[label], probe_max_abs(coef, fld.dim))
+        bad[label].append(f"{key}: {sp.sstr(sp.cancel(sp.expand(coef)))}")
+    all_zero = not any(bad.values())
+    residual_exprs = {label: "; ".join(b) for label, b in bad.items()}
     return TDecompositionReport(fld.dim, residual_max, residual_exprs,
                                 all_zero, comm.spatial_order())
 
@@ -432,8 +432,7 @@ def remainder_grouping_report(fld: CoefficientField, w: WeightSpec,
                                              X_SYMBOLS[:n], d)))
               for order in (1, 2))
 
-    remainder = _graded_pieces(fld, phi, d)["order1"] \
-        - _accumulate(n, _principal_order1(fld, phi, d))
+    remainder = _accumulate(n, _order1_remainder(fld, phi, d))
     rem_norm = grad_norm([remainder.terms.get(_key(n, m), sp.Integer(0))
                           for m in range(n)])
     majorant = g2 * a1 + g1 * a1 ** 2 + g1 * a2

@@ -569,7 +569,6 @@ a11 = 1 + 0.5*exp(-x1^2)
 potential = sin(x1)
 
 [params]
-npts = 2001
 n_tests = 5
 """,
     "carleman-sweep": """

@@ -195,7 +195,7 @@ def test_block_view_is_read_from_the_entries():
                 CoefficientField.diagonal((const(1), pe("2 + cos(x1)")))):
         assert TransversalField.of(fld) is None
     with pytest.raises(GaugeError, match="block form"):
-        gauge_reduce(off_block, (-8.0, 8.0), 401)
+        gauge_reduce(off_block, (-8.0, 8.0))
 
 
 def _nodes(tree: ast.Module):
@@ -283,8 +283,6 @@ def test_expressions_are_compiled_in_one_place():
     assert not found
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero encountered")
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
 @pytest.mark.parametrize("a11", ["1 + 1/x1^2", "2 + sin(x1)/x1"])
 def test_ellipticity_rejects_a_field_that_is_not_finite(a11):
     # (1.015625, inf) and (nan, nan) before sample checked its values
@@ -300,7 +298,7 @@ def test_ellipticity_rejects_a_field_that_is_not_finite(a11):
 
 def test_gauge_identity_case():
     tf = TransversalField(1, const(1), ())
-    gr = gauge_reduce(tf, (-8.0, 8.0), 1601)
+    gr = gauge_reduce(tf, (-8.0, 8.0))
     assert np.allclose(gr.y1_grid, gr.x1_grid, atol=1e-10)
     ys = np.linspace(-5, 5, 7)
     assert np.allclose(gr.psi(ys), 0.0, atol=1e-12)
@@ -309,7 +307,7 @@ def test_gauge_identity_case():
 
 def test_gauge_constant_rescaling():
     tf = TransversalField(1, const(4), (), pe("sin(x1)"))
-    gr = gauge_reduce(tf, (-8.0, 8.0), 1601)
+    gr = gauge_reduce(tf, (-8.0, 8.0))
     assert np.allclose(gr.y1_grid, gr.x1_grid / 2.0, atol=1e-10)
     ys = np.linspace(-3, 3, 7)
     assert np.allclose(gr.psi(ys), 0.0, atol=1e-12)
@@ -320,17 +318,17 @@ def test_gauge_constant_rescaling():
 
 def test_gauge_transport_oracle():
     tf = TransversalField(1, pe("1 + 0.5*exp(-x1^2)"), (), pe("sin(x1)"))
-    gr = gauge_reduce(tf, (-10.0, 10.0), 4001)
+    gr = gauge_reduce(tf, (-10.0, 10.0))
     assert np.all(np.diff(gr.y1_grid) > 0)
     err = verify_gauge_transport(gr, n_tests=10, seed=2)
     assert err < 1e-6
 
 
-def _transport_or_guard(a11: str, npts: int, seed: int) -> float:
+def _transport_or_guard(a11: str, seed: int) -> float:
     """The transport error on x1_range [-10, 10], or 0 when a guard raises
     GaugeError: the check never passes on a cut test function."""
     try:
-        gr = gauge_reduce(TransversalField(1, pe(a11), ()), (-10.0, 10.0), npts)
+        gr = gauge_reduce(TransversalField(1, pe(a11), ()), (-10.0, 10.0))
         return verify_gauge_transport(gr, n_tests=3, seed=seed)
     except GaugeError:
         return 0.0
@@ -340,28 +338,30 @@ def _transport_or_guard(a11: str, npts: int, seed: int) -> float:
 # 2001 and 4001 points, the largest transport error read 1.1e-7, and the
 # y-box guard ended 306 of the 1920 runs, most of them atan(x1) ones
 @settings(max_examples=20, deadline=None)
-@example(g="cos(4*x1)", eps=0.3, npts=2001, seed=0)    # 1.18e-6 by a spline
+@example(g="cos(4*x1)", eps=0.3, seed=0)    # 1.18e-6 by a spline
 @given(g=st.sampled_from(["exp(-x1^2)", "cos(x1)", "atan(x1)", "1/(1+x1^2)",
                           "cos(2*x1)", "cos(3*x1)", "cos(4*x1)", "sin(5*x1)"]),
-       eps=st.floats(-0.5, 0.5), npts=st.sampled_from([2001, 4001]),
-       seed=st.integers(0, 99))
-def test_gauge_transport_holds_or_is_guarded(g, eps, npts, seed):
-    assert _transport_or_guard(f"1 + ({eps!r})*({g})", npts, seed) < 1e-6
+       eps=st.floats(-0.5, 0.5), seed=st.integers(0, 99))
+def test_gauge_transport_holds_or_is_guarded(g, eps, seed):
+    assert _transport_or_guard(f"1 + ({eps!r})*({g})", seed) < 1e-6
 
 
 def test_gauge_transport_of_a_faster_field_on_a_coarse_map():
     # a spline through the map's grid values read 1.08e-6 here
-    assert _transport_or_guard("1 + 0.5*cos(3*x1)", 2001, 5) < 1e-6
+    assert _transport_or_guard("1 + 0.5*cos(3*x1)", 5) < 1e-6
 
 
-def test_gauge_map_does_not_depend_on_npts():
-    # the Gauss-Legendre cells are exact to roundoff, so the grid size only
-    # tabulates the map (a spline through it moved by 1.8e-10 here)
+def test_gauge_map_matches_an_adaptive_quadrature():
+    # y1(x1) is the integral of a11^(-1/2) from 0, so x1(y1) must land where
+    # scipy's adaptive quadrature of that integral reads y1
+    from scipy.integrate import quad
     tf = TransversalField(1, pe("1 + 0.5*cos(3*x1)"), ())
-    coarse, fine = (gauge_reduce(tf, (-10.0, 10.0), n) for n in (2001, 4001))
-    ys = np.linspace(-0.9, 0.9, 1001) * coarse.y1_grid[-1]
-    assert np.max(np.abs(coarse.x_of_y(ys) - fine.x_of_y(ys))) < 1e-12
-    assert np.max(np.abs(coarse.y1_grid - fine.y1_grid[::2])) < 1e-12
+    gr = gauge_reduce(tf, (-10.0, 10.0))
+    ys = np.linspace(-0.9, 0.9, 41) * gr.y1_grid[-1]
+    xs = gr.x_of_y(ys)
+    arc = [quad(lambda x: (1 + 0.5 * np.cos(3 * x)) ** -0.5, 0.0, x,
+                epsabs=1e-13, epsrel=1e-13, limit=200)[0] for x in xs]
+    assert np.max(np.abs(np.array(arc) - ys)) < 1e-12
 
 
 def test_gauge_map_inversion_is_guarded(monkeypatch):
@@ -369,7 +369,7 @@ def test_gauge_map_inversion_is_guarded(monkeypatch):
     # roundoff, which must raise rather than return
     monkeypatch.setattr(coefficients, "_NEWTON_STEPS", 1)
     gr = gauge_reduce(TransversalField(1, pe("1 + 0.5*cos(3*x1)"), ()),
-                      (-10.0, 10.0), 401)
+                      (-10.0, 10.0))
     with pytest.raises(GaugeError, match="Newton"):
         gr.x_of_y(np.linspace(-5.0, 5.0, 11))
 
@@ -377,4 +377,4 @@ def test_gauge_map_inversion_is_guarded(monkeypatch):
 def test_gauge_rejects_vanishing_a11():
     tf = TransversalField(1, pe("exp(-x1^2)"), ())
     with pytest.raises(GaugeError, match="bounded below"):
-        gauge_reduce(tf, (-10.0, 10.0), 801)
+        gauge_reduce(tf, (-10.0, 10.0))

@@ -155,8 +155,6 @@ def test_blowup_guard_catches_a_nan_norm(line_grid, unit_packet):
         propagate(u0, fld, HEAT, steps=64, n_frames=2)
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero encountered")
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
 @pytest.mark.parametrize("a11, potential, bad", [
     ("1", "1/x1", "1/x1"),
     ("1 + 0.06*exp(-x1^2/4)", "1/x1", "1/x1"),

@@ -279,6 +279,26 @@ def test_t_decomposition_is_exact_for_float_parameters(w):
         == rep.residual_exprs
 
 
+def test_t_decomposition_reports_a_nonzero_residual_by_grade():
+    # beta |x1|^3 over a real x1 leaves sign(x1) terms at order 0, which the
+    # zero test does not reduce; each grade reports the terms of
+    # [S, A] - (sum of the pieces) of its spatial order
+    fld = CoefficientField(1, ((pe("1 + 0.1*exp(-x1^2)"),),))
+    w = WeightSpec("power", sp.Rational(1, 2), alpha=sp.Rational(3, 2))
+    residual = commutator(*conjugate_decompose(fld, w), max_spatial_order=2)
+    for piece in t_decomposition_terms(fld, w).values():
+        residual = residual - piece
+    want = {f"order{g}": "; ".join(
+        f"{key}: {sp.sstr(sp.cancel(sp.expand(c)))}"
+        for key, c in residual.terms.items()
+        if sum(key[1]) == g and not coeff_is_zero(c)) for g in (2, 1, 0)}
+    rep = verify_T_decomposition(fld, w)
+    assert rep.residual_exprs == want
+    assert rep.residual_exprs["order2"] == rep.residual_exprs["order1"] == ""
+    assert "sign(x1)" in rep.residual_exprs["order0"]
+    assert not rep.identically_zero and rep.residual_max["order0"] > 0
+
+
 def test_t_first_order_reduction_constant_diagonal_scaled_time():
     # constant-coefficient gradient terms vanish; with the radial-in-x
     # profile-shifted weight the first-order piece collapses to the two
@@ -594,7 +614,6 @@ def test_split_weights_are_exact_float64(name, variant, R):
             np.testing.assert_array_max_ulp(got, want, maxulp=1)
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero encountered")
 def test_split_of_a_field_not_finite_on_the_grid_raises():
     # x1 = 0 is a node of the 64-point grid
     fld = CoefficientField(1, ((pe("1 + 1/x1^2"),),))
